@@ -15,7 +15,7 @@ import json
 import logging
 import re
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -146,19 +146,7 @@ class SchemaCatalog:
                 {
                     "name": t.name,
                     "primary_key": list(t.primary_key),
-                    "columns": [
-                        {
-                            "name": c.name,
-                            "declared_type": c.declared_type,
-                            "expanded_name": c.expanded_name,
-                            "column_description": c.column_description,
-                            "value_description": c.value_description,
-                            "is_pk": c.is_pk,
-                            "fk_targets": list(c.fk_targets),
-                            "sample_values": list(c.sample_values),
-                        }
-                        for c in t.columns
-                    ],
+                    "columns": [asdict(c) for c in t.columns],
                 }
                 for t in self.tables
             ],
@@ -174,19 +162,7 @@ class SchemaCatalog:
             TableInfo(
                 name=t["name"],
                 primary_key=list(t["primary_key"]),
-                columns=[
-                    ColumnInfo(
-                        name=c["name"],
-                        declared_type=c.get("declared_type", ""),
-                        expanded_name=c.get("expanded_name"),
-                        column_description=c.get("column_description"),
-                        value_description=c.get("value_description"),
-                        is_pk=bool(c.get("is_pk", False)),
-                        fk_targets=list(c.get("fk_targets", [])),
-                        sample_values=list(c.get("sample_values", [])),
-                    )
-                    for c in t["columns"]
-                ],
+                columns=[ColumnInfo(**c) for c in t["columns"]],
             )
             for t in payload["tables"]
         ]
@@ -329,7 +305,12 @@ def ingest_catalog_descriptions(
         logger.warning("description directory %s not found; catalog unchanged", directory)
         return catalog
 
-    catalog = SchemaCatalog.from_json_dict(catalog.to_json_dict())
+    # New column objects keep the input catalog as it was. Their lists stay
+    # shared, because nothing below changes a list in place.
+    catalog = replace(
+        catalog,
+        tables=[replace(t, columns=[replace(c) for c in t.columns]) for t in catalog.tables],
+    )
     tables_ci = {t.name.strip().lower(): t for t in catalog.tables}
     for csv_path in sorted(directory.glob("*.csv")):
         table = tables_ci.get(csv_path.stem.strip().lower())

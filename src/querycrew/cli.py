@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness, pipeline
@@ -122,23 +123,12 @@ def cmd_ask(args) -> int:
 def cmd_bench(args) -> int:
     config = _load_config(args.config)
     if args.disable:
-        config = PipelineConfig.from_dict(
-            {**config.to_dict(), "disabled_tools": sorted(set(args.disable))}
-        )
+        config = replace(config, disabled_tools=frozenset(args.disable))
     if args.max_revisions is not None:
-        config = PipelineConfig.from_dict(
-            {**config.to_dict(), "max_revisions": args.max_revisions}
-        )
+        config = replace(config, max_revisions=args.max_revisions)
     items = harness.load_dataset(args.dataset, fmt=args.format)
     if args.format == "spider":
-        config = PipelineConfig.from_dict(
-            {
-                **config.to_dict(),
-                "disabled_tools": sorted(
-                    set(config.disabled_tools) | {"retrieve_context"}
-                ),
-            }
-        )
+        config = replace(config, disabled_tools=config.disabled_tools | {"retrieve_context"})
     if args.subsample is not None:
         items = harness.subsample_dev(items, args.subsample, args.seed)
     report = harness.run_benchmark(

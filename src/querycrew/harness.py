@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -55,12 +55,7 @@ class SchemaPR:
     column_precision: float
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (
-            self.table_recall,
-            self.table_precision,
-            self.column_recall,
-            self.column_precision,
-        )
+        return astuple(self)
 
 
 def load_dataset(path: str | Path, fmt: str = "bird") -> list[BenchmarkItem]:
@@ -323,38 +318,11 @@ class ItemOutcome:
     error: str = ""
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "question_id": self.question_id,
-                "db_id": self.db_id,
-                "difficulty": self.difficulty,
-                "predicted_sql": self.predicted_sql,
-                "ex": self.ex,
-                "llm_calls": self.llm_calls,
-                "prompt_tokens": self.prompt_tokens,
-                "completion_tokens": self.completion_tokens,
-                "candidate_ex": self.candidate_ex,
-                "error": self.error,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_json_line(cls, line: str) -> "ItemOutcome":
-        row = json.loads(line)
-        return cls(
-            question_id=row["question_id"],
-            db_id=row["db_id"],
-            difficulty=row["difficulty"],
-            predicted_sql=row["predicted_sql"],
-            ex=row["ex"],
-            llm_calls=row["llm_calls"],
-            prompt_tokens=row["prompt_tokens"],
-            completion_tokens=row["completion_tokens"],
-            candidate_ex=list(row.get("candidate_ex", [])),
-            error=row.get("error", ""),
-        )
+        return cls(**json.loads(line))
 
 
 @dataclass
@@ -373,15 +341,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "n_items": len(self.outcomes),
-            "ex_overall": self.ex_overall,
-            "ex_by_difficulty": self.ex_by_difficulty,
-            "counts_by_difficulty": self.counts_by_difficulty,
-            "pass_at": self.pass_at,
-            "mean_llm_calls": self.mean_llm_calls,
-            "mean_prompt_tokens": self.mean_prompt_tokens,
-            "mean_completion_tokens": self.mean_completion_tokens,
-            "schema_pr_per_stage": self.schema_pr_per_stage,
-            "flagged_gold": self.flagged_gold,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "outcomes"},
         }
 
 
@@ -410,21 +370,17 @@ def run_benchmark(
     """Run the pipeline over a dataset and write report artifacts.
 
     Resumable: question ids already present in predictions.jsonl are loaded,
-    not re-run. Per-item failures are recorded as EX=0 with an error note and
-    never abort the sweep.
+    not re-run; a torn last line left by a killed sweep is dropped and its
+    item runs again. Per-item failures, a broken database included, are
+    recorded as EX=0 with an error note and never abort the sweep. Each item
+    executes its gold SQL once and each distinct candidate SQL once.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
     predictions_path = out / "predictions.jsonl"
-
-    done: dict[str, ItemOutcome] = {}
-    if predictions_path.is_file():
-        for line in predictions_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                outcome = ItemOutcome.from_json_line(line)
-                done[outcome.question_id] = outcome
+    done = _load_outcomes(predictions_path)
 
     db_root = Path(db_root) if db_root is not None else Path(config.db_root)
     gateway = gateway or pipeline.build_gateway(config, mock_dir=mock_dir)
@@ -434,20 +390,24 @@ def run_benchmark(
     for item in items:
         if item.db_id not in db_files:
             db_files[item.db_id] = resolve_db_file(db_root, item.db_id)
-    flagged = validate_gold(items, db_files)
 
     outcomes: list[ItemOutcome] = []
+    flagged: list[str] = []
     stage_prs: dict[str, list[SchemaPR]] = {}
     with open(predictions_path, "a", encoding="utf-8") as pred_fh:
         for item in items:
+            db_file = db_files[item.db_id]
+            gold = executor.execute(db_file, item.gold_sql, timeout=config.execution_timeout_s)
+            if not gold.is_ok():
+                logger.warning("gold SQL for %s fails: %s", item.question_id, gold.error_text)
+                flagged.append(item.question_id)
             if item.question_id in done:
                 outcomes.append(done[item.question_id])
                 continue
-            db_file = db_files[item.db_id]
-            if item.db_id not in artifacts_cache:
-                artifacts_cache[item.db_id] = pipeline.ensure_artifacts(db_file, config)
-            artifacts = artifacts_cache[item.db_id]
             try:
+                if item.db_id not in artifacts_cache:
+                    artifacts_cache[item.db_id] = pipeline.ensure_artifacts(db_file, config)
+                artifacts = artifacts_cache[item.db_id]
                 sql, trace = pipeline.run(
                     item.question,
                     item.evidence,
@@ -456,16 +416,7 @@ def run_benchmark(
                     gateway,
                     qid=item.question_id,
                 )
-                ex = execution_accuracy(
-                    sql,
-                    item.gold_sql,
-                    db_file,
-                    compare_mode=config.compare_mode,
-                    timeout=config.execution_timeout_s,
-                )
-                candidate_ex = _candidate_ex_list(
-                    trace, item, db_file, config
-                )
+                ex, candidate_ex = _score_candidates(trace, gold, db_file, config)
                 outcome = ItemOutcome(
                     question_id=item.question_id,
                     db_id=item.db_id,
@@ -512,21 +463,49 @@ def _write_trace_jsonl(path: Path, trace: RunTrace) -> None:
             fh.write(json.dumps({"kind": "llm_call", **record}, ensure_ascii=False) + "\n")
 
 
-def _candidate_ex_list(
-    trace: RunTrace, item: BenchmarkItem, db_file: Path, config: PipelineConfig
-) -> list[int]:
-    out = []
+def _load_outcomes(path: Path) -> dict[str, ItemOutcome]:
+    """Outcomes already in predictions.jsonl, keyed by question id.
+
+    A sweep killed mid-write leaves a last line without its newline, or one
+    that does not parse. That line is cut off the file, so that its item runs
+    again and the next append starts on a fresh line. A bad line before the
+    last one raises.
+    """
+    if not path.is_file():
+        return {}
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    lines = data[:end].split(b"\n")[:-1]
+    done: dict[str, ItemOutcome] = {}
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            outcome = ItemOutcome.from_json_line(line.decode("utf-8"))
+        except (ValueError, TypeError):
+            if i < len(lines) - 1 or end < len(data):
+                raise
+            end -= len(line) + 1
+            break
+        done[outcome.question_id] = outcome
+    if end < len(data):
+        logger.warning("dropping the torn last line of %s; its item runs again", path)
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    return done
+
+
+def _score_candidates(
+    trace: RunTrace, gold: executor.ExecutionResult, db_file: Path, config: PipelineConfig
+) -> tuple[int, list[int]]:
+    """EX of the selected SQL and of every candidate, executing each distinct SQL once."""
+    ex_of: dict[str, int] = {}
     for cand in trace.candidates:
-        out.append(
-            execution_accuracy(
-                cand["sql"],
-                item.gold_sql,
-                db_file,
-                compare_mode=config.compare_mode,
-                timeout=config.execution_timeout_s,
-            )
-        )
-    return out
+        sql = cand["sql"]
+        if sql not in ex_of:
+            pred = executor.execute(db_file, sql, timeout=config.execution_timeout_s)
+            ex_of[sql] = 1 if executor.results_match(pred, gold, mode=config.compare_mode) else 0
+    return ex_of[trace.selected_sql], [ex_of[cand["sql"]] for cand in trace.candidates]
 
 
 def _collect_stage_pr(
@@ -572,12 +551,7 @@ def _assemble_report(
             if 1 <= k <= min_len:
                 pass_at[f"pass@{k}"] = pass_at_k(lists, k)
     mean_prs = {
-        stage: {
-            "table_recall": sum(p.table_recall for p in prs) / len(prs),
-            "table_precision": sum(p.table_precision for p in prs) / len(prs),
-            "column_recall": sum(p.column_recall for p in prs) / len(prs),
-            "column_precision": sum(p.column_precision for p in prs) / len(prs),
-        }
+        stage: {f.name: sum(getattr(p, f.name) for p in prs) / len(prs) for f in fields(SchemaPR)}
         for stage, prs in stage_prs.items()
     }
     return Report(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +46,7 @@ from .context_store import (
     build_context_store,
     retrieve_context,
 )
-from .gateway import Gateway, HttpChatBackend, MockBackend, SamplingParams
+from .gateway import CallRecord, Gateway, HttpChatBackend, MockBackend, SamplingParams
 from .value_index import IndexConfig, ValueIndex, build_value_index, retrieve_entities
 
 logger = logging.getLogger(__name__)
@@ -68,6 +68,9 @@ TOGGLEABLE_TOOLS = (
     "select_columns",
     "revise",
 )
+
+# every CallRecord field but elapsed goes into a trace's records
+_TRACED_CALL_FIELDS = tuple(f.name for f in fields(CallRecord) if f.name != "elapsed")
 
 REVISABLE_FAULTS = {
     executor.SYNTAX_ERROR,
@@ -121,52 +124,24 @@ class PipelineConfig:
         return tool not in self.disabled_tools
 
     def to_dict(self) -> dict:
-        return {
-            "version": CONFIG_VERSION,
-            "team": self.team,
-            "n_candidates": self.n_candidates,
-            "n_unit_tests": self.n_unit_tests,
-            "max_revisions": self.max_revisions,
-            "compare_mode": self.compare_mode,
-            "order_sensitive": self.order_sensitive,
-            "execution_timeout_s": self.execution_timeout_s,
-            "row_cap": self.row_cap,
-            "context_k": self.context_k,
-            "generation_temperature": self.generation_temperature,
-            "max_tokens": self.max_tokens,
-            "disabled_tools": sorted(self.disabled_tools),
-            "index": self.index.to_dict(),
-            "embedder": dict(self.embedder),
-            "models": self.models,
-            "db_root": self.db_root,
-            "seed": self.seed,
-        }
+        payload = {"version": CONFIG_VERSION, **asdict(self)}
+        payload["disabled_tools"] = sorted(self.disabled_tools)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
-        version = payload.get("version", CONFIG_VERSION)
+        payload = dict(payload)
+        version = payload.pop("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {version}")
-        index = IndexConfig(**payload.get("index", {}))
-        return cls(
-            team=payload.get("team", "IR_CG_UT"),
-            n_candidates=payload.get("n_candidates", 20),
-            n_unit_tests=payload.get("n_unit_tests", 10),
-            max_revisions=payload.get("max_revisions", 3),
-            compare_mode=payload.get("compare_mode", "set"),
-            order_sensitive=payload.get("order_sensitive", False),
-            execution_timeout_s=payload.get("execution_timeout_s", 30.0),
-            row_cap=payload.get("row_cap", 10_000),
-            context_k=payload.get("context_k", 10),
-            generation_temperature=payload.get("generation_temperature", 1.0),
-            max_tokens=payload.get("max_tokens", 2048),
-            disabled_tools=frozenset(payload.get("disabled_tools", [])),
-            index=index,
-            embedder=payload.get("embedder", {"kind": "local", "dimension": 256}),
-            models=payload.get("models", {}),
-            db_root=payload.get("db_root", ""),
-            seed=payload.get("seed", 0),
-        )
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if "index" in payload:
+            payload["index"] = IndexConfig(**payload["index"])
+        if "disabled_tools" in payload:
+            payload["disabled_tools"] = frozenset(payload["disabled_tools"])
+        return cls(**payload)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -307,33 +282,18 @@ class RunTrace:
     revisions_total: int = 0
     duration_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        payload = {
-            "question_id": self.question_id,
-            "selected_sql": self.selected_sql,
-            "selected_index": self.selected_index,
-            "llm_calls": self.llm_calls,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "stages": [
-                {
-                    "stage": s.stage,
-                    "n_tables": s.n_tables,
-                    "n_columns": s.n_columns,
-                    "selection": s.selection,
-                }
-                for s in self.stages
-            ],
-            "records": self.records,
-            "candidates": self.candidates,
-            "clusters": self.clusters,
-            "scores": self.scores,
-            "n_unit_tests": self.n_unit_tests,
-            "revisions_total": self.revisions_total,
-        }
-        if include_timing:
-            payload["duration_s"] = self.duration_s
-        return payload
+    def to_dict(self) -> dict:
+        return {**_field_values(self), "stages": [_field_values(s) for s in self.stages]}
+
+
+def _field_values(obj) -> dict:
+    """A dataclass's fields as a dict, one level deep.
+
+    `dataclasses.asdict` deep-copies every value. A trace on a wide schema
+    holds thousands of call records and column selections, and that copy
+    would cost a large share of the run's own CPU time.
+    """
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass
@@ -520,17 +480,7 @@ def run(
         for c in clusters
     ]
     new_records = gateway.calls[calls_before:]
-    trace.records = [
-        {
-            "template_id": r.template_id,
-            "scenario_key": r.scenario_key,
-            "backend_id": r.backend_id,
-            "n_samples": r.n_samples,
-            "prompt_tokens": r.prompt_tokens,
-            "completion_tokens": r.completion_tokens,
-        }
-        for r in new_records
-    ]
+    trace.records = [{f: getattr(r, f) for f in _TRACED_CALL_FIELDS} for r in new_records]
     trace.llm_calls = len(new_records)
     trace.prompt_tokens = sum(r.prompt_tokens for r in new_records)
     trace.completion_tokens = sum(r.completion_tokens for r in new_records)

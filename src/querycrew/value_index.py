@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import random
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -71,17 +71,7 @@ class IndexConfig:
             raise ValueError("cosine_threshold must be in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "ngram_size": self.ngram_size,
-            "num_permutations": self.num_permutations,
-            "lsh_bands": self.lsh_bands,
-            "lsh_rows": self.lsh_rows,
-            "max_value_length": self.max_value_length,
-            "permutation_seed": self.permutation_seed,
-            "lsh_candidate_cap": self.lsh_candidate_cap,
-            "cosine_threshold": self.cosine_threshold,
-            "embed_top_k": self.embed_top_k,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import shutil
 
 import pytest
 
 from e2e_fixtures import build_bench_root, build_suite_fixture_dir, suite_dataset
 
+from querycrew import executor, harness
 from querycrew.catalog import introspect_database, project
 from querycrew.gateway import Gateway, MockBackend
 from querycrew.harness import (
@@ -365,6 +367,92 @@ class TestRunBenchmark:
         assert report.outcomes[0].ex == 1
         assert report.outcomes[1].ex == 0
         assert report.outcomes[1].error
+
+    def test_each_query_executed_once(self, bench_env, tmp_path, monkeypatch):
+        from e2e_fixtures import SUITE, suite_responses
+        from mock_runs import candidate_response
+
+        catalogs = {
+            db: introspect_database(bench_env["root"] / db / f"{db}.sqlite")
+            for db in ("motorsport", "finance")
+        }
+        responses = suite_responses(catalogs)
+        for q in SUITE:  # candidate #2 repeats candidate #0's SQL
+            responses[(f"{q.question_id}+generate_candidate+2", "generate_candidate")] = [
+                candidate_response(q.gold_sql)
+            ]
+        executed: list[str] = []
+
+        class CountingExecutor:
+            def __getattr__(self, name):
+                return getattr(executor, name)
+
+            def execute(self, db_file, sql, **kwargs):
+                executed.append(sql)
+                return executor.execute(db_file, sql, **kwargs)
+
+        monkeypatch.setattr(harness, "executor", CountingExecutor())
+        items = load_dataset(bench_env["dataset"], "bird")[:3]
+        report = run_benchmark(
+            items, self._config("IR_CG_UT"), tmp_path / "out_once", bench_env["root"],
+            gateway=Gateway.single(MockBackend(responses=responses)),
+        )
+        assert [o.candidate_ex for o in report.outcomes] == [[1, 0, 1]] * 3
+        assert [o.ex for o in report.outcomes] == [1, 1, 1]
+        # per item: the gold SQL once, then the two distinct candidate SQLs once each
+        assert len(executed) == 3 * len(items)
+
+    @pytest.mark.parametrize("kept", [0.5, 1.0])
+    def test_killed_and_resumed_matches_uninterrupted(self, bench_env, tmp_path, kept):
+        items = load_dataset(bench_env["dataset"], "bird")
+        config = self._config("IR_CG_UT")
+        whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+        run_benchmark(items, config, whole, bench_env["root"], mock_dir=bench_env["fixtures"])
+        run_benchmark(items[:4], config, resumed, bench_env["root"],
+                      mock_dir=bench_env["fixtures"])
+        # a kill mid-write leaves part of the fifth line, without its newline
+        fifth = (whole / "predictions.jsonl").read_bytes().split(b"\n")[4]
+        with open(resumed / "predictions.jsonl", "ab") as fh:
+            fh.write(fifth[: int(len(fifth) * kept)])
+        run_benchmark(items, config, resumed, bench_env["root"], mock_dir=bench_env["fixtures"])
+        for name in ("predictions.jsonl", "report.json"):
+            assert (resumed / name).read_bytes() == (whole / name).read_bytes()
+
+    def test_corrupt_line_before_the_last_raises(self, bench_env, tmp_path):
+        items = load_dataset(bench_env["dataset"], "bird")[:2]
+        out = tmp_path / "out_corrupt"
+        run_benchmark(items, self._config("IR_CG_UT"), out, bench_env["root"],
+                      mock_dir=bench_env["fixtures"])
+        lines = (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+        (out / "predictions.jsonl").write_text(
+            lines[0][:-5] + "\n" + lines[1] + "\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError):
+            run_benchmark(items, self._config("IR_CG_UT"), out, bench_env["root"],
+                          mock_dir=bench_env["fixtures"])
+
+    def test_broken_database_recorded_not_fatal(self, bench_env, tmp_path):
+        root = tmp_path / "root"
+        shutil.copytree(bench_env["root"] / "finance", root / "finance")
+        (root / "broken").mkdir()
+        (root / "broken" / "broken.sqlite").write_bytes(b"not a database " * 100)
+        finance = [
+            it for it in load_dataset(bench_env["dataset"], "bird") if it.db_id == "finance"
+        ]
+        broken = BenchmarkItem(
+            question_id="broken_0001", db_id="broken", question="q", evidence="",
+            gold_sql="SELECT 1",
+        )
+        report = run_benchmark(
+            [finance[0], broken, finance[1]], self._config("IR_CG_UT"), tmp_path / "out",
+            root, mock_dir=bench_env["fixtures"],
+        )
+        assert [o.question_id for o in report.outcomes] == [
+            finance[0].question_id, "broken_0001", finance[1].question_id
+        ]
+        assert [o.ex for o in report.outcomes] == [1, 0, 1]
+        assert report.outcomes[1].error
+        assert not report.outcomes[0].error and not report.outcomes[2].error
 
     def test_overall_ex_is_mean(self, bench_env, tmp_path):
         items = load_dataset(bench_env["dataset"], "bird")

@@ -489,6 +489,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(team="UT_only")
 
+    def test_unknown_keys_rejected(self, tmp_path):
+        path = tmp_path / "typo.json"
+        path.write_text('{"version": 1, "n_candidate": 5, "team": "IR_CG_UT"}', encoding="utf-8")
+        with pytest.raises(ValueError, match="n_candidate"):
+            PipelineConfig.from_file(path)
+
     def test_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99}', encoding="utf-8")
