@@ -207,11 +207,10 @@ def select_tables(
     if not isinstance(raw_names, list):
         logger.warning("select_tables returned no table list; keeping all tables")
         return all_tables
-    by_ci = {t.lower(): t for t in all_tables}
     chosen: list[str] = []
     for name in raw_names:
-        resolved = by_ci.get(str(name).strip().lower())
-        if resolved is None:
+        resolved = sub.parent.resolve_table(str(name))
+        if resolved not in sub.selection:
             logger.warning("select_tables produced unknown table %r; dropped", name)
         elif resolved not in chosen:
             chosen.append(resolved)
@@ -247,20 +246,18 @@ def select_columns(
     except ParseError:
         logger.warning("select_columns unparseable; keeping sub-schema unchanged")
         return sub.as_requested()
-    tables_ci = {t.lower(): t for t in sub.table_names()}
     requested: dict[str, list[str]] = {}
     for raw_table, raw_cols in payload.items():
         if raw_table == "chain_of_thought_reasoning" or not isinstance(raw_cols, list):
             continue
-        table = tables_ci.get(str(raw_table).strip().lower())
-        if table is None:
+        table = sub.parent.resolve_table(str(raw_table))
+        if table not in sub.selection:
             logger.warning("select_columns produced unknown table %r; dropped", raw_table)
             continue
-        cols_ci = {c.lower(): c for c in sub.selection[table]}
         kept: list[str] = []
         for raw_col in raw_cols:
-            col = cols_ci.get(str(raw_col).strip().lower())
-            if col is None:
+            col = sub.parent.resolve_column(table, str(raw_col))
+            if not sub.contains(table, col):
                 logger.warning(
                     "select_columns produced unknown column %s.%r; dropped",
                     table,
@@ -473,7 +470,7 @@ def build_column_profile(
     column: str,
     context: RetrievedContext,
 ) -> ColumnProfile:
-    col = catalog.table(table).column(column)
+    col = catalog.column(table, column)
     descriptions = []
     if col.expanded_name:
         descriptions.append(f"expanded column name: {col.expanded_name}")

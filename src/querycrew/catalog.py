@@ -1,8 +1,12 @@
 """Database structural model: introspection, catalog descriptions, sub-schema
 projection with linking-column retention, and schema-to-prompt rendering.
 
-A SchemaCatalog is built once per SQLite file and treated as immutable
-afterwards; SubSchema objects are lightweight views onto it. Foreign-key and
+A SchemaCatalog is built once per SQLite file, and so are its lookups: tables
+and columns by name, linking columns and outgoing FK edges per table, and the
+case-insensitive name resolution that all callers share. Its structural lists
+(`tables`, each table's `columns` and `primary_key`, `fk_edges`) must not be
+mutated afterwards; column attributes such as `sample_values` and `fk_targets`
+may change. SubSchema objects are lightweight views onto it. Foreign-key and
 primary-key columns ("linking columns") are never dropped by projection
 because joins and counts need them even when they are semantically unrelated
 to a question.
@@ -80,47 +84,60 @@ class SchemaCatalog:
     fk_edges: list[FkEdge] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        # lookups built once; not dataclass fields, so never compared or serialized
+        self._tables = {t.name: t for t in self.tables}
+        self._columns = {t.name: {c.name: c for c in t.columns} for t in self.tables}
+        self._folded_tables = {_fold(name): name for name in self._tables}
+        self._folded_columns = {
+            table: {_fold(name): name for name in cols} for table, cols in self._columns.items()
+        }
         self.validate()
+        self._linking = {t.name: set(t.primary_key) for t in self.tables}
+        self._edges_from: dict[str, list[FkEdge]] = {t.name: [] for t in self.tables}
+        for edge in self.fk_edges:
+            self._linking[edge.src_table].add(edge.src_column)
+            self._linking[edge.dst_table].add(edge.dst_column)
+            self._edges_from[edge.src_table].append(edge)
 
     # -- lookups ---------------------------------------------------------
 
     def table(self, name: str) -> TableInfo:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise KeyError(name)
+        return self._tables[name]
+
+    def column(self, table: str, column: str) -> ColumnInfo:
+        return self._columns[table][column]
 
     def table_names(self) -> list[str]:
         return [t.name for t in self.tables]
 
     def has_column(self, table: str, column: str) -> bool:
-        try:
-            self.table(table).column(column)
-        except KeyError:
-            return False
-        return True
+        return column in self._columns.get(table, ())
 
     def column_count(self) -> int:
         return sum(len(t.columns) for t in self.tables)
 
     def linking_columns(self, table: str) -> set[str]:
         """PK columns of `table` plus any column on either side of an FK edge."""
-        t = self.table(table)
-        cols = set(t.primary_key)
-        for edge in self.fk_edges:
-            if edge.src_table == table:
-                cols.add(edge.src_column)
-            if edge.dst_table == table:
-                cols.add(edge.dst_column)
-        return cols
+        return set(self._linking[table])
+
+    def edges_from(self, table: str) -> list[FkEdge]:
+        """FK edges whose source is `table`, in `fk_edges` order."""
+        return self._edges_from[table]
+
+    def resolve_table(self, name: str) -> str | None:
+        """The table named `name` ignoring case and outer whitespace, or None."""
+        return self._folded_tables.get(_fold(name))
+
+    def resolve_column(self, table: str, name: str) -> str | None:
+        """The column of `table` named `name`, matched like resolve_table."""
+        return self._folded_columns[table].get(_fold(name))
 
     def validate(self) -> None:
-        names = [t.name for t in self.tables]
-        if len(names) != len(set(names)):
+        if len(self._tables) != len(self.tables):
             raise CatalogError(f"duplicate table names in catalog {self.db_id!r}")
         for t in self.tables:
-            col_names = t.column_names()
-            if len(col_names) != len(set(col_names)):
+            col_names = self._columns[t.name]
+            if len(col_names) != len(t.columns):
                 raise CatalogError(f"duplicate column names in table {t.name!r}")
             missing_pk = set(t.primary_key) - set(col_names)
             if missing_pk:
@@ -190,28 +207,24 @@ class SubSchema:
     parent: SchemaCatalog
 
     def __post_init__(self) -> None:
+        have: dict[str, set[str]] = {}
         for table, cols in self.selection.items():
             for col in cols:
                 if not self.parent.has_column(table, col):
                     raise ProjectionError(f"unknown column {table}.{col}")
-        selected = set(self.selection)
-        for table in selected:
-            have = set(self.selection[table])
-            missing = set(self.parent.table(table).primary_key) - have
+            have[table] = set(cols)
+            missing = set(self.parent.table(table).primary_key) - have[table]
             if missing:
                 raise ProjectionError(
                     f"sub-schema for {table!r} is missing primary key columns {sorted(missing)}"
                 )
-        for edge in self.parent.fk_edges:
-            if edge.src_table in selected and edge.dst_table in selected:
-                if edge.src_column not in self.selection[edge.src_table]:
-                    raise ProjectionError(
-                        f"sub-schema missing fk column {edge.src_table}.{edge.src_column}"
-                    )
-                if edge.dst_column not in self.selection[edge.dst_table]:
-                    raise ProjectionError(
-                        f"sub-schema missing fk column {edge.dst_table}.{edge.dst_column}"
-                    )
+        for table in have:
+            for edge in self.parent.edges_from(table):
+                for end_table, end_column in edge.as_pair():
+                    if edge.dst_table in have and end_column not in have[end_table]:
+                        raise ProjectionError(
+                            f"sub-schema missing fk column {end_table}.{end_column}"
+                        )
 
     def table_names(self) -> list[str]:
         return list(self.selection)
@@ -311,13 +324,11 @@ def ingest_catalog_descriptions(
         catalog,
         tables=[replace(t, columns=[replace(c) for c in t.columns]) for t in catalog.tables],
     )
-    tables_ci = {t.name.strip().lower(): t for t in catalog.tables}
     for csv_path in sorted(directory.glob("*.csv")):
-        table = tables_ci.get(csv_path.stem.strip().lower())
+        table = catalog.resolve_table(csv_path.stem)
         if table is None:
             logger.warning("description file %s matches no table", csv_path.name)
             continue
-        columns_ci = {c.name.strip().lower(): c for c in table.columns}
         try:
             text = csv_path.read_text(encoding="utf-8-sig", errors="replace")
         except OSError as exc:
@@ -331,12 +342,11 @@ def ingest_catalog_descriptions(
             if not original:
                 logger.warning("malformed description row in %s: %r", csv_path.name, row)
                 continue
-            col = columns_ci.get(original.lower())
-            if col is None:
-                logger.warning(
-                    "description for unknown column %s.%s skipped", table.name, original
-                )
+            col_name = catalog.resolve_column(table, original)
+            if col_name is None:
+                logger.warning("description for unknown column %s.%s skipped", table, original)
                 continue
+            col = catalog.column(table, col_name)
             expanded = (row.get("column_name") or "").strip()
             col_desc = (row.get("column_description") or "").strip()
             val_desc = (row.get("value_description") or "").strip()
@@ -361,21 +371,18 @@ def project(
     wanted: dict[str, set[str]] = {}
     for table, cols in requested.items():
         try:
-            tinfo = catalog.table(table)
+            primary_key = catalog.table(table).primary_key
         except KeyError:
             raise ProjectionError(f"unknown table {table!r}") from None
-        known = set(tinfo.column_names())
         for col in cols:
-            if col not in known:
+            if not catalog.has_column(table, col):
                 raise ProjectionError(f"unknown column {table}.{col}")
-        wanted[table] = set(cols)
-
+        wanted[table] = set(cols) | set(primary_key)
     for table in wanted:
-        wanted[table].update(catalog.table(table).primary_key)
-    for edge in catalog.fk_edges:
-        if edge.src_table in wanted and edge.dst_table in wanted:
-            wanted[edge.src_table].add(edge.src_column)
-            wanted[edge.dst_table].add(edge.dst_column)
+        for edge in catalog.edges_from(table):
+            if edge.dst_table in wanted:
+                wanted[table].add(edge.src_column)
+                wanted[edge.dst_table].add(edge.dst_column)
 
     selection: dict[str, list[str]] = {}
     for tinfo in catalog.tables:
@@ -433,8 +440,8 @@ def render_schema_prompt(
         if len(tinfo.primary_key) > 1:
             pk = ", ".join(quote_identifier(c) for c in tinfo.primary_key)
             entries.append((f"PRIMARY KEY ({pk})", None))
-        for edge in catalog.fk_edges:
-            if edge.src_table != tinfo.name or edge.dst_table not in sub.selection:
+        for edge in catalog.edges_from(tinfo.name):
+            if edge.dst_table not in sub.selection:
                 continue
             entries.append(
                 (
@@ -467,6 +474,10 @@ def quote_identifier(name: str) -> str:
     if _PLAIN_IDENT.match(name):
         return name
     return f"`{name}`"
+
+
+def _fold(name: str) -> str:
+    return name.strip().lower()
 
 
 def _tick(name: str) -> str:

@@ -34,6 +34,7 @@ _ALLOWED_ACTIONS = {
     sqlite3.SQLITE_SELECT,
     sqlite3.SQLITE_READ,
     sqlite3.SQLITE_FUNCTION,
+    sqlite3.SQLITE_RECURSIVE,
 }
 
 

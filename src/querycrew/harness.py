@@ -4,7 +4,7 @@ construction, and resumable benchmark sweeps with report emission.
 
 Sweeps write three artifacts under the output directory: `predictions.jsonl`
 (one deterministic line per question, reruns skip completed ids),
-`report.json` (aggregate metrics), and `traces/<qid>.json` (full per-question
+`report.json` (aggregate metrics), and `traces/<qid>.jsonl` (full per-question
 run traces including timings).
 """
 
@@ -14,14 +14,14 @@ import json
 import logging
 import math
 import random
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 from . import executor, pipeline
-from .catalog import ColumnInfo, FkEdge, SchemaCatalog, SubSchema, TableInfo, project
+from .catalog import FkEdge, SchemaCatalog, SubSchema, TableInfo, introspect_database, project
 from .gateway import Gateway
-from .pipeline import DbArtifacts, PipelineConfig, RunTrace
+from .pipeline import DbArtifacts, PipelineConfig, RunTrace, StageRecord
 from .sql_items import extract_sql_items
 
 logger = logging.getLogger(__name__)
@@ -251,7 +251,6 @@ def synthesize_large_schema(
 
     tables: list[TableInfo] = []
     edges: list[FkEdge] = []
-    surviving: set[tuple[str, str, str]] = set()
     for catalog in catalogs:
         for tinfo in catalog.tables:
             kept_cols = [
@@ -263,12 +262,8 @@ def synthesize_large_schema(
             kept_names = {c.name for c in kept_cols}
             new_pk = [c for c in tinfo.primary_key if c in kept_names]
             columns = [
-                ColumnInfo(
-                    name=col.name,
-                    declared_type=col.declared_type,
-                    expanded_name=col.expanded_name,
-                    column_description=col.column_description,
-                    value_description=col.value_description,
+                replace(
+                    col,
                     is_pk=col.name in new_pk,
                     fk_targets=[],
                     sample_values=list(col.sample_values),
@@ -276,7 +271,6 @@ def synthesize_large_schema(
                 for col in kept_cols
             ]
             tables.append(TableInfo(name=prefix, columns=columns, primary_key=new_pk))
-            surviving.update((catalog.db_id, tinfo.name, c.name) for c in kept_cols)
         for edge in catalog.fk_edges:
             src = (catalog.db_id, edge.src_table, edge.src_column)
             dst = (catalog.db_id, edge.dst_table, edge.dst_column)
@@ -290,13 +284,10 @@ def synthesize_large_schema(
                     )
                 )
     merged = SchemaCatalog(db_id=merged_db_id, tables=tables, fk_edges=edges)
-    for tinfo in merged.tables:
-        for col in tinfo.columns:
-            col.fk_targets = [
-                f"{e.dst_table}.{e.dst_column}"
-                for e in merged.fk_edges
-                if e.src_table == tinfo.name and e.src_column == col.name
-            ]
+    for edge in merged.fk_edges:
+        merged.column(edge.src_table, edge.src_column).fk_targets.append(
+            f"{edge.dst_table}.{edge.dst_column}"
+        )
     if merged.column_count() != target_columns:
         raise SynthesisError(
             f"merge produced {merged.column_count()} columns, wanted {target_columns}"
@@ -403,7 +394,11 @@ def run_benchmark(
                 flagged.append(item.question_id)
             if item.question_id in done:
                 outcomes.append(done[item.question_id])
+                stages = _resumed_stages(traces_dir / f"{item.question_id}.jsonl")
+                if len(stages) >= 2:
+                    _collect_stage_pr(stage_prs, stages, item, introspect_database(db_file))
                 continue
+            calls_before = len(gateway.calls)
             try:
                 if item.db_id not in artifacts_cache:
                     artifacts_cache[item.db_id] = pipeline.ensure_artifacts(db_file, config)
@@ -428,19 +423,20 @@ def run_benchmark(
                     completion_tokens=trace.completion_tokens,
                     candidate_ex=candidate_ex,
                 )
-                _collect_stage_pr(stage_prs, trace, item, artifacts.catalog)
+                _collect_stage_pr(stage_prs, trace.stages, item, artifacts.catalog)
                 _write_trace_jsonl(traces_dir / f"{item.question_id}.jsonl", trace)
             except Exception as exc:
                 logger.warning("item %s failed: %s", item.question_id, exc)
+                spent = gateway.calls[calls_before:]
                 outcome = ItemOutcome(
                     question_id=item.question_id,
                     db_id=item.db_id,
                     difficulty=item.difficulty,
                     predicted_sql="",
                     ex=0,
-                    llm_calls=0,
-                    prompt_tokens=0,
-                    completion_tokens=0,
+                    llm_calls=len(spent),
+                    prompt_tokens=sum(r.prompt_tokens for r in spent),
+                    completion_tokens=sum(r.completion_tokens for r in spent),
                     error=str(exc),
                 )
             pred_fh.write(outcome.to_json_line() + "\n")
@@ -508,13 +504,21 @@ def _score_candidates(
     return ex_of[trace.selected_sql], [ex_of[cand["sql"]] for cand in trace.candidates]
 
 
+def _resumed_stages(trace_path: Path) -> list[StageRecord]:
+    """Stage selections from a trace's summary line; a failed item wrote no trace."""
+    if not trace_path.is_file():
+        return []
+    with open(trace_path, encoding="utf-8") as fh:
+        return [StageRecord(**stage) for stage in json.loads(fh.readline())["stages"]]
+
+
 def _collect_stage_pr(
     stage_prs: dict[str, list[SchemaPR]],
-    trace: RunTrace,
+    stages: Sequence[StageRecord],
     item: BenchmarkItem,
     catalog: SchemaCatalog,
 ) -> None:
-    if len(trace.stages) < 2:
+    if len(stages) < 2:
         return
     try:
         gold_tables, gold_columns = extract_gold_schema_items(item.gold_sql, catalog)
@@ -523,7 +527,7 @@ def _collect_stage_pr(
         return
     if not gold_tables or not gold_columns:
         return
-    for stage in trace.stages:
+    for stage in stages:
         pr = schema_selection_pr(stage.selection, gold_tables, gold_columns)
         stage_prs.setdefault(stage.stage, []).append(pr)
 

@@ -80,7 +80,6 @@ def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
     """
     tokens = tokenize(sql)
     items = SqlItems()
-    tables_ci = {t.name.lower(): t.name for t in catalog.tables}
 
     # pass 1: alias map from FROM/JOIN clauses, subquery-depth aware
     alias_map: dict[str, str] = {}
@@ -95,7 +94,7 @@ def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
                 continue  # subquery; its own FROM will be seen later
             if j < len(tokens) and tokens[j].kind == "ident":
                 name = tokens[j].text
-                table = tables_ci.get(name.lower())
+                table = catalog.resolve_table(name)
                 if table is None:
                     items.unresolved.append(name)
                     i = j + 1
@@ -112,26 +111,24 @@ def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
                     and tokens[k].text.lower() not in _KEYWORDS
                 ):
                     alias_map[tokens[k].text.lower()] = table
-                alias_map.setdefault(table.lower(), table)
                 i = k
                 continue
         i += 1
 
     # pass 2: column references
-    column_home = _column_home_map(catalog, from_tables)
     i = 0
     while i < len(tokens):
         tok = tokens[i]
         nxt = tokens[i + 1] if i + 1 < len(tokens) else None
         if tok.kind == "ident" and nxt is not None and nxt.text == ".":
-            owner = alias_map.get(tok.text.lower()) or tables_ci.get(tok.text.lower())
+            owner = alias_map.get(tok.text.lower()) or catalog.resolve_table(tok.text)
             ref = tokens[i + 2] if i + 2 < len(tokens) else None
             if owner is None:
                 items.unresolved.append(tok.text)
                 i += 3
                 continue
             if ref is not None and ref.kind == "ident":
-                column = _resolve_column(catalog, owner, ref.text)
+                column = catalog.resolve_column(owner, ref.text)
                 if column is None:
                     items.unresolved.append(f"{owner}.{ref.text}")
                 else:
@@ -155,35 +152,19 @@ def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
                 lower not in _KEYWORDS
                 and not (is_call and lower in _FUNCTIONS)
                 and lower not in alias_map
-                and lower not in tables_ci
+                and catalog.resolve_table(tok.text) is None
             ):
-                homes = column_home.get(lower)
-                if homes is not None:
-                    if len(homes) == 1:
-                        table, column = homes[0]
-                        items.columns.add((table, column))
-                    else:
-                        items.unresolved.append(tok.text)
+                homes = [
+                    (table, column)
+                    for table in from_tables
+                    if (column := catalog.resolve_column(table, tok.text)) is not None
+                ]
+                if len(homes) == 1:
+                    items.columns.add(homes[0])
+                elif homes:
+                    items.unresolved.append(tok.text)
         i += 1
     return items
-
-
-def _column_home_map(
-    catalog: SchemaCatalog, from_tables: list[str]
-) -> dict[str, list[tuple[str, str]]]:
-    """Lowercased column name -> owning (table, column) pairs in FROM scope."""
-    home: dict[str, list[tuple[str, str]]] = {}
-    for table in from_tables:
-        for col in catalog.table(table).column_names():
-            home.setdefault(col.lower(), []).append((table, col))
-    return home
-
-
-def _resolve_column(catalog: SchemaCatalog, table: str, name: str) -> str | None:
-    for col in catalog.table(table).column_names():
-        if col.lower() == name.lower():
-            return col
-    return None
 
 
 def _is_select_star(tokens: list[Token], i: int) -> bool:

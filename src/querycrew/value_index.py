@@ -425,7 +425,7 @@ def attach_sample_values(catalog: SchemaCatalog, index: ValueIndex, per_column: 
             by_loc.setdefault(index.locations[loc_id], []).append(index.values[vid])
     for (table, column), vals in by_loc.items():
         vals.sort(key=lambda v: (len(v), v))
-        catalog.table(table).column(column).sample_values = vals[:per_column]
+        catalog.column(table, column).sample_values = vals[:per_column]
 
 
 def _is_text_type(declared_type: str) -> bool:

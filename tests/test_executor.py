@@ -41,10 +41,21 @@ class TestExecute:
             "DELETE FROM customers",
             "DROP TABLE customers",
             "CREATE TABLE hacked (x)",
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 3)"
+            " INSERT INTO customers SELECT 100 + n, 'M', 'EUR' FROM r",
         ):
             result = execute(finance_db, sql)
             assert result.status == RUNTIME_ERROR, sql
         assert finance_db.read_bytes() == before
+
+    def test_recursive_cte_allowed(self, finance_db):
+        result = execute(
+            finance_db,
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r WHERE n<3)"
+            " SELECT n FROM r",
+        )
+        assert result.status == OK, result.error_text
+        assert result.rows == [(1,), (2,), (3,)]
 
     def test_timeout_on_cartesian_blowup(self, tmp_path):
         db = tmp_path / "big.sqlite"

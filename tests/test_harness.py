@@ -368,6 +368,22 @@ class TestRunBenchmark:
         assert report.outcomes[1].ex == 0
         assert report.outcomes[1].error
 
+    def test_failed_item_records_its_calls(self, bench_env, tmp_path):
+        item = load_dataset(bench_env["dataset"], "bird")[0]
+        # the only candidate does not parse, so the item fails after one call
+        responses = {(f"{item.question_id}+generate_candidate+0", "generate_candidate"): ["{"]}
+        gw = Gateway.single(MockBackend(responses=responses))
+        report = run_benchmark(
+            [item], self._config("CG_only"), tmp_path / "out_failed", bench_env["root"],
+            gateway=gw,
+        )
+        outcome = report.outcomes[0]
+        assert outcome.error
+        assert outcome.llm_calls == 1
+        assert outcome.prompt_tokens == gw.calls[0].prompt_tokens > 0
+        assert outcome.completion_tokens == gw.calls[0].completion_tokens
+        assert report.mean_llm_calls == 1.0
+
     def test_each_query_executed_once(self, bench_env, tmp_path, monkeypatch):
         from e2e_fixtures import SUITE, suite_responses
         from mock_runs import candidate_response
@@ -402,10 +418,19 @@ class TestRunBenchmark:
         # per item: the gold SQL once, then the two distinct candidate SQLs once each
         assert len(executed) == 3 * len(items)
 
-    @pytest.mark.parametrize("kept", [0.5, 1.0])
-    def test_killed_and_resumed_matches_uninterrupted(self, bench_env, tmp_path, kept):
+    @pytest.mark.parametrize(
+        ("team", "kept"),
+        [
+            pytest.param("IR_CG_UT", 0.5, id="0.5"),
+            pytest.param("IR_CG_UT", 1.0, id="1.0"),
+            # stage selections of resumed items still count in schema_pr_per_stage
+            pytest.param("IR_SS_CG", 0.5, id="IR_SS_CG-0.5"),
+            pytest.param("IR_SS_CG", 1.0, id="IR_SS_CG-1.0"),
+        ],
+    )
+    def test_killed_and_resumed_matches_uninterrupted(self, bench_env, tmp_path, team, kept):
         items = load_dataset(bench_env["dataset"], "bird")
-        config = self._config("IR_CG_UT")
+        config = self._config(team)
         whole, resumed = tmp_path / "whole", tmp_path / "resumed"
         run_benchmark(items, config, whole, bench_env["root"], mock_dir=bench_env["fixtures"])
         run_benchmark(items[:4], config, resumed, bench_env["root"],
