@@ -19,6 +19,7 @@ import json
 import logging
 import re
 import sqlite3
+import string
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -279,24 +280,27 @@ def introspect_database(db_file: str | Path) -> SchemaCatalog:
             ]
             tables.append(TableInfo(table_name, columns, primary_key))
 
-        by_name = {t.name: t for t in tables}
+        # the pragma spells names as the REFERENCES clause wrote them; SQLite
+        # matches identifiers ignoring ASCII case, and edges keep the defined names
+        by_name = {_ascii_fold(t.name): t for t in tables}
         edges: list[FkEdge] = []
         for t in tables:
             fks = conn.execute(f'PRAGMA foreign_key_list("{_tick(t.name)}")').fetchall()
             for fk in fks:
-                dst_table, src_col, dst_col = fk[2], fk[3], fk[4]
-                target = by_name.get(dst_table)
+                target = by_name.get(_ascii_fold(fk[2]))
                 if target is None:
                     continue
+                dst_col = fk[4]
                 if dst_col is None:
                     # implicit reference: points at the target's primary key
                     if len(target.primary_key) != 1:
                         continue
                     dst_col = target.primary_key[0]
-                if src_col not in t.column_names() or dst_col not in target.column_names():
+                src_col, dst_col = _defined_column(t, fk[3]), _defined_column(target, dst_col)
+                if src_col is None or dst_col is None:
                     continue
-                edges.append(FkEdge(t.name, src_col, dst_table, dst_col))
-                t.column(src_col).fk_targets.append(f"{dst_table}.{dst_col}")
+                edges.append(FkEdge(t.name, src_col, target.name, dst_col))
+                t.column(src_col).fk_targets.append(f"{target.name}.{dst_col}")
     finally:
         conn.close()
     return SchemaCatalog(db_id=path.stem, tables=tables, fk_edges=edges)
@@ -478,6 +482,19 @@ def quote_identifier(name: str) -> str:
 
 def _fold(name: str) -> str:
     return name.strip().lower()
+
+
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def _ascii_fold(name: str) -> str:
+    return name.translate(_ASCII_LOWER)
+
+
+def _defined_column(table: TableInfo, name: str) -> str | None:
+    """The column of `table` that SQLite would match to `name`, or None."""
+    folded = _ascii_fold(name)
+    return next((c for c in table.column_names() if _ascii_fold(c) == folded), None)
 
 
 def _tick(name: str) -> str:

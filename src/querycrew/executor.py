@@ -27,6 +27,7 @@ DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_ROW_CAP = 10_000
 
 _NUMERIC_QUANTUM = 1e-6
+_NUMERIC_SCALE = round(1 / _NUMERIC_QUANTUM)
 
 _SYNTAX_MARKERS = ("syntax error", "incomplete input", "unrecognized token")
 
@@ -139,8 +140,10 @@ def _canonical_cell(cell) -> tuple:
     if isinstance(cell, bool):
         return (1, int(cell))
     if isinstance(cell, int):
-        return (1, cell * round(1 / _NUMERIC_QUANTUM))
+        return (1, cell * _NUMERIC_SCALE)
     if isinstance(cell, float):
+        if cell.is_integer():  # exact, like an int; cell / quantum rounds or overflows
+            return (1, int(cell) * _NUMERIC_SCALE)
         if math.isfinite(cell):
             return (1, round(cell / _NUMERIC_QUANTUM))
         return (4, repr(cell))

@@ -363,8 +363,12 @@ def run_benchmark(
     Resumable: question ids already present in predictions.jsonl are loaded,
     not re-run; a torn last line left by a killed sweep is dropped and its
     item runs again. Per-item failures, a broken database included, are
-    recorded as EX=0 with an error note and never abort the sweep. Each item
-    executes its gold SQL once and each distinct candidate SQL once.
+    recorded as EX=0 with an error note and never abort the sweep.
+
+    EX is scored from the results the pipeline already executed: each item
+    runs only its gold SQL here, once. `config.row_cap` and
+    `config.execution_timeout_s` bound every execution of the sweep, gold
+    included, and a result longer than `row_cap` scores EX 0.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -377,6 +381,7 @@ def run_benchmark(
     gateway = gateway or pipeline.build_gateway(config, mock_dir=mock_dir)
 
     artifacts_cache: dict[str, DbArtifacts] = {}
+    resumed_catalogs: dict[str, SchemaCatalog] = {}
     db_files: dict[str, Path] = {}
     for item in items:
         if item.db_id not in db_files:
@@ -388,7 +393,9 @@ def run_benchmark(
     with open(predictions_path, "a", encoding="utf-8") as pred_fh:
         for item in items:
             db_file = db_files[item.db_id]
-            gold = executor.execute(db_file, item.gold_sql, timeout=config.execution_timeout_s)
+            gold = executor.execute(
+                db_file, item.gold_sql, timeout=config.execution_timeout_s, row_cap=config.row_cap
+            )
             if not gold.is_ok():
                 logger.warning("gold SQL for %s fails: %s", item.question_id, gold.error_text)
                 flagged.append(item.question_id)
@@ -396,7 +403,9 @@ def run_benchmark(
                 outcomes.append(done[item.question_id])
                 stages = _resumed_stages(traces_dir / f"{item.question_id}.jsonl")
                 if len(stages) >= 2:
-                    _collect_stage_pr(stage_prs, stages, item, introspect_database(db_file))
+                    if item.db_id not in resumed_catalogs:
+                        resumed_catalogs[item.db_id] = introspect_database(db_file)
+                    _collect_stage_pr(stage_prs, stages, item, resumed_catalogs[item.db_id])
                 continue
             calls_before = len(gateway.calls)
             try:
@@ -411,13 +420,16 @@ def run_benchmark(
                     gateway,
                     qid=item.question_id,
                 )
-                ex, candidate_ex = _score_candidates(trace, gold, db_file, config)
+                candidate_ex = [
+                    int(executor.results_match(c.exec_result, gold, mode=config.compare_mode))
+                    for c in trace.candidates
+                ]
                 outcome = ItemOutcome(
                     question_id=item.question_id,
                     db_id=item.db_id,
                     difficulty=item.difficulty,
                     predicted_sql=sql,
-                    ex=ex,
+                    ex=candidate_ex[trace.selected_index],
                     llm_calls=trace.llm_calls,
                     prompt_tokens=trace.prompt_tokens,
                     completion_tokens=trace.completion_tokens,
@@ -489,19 +501,6 @@ def _load_outcomes(path: Path) -> dict[str, ItemOutcome]:
         with open(path, "r+b") as fh:
             fh.truncate(end)
     return done
-
-
-def _score_candidates(
-    trace: RunTrace, gold: executor.ExecutionResult, db_file: Path, config: PipelineConfig
-) -> tuple[int, list[int]]:
-    """EX of the selected SQL and of every candidate, executing each distinct SQL once."""
-    ex_of: dict[str, int] = {}
-    for cand in trace.candidates:
-        sql = cand["sql"]
-        if sql not in ex_of:
-            pred = executor.execute(db_file, sql, timeout=config.execution_timeout_s)
-            ex_of[sql] = 1 if executor.results_match(pred, gold, mode=config.compare_mode) else 0
-    return ex_of[trace.selected_sql], [ex_of[cand["sql"]] for cand in trace.candidates]
 
 
 def _resumed_stages(trace_path: Path) -> list[StageRecord]:

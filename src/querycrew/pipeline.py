@@ -275,7 +275,8 @@ class RunTrace:
     completion_tokens: int = 0
     stages: list[StageRecord] = field(default_factory=list)
     records: list[dict] = field(default_factory=list)
-    candidates: list[dict] = field(default_factory=list)
+    # the executed candidates; selected_index is a position in this list
+    candidates: list[CandidateQuery] = field(default_factory=list)
     clusters: list[dict] = field(default_factory=list)
     scores: list[int] = field(default_factory=list)
     n_unit_tests: int = 0
@@ -283,7 +284,15 @@ class RunTrace:
     duration_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {**_field_values(self), "stages": [_field_values(s) for s in self.stages]}
+        return {
+            **_field_values(self),
+            "stages": [_field_values(s) for s in self.stages],
+            "candidates": [
+                {"generation_index": c.generation_index, "sql": c.sql,
+                 "revision_count": c.revision_count, "status": c.exec_result.status}
+                for c in self.candidates
+            ],
+        }
 
 
 def _field_values(obj) -> dict:
@@ -462,15 +471,7 @@ def run(
     ]
     trace.selected_index = winner
     trace.selected_sql = candidates[winner].sql
-    trace.candidates = [
-        {
-            "generation_index": c.generation_index,
-            "sql": c.sql,
-            "revision_count": c.revision_count,
-            "status": c.exec_result.status if c.exec_result else "unknown",
-        }
-        for c in candidates
-    ]
+    trace.candidates = candidates
     trace.clusters = [
         {
             "fingerprint": c.fingerprint,

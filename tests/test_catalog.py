@@ -1,4 +1,5 @@
 import logging
+import sqlite3
 
 import pytest
 
@@ -49,6 +50,38 @@ class TestIntrospection:
     def test_fk_targets_recorded(self, motorsport_catalog):
         results = motorsport_catalog.table("results")
         assert "drivers.driverId" in results.column("driverId").fk_targets
+
+    def test_fk_reference_spelled_in_another_case(self, tmp_path):
+        db = tmp_path / "case.sqlite"
+        conn = sqlite3.connect(db)
+        conn.execute("CREATE TABLE parent (id INTEGER PRIMARY KEY)")
+        conn.execute(
+            "CREATE TABLE child (cid INTEGER PRIMARY KEY, pid INTEGER REFERENCES Parent(ID))"
+        )
+        conn.execute("CREATE TABLE twin (tid INTEGER PRIMARY KEY, PID INTEGER, "
+                     "FOREIGN KEY (pid) REFERENCES PARENT)")
+        conn.close()
+        catalog = introspect_database(db)
+        assert [e.as_pair() for e in catalog.fk_edges] == [
+            (("child", "pid"), ("parent", "id")),
+            (("twin", "PID"), ("parent", "id")),
+        ]
+        assert catalog.linking_columns("child") == {"cid", "pid"}
+        assert catalog.column("child", "pid").fk_targets == ["parent.id"]
+
+    def test_fk_case_folding_is_ascii_only(self, tmp_path):
+        # SQLite folds only ASCII letters, so "É" and "é" are two tables
+        db = tmp_path / "accent.sqlite"
+        conn = sqlite3.connect(db)
+        conn.execute('CREATE TABLE "É" (id INTEGER PRIMARY KEY)')
+        conn.execute('CREATE TABLE "é" (id INTEGER PRIMARY KEY, up INTEGER REFERENCES "É")')
+        conn.execute('CREATE TABLE kid (kid INTEGER PRIMARY KEY, up INTEGER REFERENCES "é")')
+        conn.close()
+        catalog = introspect_database(db)
+        assert [e.as_pair() for e in catalog.fk_edges] == [
+            (("é", "up"), ("É", "id")),
+            (("kid", "up"), ("é", "id")),
+        ]
 
     def test_missing_file_raises_with_path(self, tmp_path):
         missing = tmp_path / "nope.sqlite"

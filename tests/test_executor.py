@@ -2,6 +2,8 @@ import random
 import sqlite3
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from querycrew.executor import (
     EMPTY_RESULT,
@@ -16,6 +18,29 @@ from querycrew.executor import (
     fingerprint,
     results_match,
 )
+
+
+# ints that a float holds exactly, at every magnitude a float reaches
+whole_ints = st.integers(-(2**53), 2**53) | st.floats(
+    allow_nan=False, allow_infinity=False
+).map(int)
+
+cells = (
+    whole_ints
+    | st.floats(allow_nan=False)
+    | st.floats(-10.0, 10.0).map(lambda x: round(x, 7))
+    | st.text(max_size=3)
+    | st.none()
+)
+
+
+def _equal_cells(cell):
+    """Cells that should compare equal to `cell`: itself, or a number's other type."""
+    if isinstance(cell, int) and float(cell) == cell:
+        return st.sampled_from([cell, float(cell)])
+    if isinstance(cell, float) and cell.is_integer():
+        return st.sampled_from([cell, int(cell)])
+    return st.just(cell)
 
 
 class TestExecute:
@@ -94,6 +119,13 @@ class TestCanonicalize:
     def test_int_float_unify(self):
         assert canonicalize([(1.0,)]) == canonicalize([(1,)])
         assert canonicalize([(0.5,)]) != canonicalize([(1,)])
+        assert canonicalize([(1e17,)]) == canonicalize([(10**17,)])
+
+    @given(whole_ints)
+    def test_whole_float_equals_its_int(self, i):
+        a, b = _ok([(i,)]), _ok([(float(i),)])
+        assert results_match(a, b, "set")
+        assert fingerprint(a) == fingerprint(b)
 
     def test_near_equal_floats(self):
         # 1e-5 apart: distinct; 1e-7 apart: inside the 1e-6 tolerance
@@ -178,15 +210,15 @@ class TestFingerprint:
         b = fingerprint(_ok([("x", 1), (None, 2.0)]))
         assert a == b
 
-    def test_matches_set_equality(self):
-        rng = random.Random(5)
-        pool = [
-            _ok([(rng.randint(0, 2), rng.choice(["a", "b"])) for _ in range(rng.randint(0, 3))])
-            for _ in range(16)
-        ]
-        for a in pool:
-            for b in pool:
-                assert (fingerprint(a) == fingerprint(b)) == results_match(a, b, "set")
+    @given(st.data())
+    def test_matches_set_equality(self, data):
+        row = st.tuples(cells, cells)
+        a = data.draw(st.lists(row, max_size=4))
+        # b reuses a's rows, rewritten to equal cells, plus maybe a row of its own
+        b = data.draw(st.permutations(a)) + data.draw(st.lists(row, max_size=1))
+        b = [tuple(data.draw(_equal_cells(c)) for c in row) for row in b]
+        ra, rb = _ok(a), _ok(b)
+        assert (fingerprint(ra) == fingerprint(rb)) == results_match(ra, rb, "set")
 
 
 class TestClassifyFault:

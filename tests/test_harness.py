@@ -7,7 +7,7 @@ import pytest
 
 from e2e_fixtures import build_bench_root, build_suite_fixture_dir, suite_dataset
 
-from querycrew import executor, harness
+from querycrew import executor, harness, pipeline
 from querycrew.catalog import introspect_database, project
 from querycrew.gateway import Gateway, MockBackend
 from querycrew.harness import (
@@ -397,17 +397,21 @@ class TestRunBenchmark:
             responses[(f"{q.question_id}+generate_candidate+2", "generate_candidate")] = [
                 candidate_response(q.gold_sql)
             ]
-        executed: list[str] = []
+        executed: dict[str, list[str]] = {"harness": [], "pipeline": []}
 
         class CountingExecutor:
+            def __init__(self, side):
+                self.side = side
+
             def __getattr__(self, name):
                 return getattr(executor, name)
 
             def execute(self, db_file, sql, **kwargs):
-                executed.append(sql)
+                executed[self.side].append(sql)
                 return executor.execute(db_file, sql, **kwargs)
 
-        monkeypatch.setattr(harness, "executor", CountingExecutor())
+        for side, module in (("harness", harness), ("pipeline", pipeline)):
+            monkeypatch.setattr(module, "executor", CountingExecutor(side))
         items = load_dataset(bench_env["dataset"], "bird")[:3]
         report = run_benchmark(
             items, self._config("IR_CG_UT"), tmp_path / "out_once", bench_env["root"],
@@ -415,8 +419,12 @@ class TestRunBenchmark:
         )
         assert [o.candidate_ex for o in report.outcomes] == [[1, 0, 1]] * 3
         assert [o.ex for o in report.outcomes] == [1, 1, 1]
-        # per item: the gold SQL once, then the two distinct candidate SQLs once each
-        assert len(executed) == 3 * len(items)
+        # the harness runs each item's gold SQL once and no candidate
+        assert executed["harness"] == [item.gold_sql for item in items]
+        # the pipeline runs each candidate once; none is revised
+        assert executed["pipeline"] == [
+            sql for q in SUITE[:3] for sql in (q.gold_sql, q.wrong_sql, q.gold_sql)
+        ]
 
     @pytest.mark.parametrize(
         ("team", "kept"),
@@ -442,6 +450,20 @@ class TestRunBenchmark:
         run_benchmark(items, config, resumed, bench_env["root"], mock_dir=bench_env["fixtures"])
         for name in ("predictions.jsonl", "report.json"):
             assert (resumed / name).read_bytes() == (whole / name).read_bytes()
+
+    def test_resume_introspects_each_database_once(self, bench_env, tmp_path, monkeypatch):
+        items = load_dataset(bench_env["dataset"], "bird")
+        config, out = self._config("IR_SS_CG"), tmp_path / "out"
+        run_benchmark(items, config, out, bench_env["root"], mock_dir=bench_env["fixtures"])
+        introspected: list[str] = []
+
+        def counting_introspect(db_file):
+            introspected.append(db_file.stem)
+            return introspect_database(db_file)
+
+        monkeypatch.setattr(harness, "introspect_database", counting_introspect)
+        run_benchmark(items, config, out, bench_env["root"], mock_dir=bench_env["fixtures"])
+        assert sorted(introspected) == ["finance", "motorsport"]
 
     def test_corrupt_line_before_the_last_raises(self, bench_env, tmp_path):
         items = load_dataset(bench_env["dataset"], "bird")[:2]

@@ -201,6 +201,10 @@ SWEEP_REPORT = """\
  "flagged_gold": []
 }"""
 
+# the summary line of traces/fin_0003.jsonl from an IR_CG_UT sweep, minus duration_s
+TRACE_SUMMARY = """\
+{"kind": "summary", "question_id": "fin_0003", "selected_sql": "SELECT A3 FROM district ORDER BY A11 DESC LIMIT 1", "selected_index": 0, "llm_calls": 7, "prompt_tokens": 4490, "completion_tokens": 212, "stages": [{"stage": "initial", "n_tables": 5, "n_columns": 21, "selection": {"district": ["DistrictID", "A2", "A3", "A11"], "customers": ["CustomerID", "Gender", "Currency"], "gasstations": ["GasStationID", "ChainID", "Country", "Segment"], "transactions_1k": ["TransactionID", "Date", "CustomerID", "GasStationID", "Amount", "Price"], "client": ["ClientID", "Gender", "Birthday", "DistrictID"]}}], "candidates": [{"generation_index": 0, "sql": "SELECT A3 FROM district ORDER BY A11 DESC LIMIT 1", "revision_count": 0, "status": "ok"}, {"generation_index": 1, "sql": "SELECT A3 FROM district ORDER BY A11 ASC LIMIT 1", "revision_count": 0, "status": "ok"}, {"generation_index": 2, "sql": "SELECT A3 FROM district WHERE A11 = (SELECT MAX(A11) FROM district)", "revision_count": 0, "status": "ok"}], "clusters": [{"fingerprint": "55ca6e2b046d21ee1ae05b203ad5a61f7f25cb0be710b704d9faefb5a1bdc981", "members": [0, 2], "representative": 0}, {"fingerprint": "fbf6763e3ee7e6ea75c94a04bb34bb8013e3050e04f4189c140324f5c59951b4", "members": [1], "representative": 1}], "scores": [2, 0, 2], "n_unit_tests": 2, "revisions_total": 0}"""
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
@@ -401,3 +405,25 @@ class TestPinnedBytes:
         )
         assert (out / "predictions.jsonl").read_text(encoding="utf-8") == SWEEP_PREDICTIONS
         assert (out / "report.json").read_text(encoding="utf-8") == SWEEP_REPORT
+
+    def test_trace_summary_line(self, tmp_path):
+        root = build_bench_root(tmp_path / "root")
+        sources = {
+            db: introspect_database(root / db / f"{db}.sqlite")
+            for db in ("motorsport", "finance")
+        }
+        fixtures = build_suite_fixture_dir(tmp_path / "fixtures", sources)
+        (root / "dataset.json").write_text(json.dumps(suite_dataset()), encoding="utf-8")
+        item = next(i for i in load_dataset(root / "dataset.json") if i.question_id == "fin_0003")
+        out = tmp_path / "out"
+        run_benchmark(
+            [item],
+            PipelineConfig(team="IR_CG_UT", n_candidates=3, n_unit_tests=2),
+            out,
+            root,
+            mock_dir=fixtures,
+        )
+        trace = (out / "traces" / "fin_0003.jsonl").read_text(encoding="utf-8")
+        summary = json.loads(trace.splitlines()[0])
+        assert summary.pop("duration_s") >= 0
+        assert json.dumps(summary, ensure_ascii=False) == TRACE_SUMMARY
