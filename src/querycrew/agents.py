@@ -282,7 +282,8 @@ def generate_candidate(
     params: SamplingParams,
     scenario_prefix: str = "q",
 ) -> list[CandidateQuery]:
-    """Sample params.n_samples candidate queries, one completion call each.
+    """Sample params.n_samples candidate queries, one completion call each,
+    sent to the backend as one batch.
 
     Samples whose JSON cannot be parsed are dropped; their generation index
     is not reused. If every sample drops, GenerationError is raised.
@@ -297,18 +298,16 @@ def generate_candidate(
     single = SamplingParams(
         temperature=params.temperature, max_tokens=params.max_tokens, n_samples=1
     )
+    payloads = gw.structured_many(
+        "generate_candidate",
+        [bindings] * params.n_samples,
+        single,
+        [f"{scenario_prefix}+generate_candidate+{i}" for i in range(params.n_samples)],
+        retry_on_parse_failure=False,
+    )
     candidates: list[CandidateQuery] = []
-    for i in range(params.n_samples):
-        scenario_key = f"{scenario_prefix}+generate_candidate+{i}"
-        try:
-            payload = gw.structured(
-                "generate_candidate",
-                bindings,
-                single,
-                scenario_key,
-                retry_on_parse_failure=False,
-            )
-        except ParseError:
+    for i, payload in enumerate(payloads):
+        if isinstance(payload, ParseError):
             logger.warning("candidate sample %d unparseable; dropped", i)
             continue
         sql = str(payload.get("SQL", "")).strip()
@@ -336,44 +335,56 @@ def revise(
     hint: str,
     sub: SubSchema,
     context: RetrievedContext,
-    candidate: CandidateQuery,
-    issue: FaultReport,
+    candidates: Sequence[CandidateQuery],
+    issues: Sequence[FaultReport],
     gw: Gateway,
-    scenario_key: str = "q+revise+0",
-) -> CandidateQuery:
-    """One revision attempt for a faulty candidate.
+    scenario_prefix: str = "q",
+) -> list[CandidateQuery]:
+    """One revision attempt for each faulty candidate, sent as one batch.
 
-    The prompt carries the executed result or error text. A parse failure
-    returns the candidate unchanged (with a warning) rather than losing it.
+    Each prompt carries its candidate's executed result or error text
+    (`issues` pairs with `candidates`), under scenario key
+    `<prefix>+revise+<generation index>.<revision number>`. A parse failure
+    returns that candidate unchanged (with a warning) rather than losing it.
     """
-    bindings = {
-        "DATABASE_SCHEMA": render_schema_prompt(
-            sub, context.entities, context.descriptions
-        ),
-        "MISSING_ENTITIES": context.entity_lines(),
-        "QUESTION": question,
-        "EVIDENCE": hint or "none",
-        "SQL": candidate.sql,
-        "QUERY_RESULT": issue.detail,
-    }
-    try:
-        payload = gw.structured(
-            "revise",
-            bindings,
-            SamplingParams(temperature=0.0),
-            scenario_key,
-            retry_on_parse_failure=False,
-        )
-    except ParseError:
-        logger.warning("revise output unparseable; keeping candidate as is")
-        return candidate
-    sql = str(payload.get("revised_SQL", "")).strip() or candidate.sql
-    return CandidateQuery(
-        sql=sql,
-        reasoning=str(payload.get("chain_of_thought_reasoning", "")),
-        generation_index=candidate.generation_index,
-        revision_count=candidate.revision_count + 1,
+    schema = render_schema_prompt(sub, context.entities, context.descriptions)
+    missing = context.entity_lines()
+    payloads = gw.structured_many(
+        "revise",
+        [
+            {
+                "DATABASE_SCHEMA": schema,
+                "MISSING_ENTITIES": missing,
+                "QUESTION": question,
+                "EVIDENCE": hint or "none",
+                "SQL": candidate.sql,
+                "QUERY_RESULT": issue.detail,
+            }
+            for candidate, issue in zip(candidates, issues)
+        ],
+        SamplingParams(temperature=0.0),
+        [
+            f"{scenario_prefix}+revise+{c.generation_index}.{c.revision_count + 1}"
+            for c in candidates
+        ],
+        retry_on_parse_failure=False,
     )
+    revised = []
+    for candidate, payload in zip(candidates, payloads):
+        if isinstance(payload, ParseError):
+            logger.warning("revise output unparseable; keeping candidate as is")
+            revised.append(candidate)
+            continue
+        sql = str(payload.get("revised_SQL", "")).strip() or candidate.sql
+        revised.append(
+            CandidateQuery(
+                sql=sql,
+                reasoning=str(payload.get("chain_of_thought_reasoning", "")),
+                generation_index=candidate.generation_index,
+                revision_count=candidate.revision_count + 1,
+            )
+        )
+    return revised
 
 
 def generate_unit_tests(
@@ -417,44 +428,46 @@ def evaluate_against_test(
     hint: str,
     sub: SubSchema,
     candidates: Sequence[CandidateQuery],
-    test: UnitTest,
+    tests: Sequence[UnitTest],
     gw: Gateway,
-    scenario_key: str = "q+evaluate+0",
-) -> list[Verdict]:
-    """Verdicts of every candidate against one unit test, in one call.
+    scenario_prefix: str = "q",
+) -> list[list[Verdict]]:
+    """Verdicts of every candidate against each unit test: one call per
+    test, all tests sent as one batch, under scenario key
+    `<prefix>+evaluate+<test index>`.
 
-    The verdict list always has one entry per candidate: responses that omit
-    a candidate score it as Failed, and an unparseable response fails every
-    candidate for this test.
+    Each verdict row has one entry per candidate: responses that omit a
+    candidate score it as Failed, and an unparseable response fails every
+    candidate for that test.
     """
     if not candidates:
         raise ValueError("evaluate_against_test requires at least one candidate")
-    numbered = "\n\n".join(
-        f"Candidate Response #{i + 1}:\n{c.sql}" for i, c in enumerate(candidates)
-    )
-    bindings = {
+    base = {
         "DATABASE_SCHEMA": render_schema_prompt(sub),
-        "CANDIDATE_QUERIES": numbered,
+        "CANDIDATE_QUERIES": "\n\n".join(
+            f"Candidate Response #{i + 1}:\n{c.sql}" for i, c in enumerate(candidates)
+        ),
         "QUESTION": question,
         "HINT": hint or "none",
-        "UNIT_TEST": test.statement,
     }
-    try:
-        words = gw.structured(
-            "evaluate_unit_test", bindings, SamplingParams(temperature=0.0), scenario_key
-        )
-    except ParseError:
+    answers = gw.structured_many(
+        "evaluate_unit_test",
+        [{**base, "UNIT_TEST": test.statement} for test in tests],
+        SamplingParams(temperature=0.0),
+        [f"{scenario_prefix}+evaluate+{test.index}" for test in tests],
+    )
+    return [_verdict_row(words, test, len(candidates)) for words, test in zip(answers, tests)]
+
+
+def _verdict_row(words: list[str] | ParseError, test: UnitTest, n: int) -> list[Verdict]:
+    if isinstance(words, ParseError):
         logger.warning("verdicts unparseable for test %d; all candidates Failed", test.index)
-        return [Verdict.FAILED] * len(candidates)
+        return [Verdict.FAILED] * n
     verdicts = [Verdict.PASSED if w == "Passed" else Verdict.FAILED for w in words]
-    if len(verdicts) < len(candidates):
-        logger.warning(
-            "only %d verdicts for %d candidates; padding with Failed",
-            len(verdicts),
-            len(candidates),
-        )
-        verdicts.extend([Verdict.FAILED] * (len(candidates) - len(verdicts)))
-    return verdicts[: len(candidates)]
+    if len(verdicts) < n:
+        logger.warning("only %d verdicts for %d candidates; padding with Failed", len(verdicts), n)
+        verdicts.extend([Verdict.FAILED] * (n - len(verdicts)))
+    return verdicts[:n]
 
 
 def render_clusters(clusters: Sequence[Cluster]) -> str:

@@ -21,11 +21,19 @@ import numpy as np
 import requests
 
 from .catalog import SchemaCatalog
+from .gateway import post_with_retry
 from .textutils import char_ngrams, ngram_hash, normalize_value
 
 logger = logging.getLogger(__name__)
 
 FIELD_KINDS = ("expanded_name", "column_description", "value_description")
+
+# Most texts one embeddings request carries, and how a request that fails in
+# transport is retried: up to EMBED_RETRIES times, the waits doubling from
+# EMBED_BACKOFF_S seconds.
+EMBED_CHUNK = 256
+EMBED_RETRIES = 3
+EMBED_BACKOFF_S = 0.5
 
 
 class ContextStoreError(Exception):
@@ -72,7 +80,12 @@ class HashingEmbedder:
 
 
 class RemoteEmbedder:
-    """Embeddings over an HTTP endpoint compatible with the standard API."""
+    """Embeddings over an HTTP endpoint compatible with the standard API.
+
+    Texts go out in requests of at most EMBED_CHUNK inputs each, in order.
+    Transport failures are retried with exponential backoff; a non-200
+    response fails at once.
+    """
 
     kind = "remote"
 
@@ -97,18 +110,29 @@ class RemoteEmbedder:
         api_key = os.environ.get(self.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        resp = self.session.post(
-            f"{self.base_url}/embeddings",
-            json={"model": self.model, "input": list(texts)},
-            headers=headers,
-            timeout=self.timeout,
-        )
-        if resp.status_code != 200:
-            raise ContextStoreError(
-                f"embeddings endpoint returned {resp.status_code}: {resp.text[:200]}"
-            )
-        data = resp.json()["data"]
-        vectors = np.array([d["embedding"] for d in data], dtype=np.float64)
+        rows = []
+        for start in range(0, len(texts), EMBED_CHUNK):
+            chunk = list(texts[start : start + EMBED_CHUNK])
+            try:
+                resp = post_with_retry(
+                    self.session,
+                    f"{self.base_url}/embeddings",
+                    EMBED_RETRIES,
+                    EMBED_BACKOFF_S,
+                    json={"model": self.model, "input": chunk},
+                    headers=headers,
+                    timeout=self.timeout,
+                )
+            except requests.RequestException as exc:
+                raise ContextStoreError(
+                    f"embeddings endpoint unreachable after {EMBED_RETRIES} retries: {exc}"
+                ) from exc
+            if resp.status_code != 200:
+                raise ContextStoreError(
+                    f"embeddings endpoint returned {resp.status_code}: {resp.text[:200]}"
+                )
+            rows += [d["embedding"] for d in resp.json()["data"]]
+        vectors = np.array(rows, dtype=np.float64)
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         return vectors / norms

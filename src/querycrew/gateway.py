@@ -13,14 +13,17 @@ runs reproducible byte for byte.
 from __future__ import annotations
 
 import ast
+import contextlib
+import contextvars
 import json
 import logging
 import re
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import ContextManager, Mapping, Protocol, Sequence
 
 import requests
 
@@ -141,49 +144,67 @@ class HttpChatBackend:
             "max_tokens": params.max_tokens,
             "n": params.n_samples,
         }
-        last_exc: Exception | None = None
-        for attempt in range(1 + self.max_retries):
-            try:
-                with self._gate:
-                    resp = self.session.post(
-                        f"{self.base_url}/chat/completions",
-                        json=payload,
-                        headers=headers,
-                        timeout=self.timeout,
-                    )
-            except requests.RequestException as exc:
-                last_exc = exc
-                if attempt < self.max_retries:
-                    time.sleep(self.backoff_s * (2**attempt))
-                continue
-            if resp.status_code != 200:
-                raise GatewayError(
-                    f"backend returned {resp.status_code}: {resp.text[:200]}"
-                )
-            body = resp.json()
-            usage = body.get("usage", {})
-            choices = body.get("choices", [])
-            if len(choices) != params.n_samples:
-                raise GatewayError(
-                    f"backend returned {len(choices)} choices, expected {params.n_samples}"
-                )
-            prompt_tokens = usage.get("prompt_tokens", estimate_tokens(prompt))
-            total_completion = usage.get("completion_tokens")
-            completions = []
-            for choice in choices:
-                text = choice["message"]["content"] or ""
-                per_sample = (
-                    total_completion // len(choices)
-                    if total_completion is not None
-                    else estimate_tokens(text)
-                )
-                completions.append(
-                    Completion(text, prompt_tokens, per_sample, self.backend_id)
-                )
-            return completions
-        raise GatewayError(
-            f"backend unreachable after {self.max_retries} retries: {last_exc}"
-        )
+        try:
+            resp = post_with_retry(
+                self.session,
+                f"{self.base_url}/chat/completions",
+                self.max_retries,
+                self.backoff_s,
+                gate=self._gate,
+                json=payload,
+                headers=headers,
+                timeout=self.timeout,
+            )
+        except requests.RequestException as exc:
+            raise GatewayError(
+                f"backend unreachable after {self.max_retries} retries: {exc}"
+            ) from exc
+        if resp.status_code != 200:
+            raise GatewayError(f"backend returned {resp.status_code}: {resp.text[:200]}")
+        body = resp.json()
+        usage = body.get("usage", {})
+        choices = body.get("choices", [])
+        if len(choices) != params.n_samples:
+            raise GatewayError(
+                f"backend returned {len(choices)} choices, expected {params.n_samples}"
+            )
+        prompt_tokens = usage.get("prompt_tokens", estimate_tokens(prompt))
+        total_completion = usage.get("completion_tokens")
+        completions = []
+        for choice in choices:
+            text = choice["message"]["content"] or ""
+            per_sample = (
+                total_completion // len(choices)
+                if total_completion is not None
+                else estimate_tokens(text)
+            )
+            completions.append(Completion(text, prompt_tokens, per_sample, self.backend_id))
+        return completions
+
+
+def post_with_retry(
+    session: requests.Session,
+    url: str,
+    max_retries: int,
+    backoff_s: float,
+    gate: ContextManager = contextlib.nullcontext(),
+    **kwargs,
+) -> requests.Response:
+    """POST, retrying transport failures up to `max_retries` times.
+
+    The waits between attempts double from `backoff_s`. Each attempt holds
+    `gate` while the request is out, never while it waits. Any response,
+    whatever its status, is returned as is; the last transport error is
+    raised once every attempt has failed.
+    """
+    for attempt in range(max_retries):
+        try:
+            with gate:
+                return session.post(url, **kwargs)
+        except requests.RequestException:
+            time.sleep(backoff_s * (2**attempt))
+    with gate:
+        return session.post(url, **kwargs)
 
 
 class MockLookupError(GatewayError):
@@ -203,11 +224,13 @@ class MockBackend:
         self.fixture_dir = Path(fixture_dir) if fixture_dir else None
         self.responses = {k: list(v) for k, v in (responses or {}).items()}
         self.calls = 0
+        self._lock = threading.Lock()
 
     def complete(
         self, prompt: str, params: SamplingParams, template_id: str, scenario_key: str
     ) -> list[Completion]:
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         variants = self._lookup(scenario_key, template_id)
         out = []
         for i in range(params.n_samples):
@@ -268,6 +291,21 @@ def complete(
     return completions
 
 
+# How many backend calls of one batch can be out at once; it matches
+# HttpChatBackend's default max_in_flight. The pool's threads start only when
+# a batch of two or more requests first needs them.
+POOL_WIDTH = 8
+_POOL = ThreadPoolExecutor(max_workers=POOL_WIDTH, thread_name_prefix="querycrew-backend")
+
+
+def _timed_complete(
+    backend: Backend, prompt: str, params: SamplingParams, template_id: str, scenario_key: str
+) -> tuple[list[Completion], float]:
+    start = time.perf_counter()
+    completions = complete(backend, prompt, params, template_id, scenario_key)
+    return completions, time.perf_counter() - start
+
+
 def parse_structured(completion: Completion | str, expected_shape: str):
     """Parse a completion into the declared output shape.
 
@@ -285,6 +323,14 @@ def parse_structured(completion: Completion | str, expected_shape: str):
     if expected_shape == VERDICT_LINES:
         return _parse_verdicts(text)
     raise ValueError(f"unknown expected_shape {expected_shape!r}")
+
+
+def _parse_or_error(completion: Completion, expected_shape: str):
+    """The parsed completion, or the ParseError that parsing raised."""
+    try:
+        return parse_structured(completion, expected_shape)
+    except ParseError as exc:
+        return exc
 
 
 def _strip_fences(text: str) -> str:
@@ -407,11 +453,21 @@ class Gateway:
         prompt: str,
         params: SamplingParams,
         scenario_key: str,
+        sent: Future | None = None,
     ) -> list[Completion]:
+        """One backend call, recorded and logged.
+
+        `sent` is the pending result of a call that `structured_many` has
+        already handed to the pool for this request; without it the backend
+        is called here.
+        """
         backend = self.backend_for(template_id)
-        start = time.perf_counter()
-        completions = complete(backend, prompt, params, template_id, scenario_key)
-        elapsed = time.perf_counter() - start
+        if sent is None:
+            completions, elapsed = _timed_complete(
+                backend, prompt, params, template_id, scenario_key
+            )
+        else:
+            completions, elapsed = sent.result()
         self.calls.append(
             CallRecord(
                 template_id=template_id,
@@ -439,6 +495,51 @@ class Gateway:
                 )
         return completions
 
+    def structured_many(
+        self,
+        template_id: str,
+        bindings_list: Sequence[dict[str, object]],
+        params: SamplingParams,
+        scenario_keys: Sequence[str],
+        retry_on_parse_failure: bool = True,
+    ) -> list:
+        """Render, complete, and parse a batch of independent calls.
+
+        Every prompt is rendered on the calling thread. With two or more
+        requests their backend calls run together on the module's pool, at
+        most POOL_WIDTH at once, each in a copy of the caller's context; a
+        one-request batch calls the backend inline. The answers are then
+        recorded, logged and parsed here in request order, so `calls` and
+        the log read as if the requests had run one after another.
+
+        A parse failure is re-asked once at its own request's turn, as in
+        `structured`; an answer that still does not parse comes back as its
+        ParseError in the result list. If a backend call raises, the rest of
+        the batch is waited for, the requests before it are recorded, and
+        its error is raised.
+        """
+        prompts = [render_template(template_id, bindings) for bindings in bindings_list]
+        if len(prompts) < 2:
+            return [
+                self._answer(template_id, prompt, params, key, None, retry_on_parse_failure)
+                for prompt, key in zip(prompts, scenario_keys)
+            ]
+        backend = self.backend_for(template_id)
+        sent = [
+            _POOL.submit(
+                contextvars.copy_context().run,
+                _timed_complete, backend, prompt, params, template_id, key,
+            )
+            for prompt, key in zip(prompts, scenario_keys)
+        ]
+        try:
+            return [
+                self._answer(template_id, prompt, params, key, pending, retry_on_parse_failure)
+                for prompt, key, pending in zip(prompts, scenario_keys, sent)
+            ]
+        finally:
+            wait(sent)
+
     def structured(
         self,
         template_id: str,
@@ -452,17 +553,34 @@ class Gateway:
         On a parse failure and when retries are allowed, the prompt is
         re-asked once with an appended instruction to emit valid output; the
         second failure propagates. The re-ask uses scenario key
-        `<key>#retry1` so scripted runs can stage both responses.
+        `<key>#retry1` so scripted runs can stage both responses. This is
+        the one-request case of `structured_many`, without its lists.
         """
-        template = templates.TEMPLATES[template_id]
         prompt = render_template(template_id, bindings)
-        completion = self.complete_prompt(template_id, prompt, params, scenario_key)[0]
-        try:
-            return parse_structured(completion, template.expected_shape)
-        except ParseError:
-            if not retry_on_parse_failure:
-                raise
-        retry = self.complete_prompt(
-            template_id, prompt + _RETRY_SUFFIX, params, f"{scenario_key}#retry1"
-        )[0]
-        return parse_structured(retry, template.expected_shape)
+        answer = self._answer(
+            template_id, prompt, params, scenario_key, None, retry_on_parse_failure
+        )
+        if isinstance(answer, ParseError):
+            raise answer
+        return answer
+
+    def _answer(
+        self,
+        template_id: str,
+        prompt: str,
+        params: SamplingParams,
+        scenario_key: str,
+        sent: Future | None,
+        retry_on_parse_failure: bool,
+    ):
+        """One request's turn: record its call, parse the answer and, if
+        allowed, re-ask once; returns the parsed answer or its ParseError."""
+        shape = templates.TEMPLATES[template_id].expected_shape
+        completion = self.complete_prompt(template_id, prompt, params, scenario_key, sent)
+        answer = _parse_or_error(completion[0], shape)
+        if isinstance(answer, ParseError) and retry_on_parse_failure:
+            retry = self.complete_prompt(
+                template_id, prompt + _RETRY_SUFFIX, params, f"{scenario_key}#retry1"
+            )
+            answer = _parse_or_error(retry[0], shape)
+        return answer

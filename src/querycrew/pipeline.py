@@ -11,6 +11,14 @@ Scenario keys passed to the gateway are deterministic:
 `<qid>+<tool>+<attempt>`, where attempt is the sample index for generation,
 `<table>.<column>` for column filtering, `<candidate>.<revision>` for
 revision, and the test index for evaluation.
+
+Independent model calls go to the backend together: a question's candidate
+samples form one batch, each revision wave another, and its unit-test
+verdicts a third (`Gateway.structured_many`). Everything else, SQL execution
+and the per-column filter calls included, runs on the calling thread. Call
+records keep the order of a one-by-one run with one exception: revisions are
+recorded wave by wave (every candidate's first revision, then every second
+revision, and so on), not candidate by candidate.
 """
 
 from __future__ import annotations
@@ -419,16 +427,16 @@ def run(
     except agents.GenerationError as exc:
         raise PipelineError(str(exc)) from exc
 
-    env = RunEnv(question, hint, sub, context, artifacts.db_file, gateway, qid)
-    for i, candidate in enumerate(candidates):
+    for candidate in candidates:
         candidate.exec_result = executor.execute(
             artifacts.db_file,
             candidate.sql,
             timeout=config.execution_timeout_s,
             row_cap=config.row_cap,
         )
-        if config.tool_enabled("revise"):
-            candidates[i] = revise_loop(candidate, env, config)
+    if config.tool_enabled("revise"):
+        env = RunEnv(question, hint, sub, context, artifacts.db_file, gateway, qid)
+        candidates = _revise_in_waves(candidates, env, config)
     trace.revisions_total = sum(c.revision_count for c in candidates)
 
     clusters = cluster_by_result(candidates)
@@ -446,18 +454,9 @@ def run(
             gateway,
             scenario_key=f"{qid}+generate_unit_tests+0",
         )
-        for test in tests:
-            verdict_matrix.append(
-                agents.evaluate_against_test(
-                    question,
-                    hint,
-                    sub,
-                    candidates,
-                    test,
-                    gateway,
-                    scenario_key=f"{qid}+evaluate+{test.index}",
-                )
-            )
+        verdict_matrix = agents.evaluate_against_test(
+            question, hint, sub, candidates, tests, gateway, scenario_prefix=qid
+        )
         winner = score_and_select(candidates, verdict_matrix, clusters)
     elif "UT" in roles:
         winner = clusters[0].representative_position
@@ -540,36 +539,57 @@ def revise_loop(
     """Revise and re-execute until the fault clears or revisions run out.
 
     The last version is returned even if still faulty; an ok-and-nonempty
-    candidate comes back untouched.
+    candidate comes back untouched. This is the one-candidate case of the
+    pipeline's revision waves.
     """
-    current = candidate
-    while current.revision_count < config.max_revisions:
-        fault = executor.classify_fault(current.exec_result)
-        if fault is None or fault.kind not in REVISABLE_FAULTS:
-            break
+    return _revise_in_waves([candidate], env, config)[0]
+
+
+def _revise_in_waves(
+    candidates: Sequence[CandidateQuery], env: RunEnv, config: PipelineConfig
+) -> list[CandidateQuery]:
+    """Revise executed candidates wave by wave.
+
+    Each wave sends one revise call for every candidate that still has a
+    revisable fault and revisions left, as one batch, then executes the
+    revised SQL. A candidate leaves the waves once its fault clears, its
+    revisions run out, or its revision does not parse (that would only burn
+    budget). Returns the candidates' last versions in their input order.
+    """
+    current = list(candidates)
+    active = range(len(current))
+    while True:
+        due = []
+        for pos in active:
+            if current[pos].revision_count >= config.max_revisions:
+                continue
+            fault = executor.classify_fault(current[pos].exec_result)
+            if fault is not None and fault.kind in REVISABLE_FAULTS:
+                due.append((pos, fault))
+        if not due:
+            return current
         revised = agents.revise(
             env.question,
             env.hint,
             env.sub,
             env.context,
-            current,
-            fault,
+            [current[pos] for pos, _ in due],
+            [fault for _, fault in due],
             env.gateway,
-            scenario_key=(
-                f"{env.qid}+revise+{current.generation_index}."
-                f"{current.revision_count + 1}"
-            ),
+            scenario_prefix=env.qid,
         )
-        if revised is current:
-            break  # unparseable revision: stop burning budget
-        revised.exec_result = executor.execute(
-            env.db_file,
-            revised.sql,
-            timeout=config.execution_timeout_s,
-            row_cap=config.row_cap,
-        )
-        current = revised
-    return current
+        active = []
+        for (pos, _), new in zip(due, revised):
+            if new is current[pos]:
+                continue  # unparseable revision
+            new.exec_result = executor.execute(
+                env.db_file,
+                new.sql,
+                timeout=config.execution_timeout_s,
+                row_cap=config.row_cap,
+            )
+            current[pos] = new
+            active.append(pos)
 
 
 def cluster_by_result(candidates: Sequence[CandidateQuery]) -> list[Cluster]:

@@ -1,10 +1,12 @@
 """Token-level extraction of the tables and columns a SQL query touches.
 
 This is a scanner with alias resolution, not a grammar: it handles the
-join-heavy SELECT shape of benchmark gold queries. Qualified references
-resolve through the alias map; bare identifiers are attributed to a FROM-set
-table when exactly one of them has a column of that name. `SELECT *` counts
-every column of the tables in scope so recall denominators stay defined.
+join-heavy SELECT shape of benchmark gold queries. Every parenthesised
+SELECT has a FROM scope of its own. Qualified references resolve through
+the alias maps of the scopes around them; bare identifiers are attributed to
+a table of the nearest scope that has a column of that name, when exactly
+one of its tables has it. `SELECT *` counts every column of the tables in
+its scope so recall denominators stay defined.
 """
 
 from __future__ import annotations
@@ -72,16 +74,58 @@ def tokenize(sql: str) -> list[Token]:
     return tokens
 
 
+@dataclass
+class _Scope:
+    """The FROM clause of one SELECT: its tables and aliases."""
+
+    parent: "_Scope | None"
+    tables: list[str] = field(default_factory=list)
+    aliases: dict[str, str] = field(default_factory=dict)
+
+    def chain(self):
+        scope = self
+        while scope is not None:
+            yield scope
+            scope = scope.parent
+
+
+def _scopes(tokens: list[Token]) -> list[_Scope]:
+    """The scope of every token: each parenthesised SELECT opens a scope
+    nested in the one around it, and the statement itself is the root."""
+    current = _Scope(None)
+    opened: list[bool] = []  # per open paren: whether it began a subquery
+    out = []
+    for i, tok in enumerate(tokens):
+        if tok.kind == "symbol" and tok.text == "(":
+            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+            begins = nxt is not None and nxt.kind == "ident" and nxt.text.lower() in (
+                "select", "with"
+            )
+            opened.append(begins)
+            if begins:
+                current = _Scope(current)
+        elif tok.kind == "symbol" and tok.text == ")" and opened and opened.pop():
+            out.append(current)
+            current = current.parent
+            continue
+        out.append(current)
+    return out
+
+
 def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
     """Tables and (table, column) pairs referenced by a query.
 
-    References that cannot be resolved against the catalog land in
-    `unresolved` so callers can flag the query instead of miscounting.
+    A bare column name resolves in the FROM scope of its own SELECT first,
+    then in the enclosing scopes (a correlated subquery can name an outer
+    table), and last among every table of the statement. References that
+    cannot be resolved against the catalog land in `unresolved` so callers
+    can flag the query instead of miscounting.
     """
     tokens = tokenize(sql)
+    scope_of = _scopes(tokens)
     items = SqlItems()
 
-    # pass 1: alias map from FROM/JOIN clauses, subquery-depth aware
+    # pass 1: tables and aliases of each FROM/JOIN clause, per scope
     alias_map: dict[str, str] = {}
     from_tables: list[str] = []
     i = 0
@@ -100,6 +144,9 @@ def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
                     i = j + 1
                     continue
                 items.tables.add(table)
+                scope = scope_of[i]
+                if table not in scope.tables:
+                    scope.tables.append(table)
                 if table not in from_tables:
                     from_tables.append(table)
                 k = j + 1
@@ -110,10 +157,28 @@ def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
                     and tokens[k].kind == "ident"
                     and tokens[k].text.lower() not in _KEYWORDS
                 ):
+                    scope.aliases[tokens[k].text.lower()] = table
                     alias_map[tokens[k].text.lower()] = table
                 i = k
                 continue
         i += 1
+
+    def alias(scope: _Scope, name: str) -> str | None:
+        for scope in scope.chain():
+            if name in scope.aliases:
+                return scope.aliases[name]
+        return alias_map.get(name)
+
+    def homes(scope: _Scope, name: str) -> list[tuple[str, str]]:
+        for tables in [s.tables for s in scope.chain()] + [from_tables]:
+            found = [
+                (table, column)
+                for table in tables
+                if (column := catalog.resolve_column(table, name)) is not None
+            ]
+            if found:
+                return found
+        return []
 
     # pass 2: column references
     i = 0
@@ -121,7 +186,7 @@ def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
         tok = tokens[i]
         nxt = tokens[i + 1] if i + 1 < len(tokens) else None
         if tok.kind == "ident" and nxt is not None and nxt.text == ".":
-            owner = alias_map.get(tok.text.lower()) or catalog.resolve_table(tok.text)
+            owner = alias(scope_of[i], tok.text.lower()) or catalog.resolve_table(tok.text)
             ref = tokens[i + 2] if i + 2 < len(tokens) else None
             if owner is None:
                 items.unresolved.append(tok.text)
@@ -140,7 +205,7 @@ def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
             i += 3
             continue
         if tok.text == "*" and _is_select_star(tokens, i):
-            for table in from_tables:
+            for table in scope_of[i].tables or from_tables:
                 for col in catalog.table(table).column_names():
                     items.columns.add((table, col))
             i += 1
@@ -154,14 +219,10 @@ def extract_sql_items(sql: str, catalog: SchemaCatalog) -> SqlItems:
                 and lower not in alias_map
                 and catalog.resolve_table(tok.text) is None
             ):
-                homes = [
-                    (table, column)
-                    for table in from_tables
-                    if (column := catalog.resolve_column(table, tok.text)) is not None
-                ]
-                if len(homes) == 1:
-                    items.columns.add(homes[0])
-                elif homes:
+                found = homes(scope_of[i], tok.text)
+                if len(found) == 1:
+                    items.columns.add(found[0])
+                elif found:
                     items.unresolved.append(tok.text)
         i += 1
     return items

@@ -265,11 +265,11 @@ class TestRevise:
         sub = full_projection(motorsport_catalog)
         candidate = CandidateQuery(sql="SELEC 1", generation_index=0)
         gw = gw_with(
-            {("k", "revise"): ['{"revised_SQL": "SELECT 1"}']}
+            {("k+revise+0.1", "revise"): ['{"revised_SQL": "SELECT 1"}']}
         )
-        out = revise(
-            QUESTION, HINT, sub, RetrievedContext(), candidate,
-            FaultReport("syntax_error", 'near "SELEC": syntax error'), gw, "k",
+        (out,) = revise(
+            QUESTION, HINT, sub, RetrievedContext(), [candidate],
+            [FaultReport("syntax_error", 'near "SELEC": syntax error')], gw, "k",
         )
         assert out.sql == "SELECT 1"
         assert out.revision_count == 1
@@ -278,11 +278,11 @@ class TestRevise:
     def test_parse_failure_returns_original(self, motorsport_catalog, caplog):
         sub = full_projection(motorsport_catalog)
         candidate = CandidateQuery(sql="SELECT x", generation_index=2, revision_count=1)
-        gw = gw_with({("k", "revise"): ["junk"]})
+        gw = gw_with({("k+revise+2.2", "revise"): ["junk"]})
         with caplog.at_level(logging.WARNING):
-            out = revise(
-                QUESTION, HINT, sub, RetrievedContext(), candidate,
-                FaultReport("empty_result", "query returned 0 rows"), gw, "k",
+            (out,) = revise(
+                QUESTION, HINT, sub, RetrievedContext(), [candidate],
+                [FaultReport("empty_result", "query returned 0 rows")], gw, "k",
             )
         assert out is candidate
         assert out.revision_count == 1
@@ -290,11 +290,13 @@ class TestRevise:
     def test_issue_detail_lands_in_prompt(self, motorsport_catalog):
         sub = project(motorsport_catalog, {"drivers": ["forename"]})
         candidate = CandidateQuery(sql="SELECT 1")
-        backend = MockBackend(responses={("k", "revise"): ['{"revised_SQL": "SELECT 2"}']})
+        backend = MockBackend(
+            responses={("k+revise+0.1", "revise"): ['{"revised_SQL": "SELECT 2"}']}
+        )
         gw = Gateway.single(backend)
         revise(
-            QUESTION, HINT, sub, RetrievedContext(), candidate,
-            FaultReport("runtime_error", "no such column: ghost"), gw, "k",
+            QUESTION, HINT, sub, RetrievedContext(), [candidate],
+            [FaultReport("runtime_error", "no such column: ghost")], gw, "k",
         )
         assert len(gw.calls) == 1
 
@@ -366,29 +368,31 @@ class TestEvaluate:
         sub = full_projection(motorsport_catalog)
         gw = gw_with(
             {
-                ("k", "evaluate_unit_test"): [
+                ("k+evaluate+0", "evaluate_unit_test"): [
                     "<Answer>\nCandidate Response #1: Passed\n"
                     "Candidate Response #2: Failed\n"
                     "Candidate Response #3: Passed\n</Answer>"
                 ]
             }
         )
-        verdicts = evaluate_against_test(QUESTION, HINT, sub, self.CANDS, self.TEST, gw, "k")
+        (verdicts,) = evaluate_against_test(
+            QUESTION, HINT, sub, self.CANDS, [self.TEST], gw, "k"
+        )
         assert verdicts == [Verdict.PASSED, Verdict.FAILED, Verdict.PASSED]
 
     def test_short_verdicts_padded_failed(self, motorsport_catalog, caplog):
         sub = full_projection(motorsport_catalog)
         gw = gw_with(
             {
-                ("k", "evaluate_unit_test"): [
+                ("k+evaluate+0", "evaluate_unit_test"): [
                     "<Answer>\nCandidate Response #1: Passed\n"
                     "Candidate Response #2: Passed\n</Answer>"
                 ]
             }
         )
         with caplog.at_level(logging.WARNING):
-            verdicts = evaluate_against_test(
-                QUESTION, HINT, sub, self.CANDS, self.TEST, gw, "k"
+            (verdicts,) = evaluate_against_test(
+                QUESTION, HINT, sub, self.CANDS, [self.TEST], gw, "k"
             )
         assert verdicts == [Verdict.PASSED, Verdict.PASSED, Verdict.FAILED]
 
@@ -396,13 +400,13 @@ class TestEvaluate:
         sub = full_projection(motorsport_catalog)
         gw = gw_with(
             {
-                ("k", "evaluate_unit_test"): ["junk"],
-                ("k#retry1", "evaluate_unit_test"): ["junk"],
+                ("k+evaluate+0", "evaluate_unit_test"): ["junk"],
+                ("k+evaluate+0#retry1", "evaluate_unit_test"): ["junk"],
             }
         )
         with caplog.at_level(logging.WARNING):
-            verdicts = evaluate_against_test(
-                QUESTION, HINT, sub, self.CANDS, self.TEST, gw, "k"
+            (verdicts,) = evaluate_against_test(
+                QUESTION, HINT, sub, self.CANDS, [self.TEST], gw, "k"
             )
         assert verdicts == [Verdict.FAILED] * 3
 

@@ -59,3 +59,42 @@ def test_install_then_uninstall_restores_every_boundary(monkeypatch):
             assert after[module][key] is value, f"{module}.{key}"
     for name, module, attr, cls in wrapped:
         assert current(module, attr, cls) is originals[name], name
+
+
+def test_pooled_backend_spans_keep_their_parent(monkeypatch, tmp_path):
+    """Backend calls made on the gateway's pool are charged to the span that
+    sent them, so a traced run has no orphan spans."""
+    from e2e_fixtures import build_bench_root, suite_responses
+
+    from querycrew import pipeline
+    from querycrew.catalog import introspect_database
+    from querycrew.gateway import Gateway, MockBackend
+
+    root = build_bench_root(tmp_path / "root")
+    dbs = {db: root / db / f"{db}.sqlite" for db in ("motorsport", "finance")}
+    responses = suite_responses({db: introspect_database(path) for db, path in dbs.items()})
+    artifacts = pipeline.ensure_artifacts(
+        dbs["motorsport"], pipeline.PipelineConfig(), cache_dir=tmp_path
+    )
+    config = pipeline.PipelineConfig(team="IR_CG_UT", n_candidates=3, n_unit_tests=2)
+
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.root("test"):
+            pipeline.run(
+                "What's the fastest lap time ever in a race for Lewis Hamilton?", "",
+                artifacts, config, Gateway.single(MockBackend(responses=responses)),
+                qid="f1_0001",
+            )
+    finally:
+        tracer.uninstall()
+
+    assert tracer.orphans == []
+    backend = [s for s in tracer.spans if s.name == "gateway.backend"]
+    # 1 keywords + 3 samples + 1 test generation + 2 verdicts
+    assert len(backend) == 7
+    parents = [s.parent.name for s in backend]
+    assert parents.count("agents.generate_candidate") == 3
+    assert parents.count("agents.evaluate_against_test") == 2

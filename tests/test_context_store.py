@@ -1,8 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 from querycrew.catalog import ingest_catalog_descriptions
 from querycrew.context_store import (
+    EMBED_BACKOFF_S,
+    EMBED_CHUNK,
+    EMBED_RETRIES,
     ContextStoreError,
     HashingEmbedder,
     RemoteEmbedder,
@@ -157,9 +162,76 @@ class TestRemoteEmbedder:
             text = "overloaded"
 
         class FakeSession:
+            posts = 0
+
             def post(self, *a, **k):
+                self.posts += 1
                 return FakeResponse()
 
-        emb = RemoteEmbedder("http://x", "m", dimension=2, session=FakeSession())
+        session = FakeSession()
+        emb = RemoteEmbedder("http://x", "m", dimension=2, session=session)
         with pytest.raises(ContextStoreError):
             emb.embed(["a"])
+        assert session.posts == 1
+
+    def test_long_input_split_into_ordered_chunks(self):
+        session = EchoSession()
+        emb = RemoteEmbedder("http://x", "m", dimension=2, session=session)
+        vecs = emb.embed([f"text {i}" for i in range(600)])
+        assert len(session.inputs) > 1
+        assert all(len(chunk) <= EMBED_CHUNK for chunk in session.inputs)
+        assert [t for chunk in session.inputs for t in chunk] == [
+            f"text {i}" for i in range(600)
+        ]
+        assert vecs.shape == (600, 2)
+        # each row is the embedding of its own text
+        assert np.allclose(vecs[:, 0], np.cos(np.arange(600)))
+
+    def test_transport_failure_retried(self, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        session = EchoSession(fail_first=1)
+        emb = RemoteEmbedder("http://x", "m", dimension=2, session=session)
+        vecs = emb.embed([f"text {i}" for i in range(3)])
+        assert vecs.shape == (3, 2)
+        assert np.allclose(vecs[:, 0], np.cos(np.arange(3)))
+        assert session.attempts == 2
+
+    def test_transport_failure_exhausts_retries(self, monkeypatch):
+        waits = []
+        monkeypatch.setattr(time, "sleep", waits.append)
+        session = EchoSession(fail_first=10)
+        emb = RemoteEmbedder("http://x", "m", dimension=2, session=session)
+        with pytest.raises(ContextStoreError):
+            emb.embed(["a"])
+        assert session.attempts == 1 + EMBED_RETRIES
+        assert waits == [EMBED_BACKOFF_S * 2**i for i in range(EMBED_RETRIES)]
+
+
+class EchoSession:
+    """Embeds "text <i>" as the unit vector at angle i; the first
+    `fail_first` posts fail in transport."""
+
+    def __init__(self, fail_first: int = 0):
+        self.fail_first = fail_first
+        self.attempts = 0
+        self.inputs = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        import requests
+
+        self.attempts += 1
+        if self.attempts <= self.fail_first:
+            raise requests.ConnectionError("connection reset")
+        self.inputs.append(list(json["input"]))
+        data = []
+        for text in json["input"]:
+            angle = int(text.split()[-1]) if text.split()[-1].isdigit() else 0
+            data.append({"embedding": [np.cos(angle), np.sin(angle)]})
+
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return {"data": data}
+
+        return Response()

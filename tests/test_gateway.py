@@ -1,5 +1,15 @@
-import pytest
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from querycrew.agents import RetrievedContext, generate_candidate
+from querycrew.catalog import full_projection
 from querycrew.gateway import (
     Completion,
     Gateway,
@@ -237,6 +247,26 @@ class TestMockBackend:
         assert out[0].completion_tokens == 10
         assert out[0].prompt_tokens == 20
 
+    def test_calls_counted_across_threads(self):
+        backend = MockBackend(responses={("k", "revise"): ["x"]})
+
+        def work():
+            for _ in range(200):
+                backend.complete("p", SamplingParams(), "revise", "k")
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert backend.calls == 1600
+
 
 class TestHttpBackend:
     def test_retries_then_fails(self, monkeypatch):
@@ -291,6 +321,41 @@ class TestHttpBackend:
         assert out[0].text == "hello"
         assert out[0].prompt_tokens == 12
         assert out[0].completion_tokens == 5
+
+
+    def test_max_in_flight_gate_holds(self, motorsport_catalog):
+        class FakeResponse:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": '{"SQL": "SELECT 1"}'}}]}
+
+        class CountingSession:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.in_flight = 0
+                self.peak = 0
+
+            def post(self, *a, **k):
+                with self.lock:
+                    self.in_flight += 1
+                    self.peak = max(self.peak, self.in_flight)
+                time.sleep(0.01)
+                with self.lock:
+                    self.in_flight -= 1
+                return FakeResponse()
+
+        session = CountingSession()
+        gw = Gateway.single(HttpChatBackend("http://x", "m", max_in_flight=2, session=session))
+        candidates = generate_candidate(
+            "q", "h", full_projection(motorsport_catalog), RetrievedContext(), gw,
+            SamplingParams(temperature=1.0, n_samples=20), scenario_prefix="q",
+        )
+        assert session.peak == 2
+        assert [c.generation_index for c in candidates] == list(range(20))
+        assert [r.scenario_key for r in gw.calls] == [
+            f"q+generate_candidate+{i}" for i in range(20)
+        ]
 
 
 class TestGatewayStructured:
@@ -410,3 +475,103 @@ def test_request_response_jsonl_log(tmp_path):
     assert lines[0]["prompt"] == "the prompt"
     assert lines[0]["responses"] == ["scripted response"]
     assert lines[0]["scenario_key"] == "k"
+
+
+SELECT_BINDINGS = {"DATABASE_SCHEMA": "s", "QUESTION": "q", "HINT": "h"}
+
+# what the backend does for one request: its first answer, then its re-ask;
+# None is no scripted response, which the mock raises as a GatewayError
+OUTCOMES = {
+    "ok": ['{"ok": 1}'],
+    "bad_then_good": ["junk", '{"fixed": 1}'],
+    "bad_then_bad": ["junk", "more junk"],
+    "bad_then_error": ["junk", None],
+    "error": [None],
+}
+
+
+def _scripted(outcomes: list[str]) -> MockBackend:
+    responses = {}
+    for i, outcome in enumerate(outcomes):
+        for key, text in zip((f"k{i}", f"k{i}#retry1"), OUTCOMES[outcome]):
+            if text is not None:
+                responses[(key, "select_tables")] = [text]
+    return MockBackend(responses=responses)
+
+
+def _answer(value):
+    if isinstance(value, ParseError):
+        return ("ParseError", str(value), value.raw)
+    return value
+
+
+def _records(gw: Gateway) -> list[tuple]:
+    return [
+        (r.template_id, r.scenario_key, r.backend_id, r.n_samples, r.prompt_tokens,
+         r.completion_tokens)
+        for r in gw.calls
+    ]
+
+
+def _read(path: Path) -> str:
+    return path.read_text(encoding="utf-8") if path.exists() else ""
+
+
+class TestStructuredMany:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        outcomes=st.lists(st.sampled_from(sorted(OUTCOMES)), max_size=12),
+        retry=st.booleans(),
+    )
+    def test_batch_matches_one_by_one(self, outcomes, retry):
+        keys = [f"k{i}" for i in range(len(outcomes))]
+        with tempfile.TemporaryDirectory() as tmp:
+            one_by_one = Gateway.single(_scripted(outcomes), log_path=Path(tmp) / "a.jsonl")
+            expected, expected_error = [], None
+            for key in keys:
+                try:
+                    expected.append(
+                        one_by_one.structured(
+                            "select_tables", SELECT_BINDINGS, SamplingParams(), key, retry
+                        )
+                    )
+                except ParseError as exc:
+                    expected.append(_answer(exc))
+                except GatewayError as exc:
+                    expected_error = str(exc)
+                    break
+
+            batch = Gateway.single(_scripted(outcomes), log_path=Path(tmp) / "b.jsonl")
+            try:
+                answers = batch.structured_many(
+                    "select_tables", [SELECT_BINDINGS] * len(keys), SamplingParams(), keys,
+                    retry,
+                )
+            except GatewayError as exc:
+                assert str(exc) == expected_error
+            else:
+                assert expected_error is None
+                assert [_answer(a) for a in answers] == expected
+            assert _records(batch) == _records(one_by_one)
+            assert _read(Path(tmp) / "b.jsonl") == _read(Path(tmp) / "a.jsonl")
+
+    def test_samples_in_flight_together(self, motorsport_catalog):
+        class BarrierBackend:
+            backend_id = "barrier"
+
+            def __init__(self):
+                self.barrier = threading.Barrier(8, timeout=5)
+
+            def complete(self, prompt, params, template_id, scenario_key):
+                self.barrier.wait()  # breaks unless all 8 calls are out at once
+                return [Completion('{"SQL": "SELECT 1"}', 1, 1, self.backend_id)]
+
+        gw = Gateway.single(BarrierBackend())
+        candidates = generate_candidate(
+            "q", "h", full_projection(motorsport_catalog), RetrievedContext(), gw,
+            SamplingParams(temperature=1.0, n_samples=8), scenario_prefix="q",
+        )
+        assert len(candidates) == 8
+        assert [r.scenario_key for r in gw.calls] == [
+            f"q+generate_candidate+{i}" for i in range(8)
+        ]

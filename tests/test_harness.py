@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import random
 import shutil
@@ -310,6 +311,16 @@ class TestRunBenchmark:
             stages["select_columns"]["column_precision"]
             >= stages["initial"]["column_precision"]
         )
+
+    def test_subquery_gold_keeps_its_schema_pr(self, bench_env, tmp_path, caplog):
+        items = load_dataset(bench_env["dataset"], "bird")
+        f1_0005 = next(i for i in items if i.question_id == "f1_0005")
+        with caplog.at_level(logging.WARNING, logger="querycrew.harness"):
+            run_benchmark(
+                [f1_0005], self._config("IR_SS_CG"), tmp_path / "out", bench_env["root"],
+                mock_dir=bench_env["fixtures"],
+            )
+        assert not [r for r in caplog.records if "schema PR skipped" in r.message]
 
     def test_outputs_written(self, bench_env, tmp_path):
         items = load_dataset(bench_env["dataset"], "bird")[:2]

@@ -355,6 +355,42 @@ class TestRunUnitTesterTeam:
         # full schema is used: no SS stages recorded
         assert [s.stage for s in trace.stages] == ["initial"]
 
+    def test_revisions_recorded_wave_by_wave(self, motorsport_artifacts):
+        config = PipelineConfig(team="IR_CG_UT", n_candidates=3, n_unit_tests=2)
+        qid = "ut_0003"
+        responses = self._responses(qid)
+        # candidate 1 is fixed by its second revision; candidate 2 stays empty
+        responses[(f"{qid}+generate_candidate+1", "generate_candidate")] = [
+            candidate_response("SELEC 1")
+        ]
+        responses[(f"{qid}+revise+1.1", "revise")] = [revise_response("SELECT nosuch")]
+        responses[(f"{qid}+revise+1.2", "revise")] = [
+            revise_response("SELECT MAX(fastestLapTime) FROM results WHERE driverId = 1")
+        ]
+        responses[(f"{qid}+generate_candidate+2", "generate_candidate")] = [
+            candidate_response("SELECT 1 WHERE 0")
+        ]
+        for r in (1, 2, 3):
+            responses[(f"{qid}+revise+2.{r}", "revise")] = [
+                revise_response(f"SELECT {r} WHERE 0")
+            ]
+        gw = Gateway.single(MockBackend(responses=responses))
+        _, trace = run(FUNNEL_QUESTION, FUNNEL_HINT, motorsport_artifacts, config, gw, qid=qid)
+        assert [r["scenario_key"] for r in trace.records] == [
+            f"{qid}+extract_keywords+0",
+            *[f"{qid}+generate_candidate+{i}" for i in range(3)],
+            f"{qid}+revise+1.1",
+            f"{qid}+revise+2.1",
+            f"{qid}+revise+1.2",
+            f"{qid}+revise+2.2",
+            f"{qid}+revise+2.3",
+            f"{qid}+generate_unit_tests+0",
+            f"{qid}+evaluate+0",
+            f"{qid}+evaluate+1",
+        ]
+        assert [c.revision_count for c in trace.candidates] == [0, 2, 3]
+        assert trace.revisions_total == 5
+
     def test_degenerate_single_cluster_skips_ut(self, motorsport_artifacts):
         config = PipelineConfig(team="IR_CG_UT", n_candidates=2, n_unit_tests=5)
         qid = "ut_0002"

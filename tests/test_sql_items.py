@@ -93,6 +93,54 @@ class TestAliasResolution:
         assert "transactions_1k" in items.tables
         assert ("transactions_1k", "Price") in items.columns
 
+    def test_scalar_subquery_resolves_in_its_own_scope(self, motorsport_catalog):
+        sql = (
+            "SELECT surname FROM drivers WHERE driverId = "
+            "(SELECT driverId FROM driverStandings ORDER BY wins DESC LIMIT 1)"
+        )
+        items = extract_sql_items(sql, motorsport_catalog)
+        assert items.columns == {
+            ("drivers", "surname"),
+            ("drivers", "driverId"),
+            ("driverStandings", "driverId"),
+            ("driverStandings", "wins"),
+        }
+        assert items.unresolved == []
+
+    def test_in_subquery_resolves_in_its_own_scope(self, motorsport_catalog):
+        sql = "SELECT surname FROM drivers WHERE driverId IN (SELECT driverId FROM results)"
+        items = extract_sql_items(sql, motorsport_catalog)
+        assert items.columns == {
+            ("drivers", "surname"),
+            ("drivers", "driverId"),
+            ("results", "driverId"),
+        }
+        assert items.unresolved == []
+
+    def test_correlated_subquery_reaches_outer_table(self, motorsport_catalog):
+        sql = (
+            "SELECT driverRef FROM drivers AS d WHERE EXISTS "
+            "(SELECT 1 FROM results AS r WHERE r.driverId = d.driverId AND surname = 'X')"
+        )
+        items = extract_sql_items(sql, motorsport_catalog)
+        assert ("drivers", "surname") in items.columns
+        assert ("drivers", "driverRef") in items.columns
+        assert items.unresolved == []
+
+    def test_alias_shadowed_in_subquery(self, motorsport_catalog):
+        sql = (
+            "SELECT T1.surname FROM drivers AS T1 WHERE T1.driverId IN "
+            "(SELECT T1.driverId FROM results AS T1 WHERE T1.laps > 50)"
+        )
+        items = extract_sql_items(sql, motorsport_catalog)
+        assert items.columns == {
+            ("drivers", "surname"),
+            ("drivers", "driverId"),
+            ("results", "driverId"),
+            ("results", "laps"),
+        }
+        assert items.unresolved == []
+
     def test_three_way_join(self, finance_catalog):
         sql = (
             "SELECT AVG(T1.Price) FROM transactions_1k AS T1 "
