@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 from pathlib import Path
 
@@ -33,12 +34,20 @@ def config_hash(payload: dict) -> str:
 
 
 def save_envelope(path: str | Path, magic: bytes, header: dict, payload: object) -> None:
+    """Stream the envelope into a temporary sibling, then move it into place,
+    so `path` never holds a partly written file."""
+    path = Path(path)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n")
-        fh.write(len(header_bytes).to_bytes(8, "big"))
-        fh.write(header_bytes)
-        fh.write(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic + b"\n")
+            fh.write(len(header_bytes).to_bytes(8, "big"))
+            fh.write(header_bytes)
+            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_envelope(path: str | Path, magic: bytes, expected_header: dict) -> object | None:

@@ -125,9 +125,12 @@ def execute(
 def canonicalize(rows: Iterable[Sequence]) -> list[tuple]:
     """Normalize cells and sort rows so equal result sets compare equal.
 
-    Numbers equal within 1e-6 map to one canonical cell (so 1 and 1.0
-    unify), text stays exact, NULL is its own sentinel. Rows come back
-    sorted lexicographically on the canonical cells.
+    A number maps to the multiple of 1e-6 it rounds to, round(x / 1e-6),
+    so two numbers match when they round to the same multiple: 1 and 1.0
+    unify, while numbers under 1e-6 apart with a rounding boundary between
+    them (2.5e-7 and 7.5e-7) stay distinct. Text stays exact, NULL is its
+    own sentinel. Rows come back sorted lexicographically on the canonical
+    cells.
     """
     canon = [tuple(_canonical_cell(cell) for cell in row) for row in rows]
     canon.sort()

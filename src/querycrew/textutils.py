@@ -41,10 +41,6 @@ def ngram_hash(gram: str) -> int:
     return value
 
 
-def ngram_hashes(text: str, n: int) -> list[int]:
-    return [ngram_hash(g) for g in char_ngrams(text, n)]
-
-
 def jaccard(a: set, b: set) -> float:
     """Exact Jaccard similarity of two sets."""
     if not a and not b:

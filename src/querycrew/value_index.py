@@ -4,10 +4,13 @@ minimum edit distance.
 
 Distinct text values from non-key columns are shingled into character
 n-grams, MinHashed under seeded per-permutation salts, and bucketed into
-bands. A query computes the keyword's signature, probes the band buckets,
-and ranks collision candidates by estimated Jaccard similarity. Band buckets
-are kept as sorted numpy arrays so corpora with millions of values stay
-indexable in memory.
+bands. Signatures are computed a block of values at a time over the
+block's gram vocabulary: each distinct gram is hashed once, and each
+permutation mixes the vocabulary, gathers it per gram occurrence and reduces
+to every value's minimum. A query computes the keyword's signature, probes
+the band buckets, and ranks collision candidates by estimated Jaccard
+similarity. Band buckets are kept as sorted numpy arrays so corpora with
+millions of values stay indexable in memory.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ import random
 import sqlite3
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .catalog import SchemaCatalog
-from .textutils import char_ngrams, jaccard, ngram_hashes, normalize_value
+from .textutils import char_ngrams, jaccard, ngram_hash, normalize_value
 
 logger = logging.getLogger(__name__)
 
@@ -138,46 +141,104 @@ def minhash_signature(value: str, cfg: IndexConfig) -> np.ndarray:
     norm = normalize_value(value)
     if not norm:
         raise ValueError("empty value after normalization")
-    salts = _permutations(cfg)
-    return _signature_block([norm], cfg, salts)[0]
+    return _signatures([norm], cfg, _permutations(cfg))[:, 0]
 
 
 def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.count_nonzero(sig_a == sig_b)) / len(sig_a)
 
 
-def _signature_block(
+def _gram_vocabulary(
+    values: Sequence[str], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Character n-grams of a block of non-empty normalized values.
+
+    Returns (hashes, inverse, offsets): the ngram_hash of each distinct gram
+    of the block, the vocabulary index of every gram occurrence (value after
+    value), and where each value's occurrences start. A value of length L
+    has L + n - 1 occurrences over its space-padded form, so none is empty.
+    Occurrences are keyed by packing their code points into one uint64;
+    when n code points do not fit, the key so far is replaced by its dense
+    rank before packing more.
+    """
+    pad = " " * (n - 1)
+    text = "".join(f"{pad}{v}{pad}" for v in values)
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
+    counts = np.fromiter((len(v) + n - 1 for v in values), dtype=np.int64, count=len(values))
+    offsets = np.zeros(len(values), dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    # a value's padded form is n - 1 code points longer than its gram count
+    starts = np.arange(int(counts.sum()), dtype=np.int64)
+    starts += np.repeat(np.arange(len(values), dtype=np.int64) * (n - 1), counts)
+
+    width = max(int(codes.max()).bit_length(), 1)
+    key = codes[starts]
+    bits = width
+    for j in range(1, n):
+        if bits + width > 64:
+            ranked, key = np.unique(key, return_inverse=True)
+            key = key.astype(np.uint64)
+            bits = max(len(ranked) - 1, 1).bit_length()
+        key = (key << np.uint64(width)) | codes[starts + j]
+        bits += width
+    vocab, inverse = np.unique(key, return_inverse=True)
+    some_start = np.empty(len(vocab), dtype=np.int64)
+    some_start[inverse] = starts
+    hashes = np.fromiter(
+        (ngram_hash(text[p : p + n]) for p in some_start.tolist()),
+        dtype=np.uint64,
+        count=len(vocab),
+    )
+    return hashes, inverse, offsets
+
+
+# Elements of one group's gathered (permutations x occurrences) table.
+_GATHER_BUDGET = 1 << 15
+
+
+def _signature_groups(
     values: Sequence[str], cfg: IndexConfig, salts: np.ndarray
-) -> np.ndarray:
-    """Signatures for a block of already-normalized values, (len, num_perm)."""
-    hash_lists = [ngram_hashes(v, cfg.ngram_size) for v in values]
-    offsets = np.zeros(len(hash_lists), dtype=np.int64)
-    total = 0
-    for i, hl in enumerate(hash_lists):
-        offsets[i] = total
-        total += len(hl)
-    concat = np.empty(total, dtype=np.uint64)
-    pos = 0
-    for hl in hash_lists:
-        concat[pos : pos + len(hl)] = hl
-        pos += len(hl)
-    sigs = np.empty((len(values), cfg.num_permutations), dtype=np.uint64)
-    for p in range(cfg.num_permutations):
-        sigs[:, p] = np.minimum.reduceat(_mix64(concat ^ salts[p]), offsets)
-    return sigs
+) -> Iterator[np.ndarray]:
+    """MinHash signatures of a block of normalized values, whole bands at a
+    time: yields (rows, len(values)) arrays whose rows run through the
+    permutations in order.
+
+    Each distinct gram is hashed once. A permutation mixes the vocabulary's
+    hashes, gathers them per occurrence and takes every value's minimum.
+    A group holds as many bands as keep its gathered table within
+    _GATHER_BUDGET (at least one), so a few keywords take every permutation
+    in one pass and a build block holds one band's table at a time.
+    """
+    hashes, inverse, offsets = _gram_vocabulary(values, cfg.ngram_size)
+    per_band = cfg.lsh_rows * len(inverse)
+    group = cfg.lsh_rows * max(1, _GATHER_BUDGET // per_band)
+    for p in range(0, len(salts), group):
+        mixed = _mix64(hashes[None, :] ^ salts[p : p + group, None])
+        yield np.minimum.reduceat(np.take(mixed, inverse, axis=1), offsets, axis=1)
 
 
-def _band_keys(sigs: np.ndarray, cfg: IndexConfig) -> np.ndarray:
-    """FNV-style mix of each band's rows into one uint64 key, (len, bands)."""
-    n = sigs.shape[0]
-    keys = np.empty((n, cfg.lsh_bands), dtype=np.uint64)
-    for band in range(cfg.lsh_bands):
-        start = band * cfg.lsh_rows
-        acc = np.full(n, _FNV_OFFSET, dtype=np.uint64)
-        for row in range(start, start + cfg.lsh_rows):
-            acc = (acc * _FNV_PRIME) ^ sigs[:, row]
+def _signatures(values: Sequence[str], cfg: IndexConfig, salts: np.ndarray) -> np.ndarray:
+    """Signature matrix of a small block, (num_permutations, len(values))."""
+    return np.concatenate(list(_signature_groups(values, cfg, salts)))
+
+
+def _band_keys(groups: Iterable[np.ndarray], n: int, cfg: IndexConfig) -> np.ndarray:
+    """FNV-style mix of each band's rows into one uint64 key, (bands, n).
+
+    Takes signature rows a group of whole bands at a time, so no caller
+    needs to hold a whole signature matrix.
+    """
+    keys = np.empty((cfg.lsh_bands, n), dtype=np.uint64)
+    band = 0
+    for group in groups:
+        rows = group.reshape(-1, cfg.lsh_rows, n)
+        acc = np.full((len(rows), n), _FNV_OFFSET, dtype=np.uint64)
+        for row in range(cfg.lsh_rows):
+            acc = (acc * _FNV_PRIME) ^ rows[:, row]
         # fold the band id in so identical row values in different bands differ
-        keys[:, band] = (acc * _FNV_PRIME) ^ np.uint64(band + 1)
+        ids = np.arange(band + 1, band + len(rows) + 1, dtype=np.uint64)
+        keys[band : band + len(rows)] = (acc * _FNV_PRIME) ^ ids[:, None]
+        band += len(rows)
     return keys
 
 
@@ -230,17 +291,18 @@ def build_value_index(
     value_locs = [tuple(sorted(value_to_locs[v])) for v in values]
     salts = _permutations(cfg)
 
-    all_keys = np.empty((len(values), cfg.lsh_bands), dtype=np.uint64)
+    all_keys = np.empty((cfg.lsh_bands, len(values)), dtype=np.uint64)
     for start in range(0, len(values), _BUILD_BLOCK):
         block = values[start : start + _BUILD_BLOCK]
-        sigs = _signature_block(block, cfg, salts)
-        all_keys[start : start + len(block)] = _band_keys(sigs, cfg)
+        groups = _signature_groups(block, cfg, salts)
+        all_keys[:, start : start + len(block)] = _band_keys(groups, len(block), cfg)
 
+    # ids within a bucket may come in any order: lsh_query unions them
     bands: list[_Band] = []
-    for band in range(cfg.lsh_bands):
-        keys = all_keys[:, band]
-        order = np.argsort(keys, kind="stable")
-        bands.append(_Band(sorted_keys=keys[order], sorted_ids=order.astype(np.int64)))
+    for keys in all_keys:
+        order = np.argsort(keys)
+        keys[:] = keys[order]
+        bands.append(_Band(sorted_keys=keys, sorted_ids=order.astype(np.int64, copy=False)))
 
     logger.info(
         "value index built: %d distinct values over %d columns", len(values), len(locations)
@@ -268,8 +330,8 @@ def lsh_query(
     norm = normalize_value(keyword)
     if not norm or not index.values:
         return []
-    sig = _signature_block([norm], cfg, index._salts)
-    keys = _band_keys(sig, cfg)[0]
+    sig = _signatures([norm], cfg, index._salts)
+    keys = _band_keys([sig], 1, cfg)[:, 0]
 
     hits: list[np.ndarray] = []
     for band, key in zip(index.bands, keys):
@@ -282,8 +344,8 @@ def lsh_query(
     candidate_ids = np.unique(np.concatenate(hits))
 
     cand_values = [index.values[i] for i in candidate_ids]
-    cand_sigs = _signature_block(cand_values, cfg, index._salts)
-    matches = (cand_sigs == sig[0][None, :]).sum(axis=1)
+    cand_sigs = _signatures(cand_values, cfg, index._salts)
+    matches = (cand_sigs == sig).sum(axis=0)
     ranked = sorted(
         zip(cand_values, matches.tolist(), candidate_ids.tolist()),
         key=lambda item: (-item[1], item[0]),

@@ -2,7 +2,7 @@ import random
 import sqlite3
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from querycrew.executor import (
@@ -31,6 +31,14 @@ cells = (
     | st.floats(-10.0, 10.0).map(lambda x: round(x, 7))
     | st.text(max_size=3)
     | st.none()
+)
+
+# numbers whose x / 1e-6 carries far less than half a quantum of float error
+numbers = (
+    st.integers(-(10**6), 10**6)
+    | st.floats(-1e6, 1e6)
+    | st.floats(-1e-5, 1e-5)
+    | st.integers(-40, 40).map(lambda k: k * 2.5e-7)
 )
 
 
@@ -128,9 +136,20 @@ class TestCanonicalize:
         assert fingerprint(a) == fingerprint(b)
 
     def test_near_equal_floats(self):
-        # 1e-5 apart: distinct; 1e-7 apart: inside the 1e-6 tolerance
+        # numbers match when they round to the same multiple of 1e-6:
+        # 1.00001 and 1.0 round to different multiples, 1.0000001 and 1.0 to one
         assert canonicalize([(1.00001,)]) != canonicalize([(1.0,)])
         assert canonicalize([(1.0000001,)]) == canonicalize([(1.0,)])
+        # under 1e-6 apart, but a rounding boundary (5e-7) lies between them
+        assert canonicalize([(2.5e-7,)]) != canonicalize([(7.5e-7,)])
+
+    @example(2.5e-7, 7.5e-7)
+    @given(numbers, numbers)
+    def test_numbers_match_when_they_round_to_one_multiple(self, a, b):
+        same = canonicalize([(a,)]) == canonicalize([(b,)])
+        assert same == (round(a / 1e-6) == round(b / 1e-6))
+        if same:  # one multiple of 1e-6 is within half a quantum of both
+            assert abs(a - b) <= 1.001e-6
 
     def test_null_vs_zero(self):
         assert canonicalize([(None,)]) != canonicalize([(0,)])

@@ -579,6 +579,54 @@ class TestArtifactCaching:
         assert index_cache.stat().st_mtime_ns != stamp  # config change invalidates
         assert rebuilt.value_index.config.permutation_seed == 99
 
+    def test_truncated_cache_loads_as_none_and_rebuilds(self, tmp_path):
+        import json
+
+        from fixture_dbs import build_finance_db
+
+        from querycrew.caching import VALUE_INDEX_MAGIC, load_envelope
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        built = ensure_artifacts(db, config)
+        index_cache = tmp_path / "finance.value_index.qcx"
+        whole = index_cache.read_bytes()
+        size_at = len(VALUE_INDEX_MAGIC) + 1  # magic line, then an 8-byte header size
+        header_end = size_at + 8 + int.from_bytes(whole[size_at : size_at + 8], "big")
+        header = json.loads(whole[size_at + 8 : header_end])
+        cuts = [0, 4, size_at, size_at + 3, header_end - 3, header_end, header_end + 1,
+                (header_end + len(whole)) // 2, len(whole) - 1]
+        for cut in cuts:
+            index_cache.write_bytes(whole[:cut])
+            assert load_envelope(index_cache, VALUE_INDEX_MAGIC, header) is None, cut
+            again = ensure_artifacts(db, config)
+            assert index_cache.read_bytes() == whole, cut
+            assert again.value_index.values == built.value_index.values
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        from fixture_dbs import build_finance_db
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        ensure_artifacts(db, PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "finance.context_store.qcx", "finance.sqlite", "finance.value_index.qcx",
+        ]
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        from querycrew.caching import load_envelope, save_envelope
+
+        path = tmp_path / "x.qcx"
+        save_envelope(path, b"MAGIC", {"v": 1}, [1, 2, 3])
+        with pytest.raises(RuntimeError, match="refused"):
+            save_envelope(path, b"MAGIC", {"v": 2}, _Unpicklable())
+        assert load_envelope(path, b"MAGIC", {"v": 1}) == [1, 2, 3]
+        assert [p.name for p in tmp_path.iterdir()] == ["x.qcx"]
+
+
+class _Unpicklable:
+    def __reduce__(self):
+        raise RuntimeError("refused")
+
 
 class TestFunnelMonotonicityAdversarialMock:
     def test_column_counts_never_grow(self, motorsport_artifacts):

@@ -1,10 +1,19 @@
+import hashlib
+import json
 import random
+import sqlite3
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from querycrew import value_index
+from querycrew.catalog import introspect_database
 from querycrew.context_store import HashingEmbedder
+from querycrew.textutils import char_ngrams, ngram_hash, normalize_value
 from querycrew.value_index import (
     EntityMatch,
     IndexConfig,
@@ -89,6 +98,112 @@ class TestMinhashSignature:
         a = minhash_signature("kings", IndexConfig(permutation_seed=1))
         b = minhash_signature("kings", IndexConfig(permutation_seed=2))
         assert not np.array_equal(a, b)
+
+
+def reference_signatures(values: list[str], cfg: IndexConfig) -> np.ndarray:
+    """Value by value: hash each distinct gram, mix under each salt, take
+    the minimum. (num_permutations, len(values))."""
+    salts = value_index._permutations(cfg)
+    sigs = np.empty((cfg.num_permutations, len(values)), dtype=np.uint64)
+    for i, value in enumerate(values):
+        hashes = np.array(
+            [ngram_hash(g) for g in char_ngrams(value, cfg.ngram_size)], dtype=np.uint64
+        )
+        for p, salt in enumerate(salts):
+            sigs[p, i] = value_index._mix64(hashes ^ salt).min()
+    return sigs
+
+
+def reference_band_keys(sigs: np.ndarray, cfg: IndexConfig) -> np.ndarray:
+    """FNV fold of each band's rows in Python integers mod 2^64, (bands, n)."""
+    prime, mask = 1099511628211, (1 << 64) - 1
+    keys = np.empty((cfg.lsh_bands, sigs.shape[1]), dtype=np.uint64)
+    for i in range(sigs.shape[1]):
+        for band in range(cfg.lsh_bands):
+            acc = 14695981039346656037
+            for row in range(band * cfg.lsh_rows, (band + 1) * cfg.lsh_rows):
+                acc = ((acc * prime) & mask) ^ int(sigs[row, i])
+            keys[band, i] = ((acc * prime) & mask) ^ (band + 1)
+    return keys
+
+
+# astral-plane characters, accents and repeated grams; one-character values
+_texts = st.one_of(
+    st.text(alphabet="ab é€\U0001F600\U0001D538", min_size=1, max_size=14),
+    st.builds(
+        lambda unit, times: unit * times,
+        st.sampled_from(["ab", "aaa", "\U0001F600a"]),
+        st.integers(1, 6),
+    ),
+).map(normalize_value).filter(bool)
+
+
+class TestGramVocabularySignatures:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(_texts, min_size=1, max_size=12),
+        ngram_size=st.integers(1, 4),
+        budget=st.sampled_from([1, 1 << 15]),
+    )
+    @example(values=["a"], ngram_size=3, budget=1 << 15)
+    @example(values=["\U0001F600", "aaaa", "a"], ngram_size=4, budget=1)
+    def test_signatures_and_band_keys_match_reference(self, values, ngram_size, budget):
+        cfg = IndexConfig(ngram_size=ngram_size)
+        salts = value_index._permutations(cfg)
+        expected = reference_signatures(values, cfg)
+        with mock.patch.object(value_index, "_GATHER_BUDGET", budget):
+            got = value_index._signatures(values, cfg, salts)
+            keys = value_index._band_keys(
+                value_index._signature_groups(values, cfg, salts), len(values), cfg
+            )
+        assert np.array_equal(got, expected)
+        assert np.array_equal(keys, reference_band_keys(expected, cfg))
+        assert np.array_equal(minhash_signature(values[0], cfg), expected[:, 0])
+
+    def test_long_grams_rank_before_packing(self):
+        # nine 17-bit code points need 153 bits: the key is ranked twice
+        cfg = IndexConfig(ngram_size=9)
+        values = ["\U0001F600\U0001D538" * 5, "\U0001D538" * 11, "a\U0001F600b"]
+        got = value_index._signatures(values, cfg, value_index._permutations(cfg))
+        assert np.array_equal(got, reference_signatures(values, cfg))
+
+    def test_pinned_band_keys_and_queries(self, tmp_path):
+        """Digests of a seeded 5,000-value corpus's sorted band keys and of
+        100 lsh_query results over it, captured from the per-value build
+        (one ngram_hash per gram occurrence) that the vocabulary replaced."""
+        rng = random.Random(7)
+        alphabet = "abcdefghijklmnopqrstuvwxyz  0123456789\u00e9\u20ac\U0001F600"
+        values: set[str] = set()
+        while len(values) < 5000:
+            value = "".join(rng.choices(alphabet, k=rng.randint(1, 24))).strip()
+            if value:
+                values.add(value)
+        ordered = sorted(values)
+        db = tmp_path / "pinned.sqlite"
+        conn = sqlite3.connect(db)
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a TEXT, b TEXT)")
+        conn.executemany(
+            "INSERT INTO t VALUES (?, ?, ?)",
+            [(i, v, ordered[-1 - i] if i % 3 == 0 else None) for i, v in enumerate(ordered)],
+        )
+        conn.commit()
+        conn.close()
+        index = build_value_index(introspect_database(db), db, IndexConfig())
+        assert len(index) == 5000
+
+        keys = hashlib.sha256()
+        for band in index.bands:
+            keys.update(band.sorted_keys.tobytes())
+        assert keys.hexdigest() == (
+            "9d84346c12a4af660547e452b32491f8812b3cd058e74731c37635edb422e41b"
+        )
+        queries = hashlib.sha256()
+        for value in index.values[::50]:
+            keyword = value[1:] + "x"
+            queries.update(json.dumps([keyword, lsh_query(index, keyword, cap=10)]).encode())
+        assert queries.hexdigest() == (
+            "eb99403f9f7ccc8852edfe66a7f0f829b7bc327af5c2a0fc6d9ea20909de08da"
+        )
 
 
 @pytest.fixture(scope="module")
