@@ -144,10 +144,13 @@ def pass_at_k(candidate_ex_lists: Sequence[Sequence[int]], k: int) -> float:
 def extract_gold_schema_items(
     gold_sql: str, catalog: SchemaCatalog
 ) -> tuple[set[str], set[tuple[str, str]]]:
-    """Tables and columns used by a gold query, resolved through aliases.
+    """Tables and columns a gold query reads, as SQLite resolves its names.
 
-    Unresolvable references raise DatasetError so the item can be excluded
-    from precision/recall aggregates instead of skewing them.
+    The query is prepared, never run, against an empty copy of the schema;
+    the `EXPLAIN` program adds the `USING`/`NATURAL` join keys the authorizer
+    does not report (see `sql_items`). A query that does not prepare raises
+    DatasetError so the item can be excluded from precision/recall
+    aggregates instead of skewing them.
     """
     items = extract_sql_items(gold_sql, catalog)
     if items.unresolved:
