@@ -144,36 +144,41 @@ def extract_keywords(
 
 
 def filter_column(
-    profile: ColumnProfile,
+    profiles: Sequence[ColumnProfile],
     question: str,
     hint: str,
     gw: Gateway,
-    scenario_key: str = "q+filter_column+0",
-) -> bool:
-    """Single-column relevance decision; parse failures keep the column."""
-    bindings = {
+    scenario_prefix: str = "q",
+) -> list[bool]:
+    """Relevance votes for a window of columns, in the order of `profiles`:
+    one call per column, all sent as one batch, under scenario key
+    `<prefix>+filter_column+<table>.<column>`. A vote that does not parse
+    keeps its column."""
+    base = {
         "FEWSHOT_EXAMPLES": DEFAULT_FEWSHOTS["filter_column"],
-        "COLUMN_PROFILE": profile.render(),
         "QUESTION": question,
         "HINT": hint or "none",
     }
-    try:
-        payload = gw.structured(
-            "filter_column",
-            bindings,
-            SamplingParams(temperature=0.0),
-            scenario_key,
-            retry_on_parse_failure=False,
-        )
-    except ParseError:
-        logger.warning(
-            "filter_column unparseable for %s.%s; keeping column",
-            profile.table,
-            profile.column,
-        )
-        return True
-    answer = str(payload.get("is_column_information_relevant", "Yes")).strip().lower()
-    return answer != "no"
+    payloads = gw.structured_many(
+        "filter_column",
+        [{**base, "COLUMN_PROFILE": profile.render()} for profile in profiles],
+        SamplingParams(temperature=0.0),
+        [f"{scenario_prefix}+filter_column+{p.table}.{p.column}" for p in profiles],
+        retry_on_parse_failure=False,
+    )
+    votes = []
+    for profile, payload in zip(profiles, payloads):
+        if isinstance(payload, ParseError):
+            logger.warning(
+                "filter_column unparseable for %s.%s; keeping column",
+                profile.table,
+                profile.column,
+            )
+            votes.append(True)
+            continue
+        answer = str(payload.get("is_column_information_relevant", "Yes")).strip().lower()
+        votes.append(answer != "no")
+    return votes
 
 
 def select_tables(

@@ -12,13 +12,15 @@ Scenario keys passed to the gateway are deterministic:
 `<table>.<column>` for column filtering, `<candidate>.<revision>` for
 revision, and the test index for evaluation.
 
-Independent model calls go to the backend together: a question's candidate
-samples form one batch, each revision wave another, and its unit-test
-verdicts a third (`Gateway.structured_many`). Everything else, SQL execution
-and the per-column filter calls included, runs on the calling thread. Call
-records keep the order of a one-by-one run with one exception: revisions are
-recorded wave by wave (every candidate's first revision, then every second
-revision, and so on), not candidate by candidate.
+Independent model calls go to the backend together (`Gateway.structured_many`):
+the column-filter votes of each window of columns form one batch, a
+question's candidate samples another, each revision wave another, and its
+unit-test verdicts one more. A batch is split into at most `POOL_WIDTH`
+chunks of consecutive calls, one pool task each. Everything else, rendering,
+parsing and SQL execution included, runs on the calling thread. Call records
+keep the order of a one-by-one run with one exception: revisions are recorded
+wave by wave (every candidate's first revision, then every second revision,
+and so on), not candidate by candidate.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .context_store import (
     build_context_store,
     retrieve_context,
 )
-from .gateway import CallRecord, Gateway, HttpChatBackend, MockBackend, SamplingParams
+from .gateway import WINDOW, CallRecord, Gateway, HttpChatBackend, MockBackend, SamplingParams
 from .value_index import IndexConfig, ValueIndex, build_value_index, retrieve_entities
 
 logger = logging.getLogger(__name__)
@@ -508,28 +510,27 @@ def _filter_columns_stage(
 ) -> dict[str, list[str]]:
     """Per-column relevance votes; linking columns bypass the model call.
 
-    Returns only the Yes-voted non-linking columns per table (projection
-    re-adds the linking columns). Every table keeps an entry so no table
-    leaves the schema at this stage.
+    The non-linking columns go to the filter a window at a time, so a
+    question holds no more than one window of profiles and prompts. Returns
+    only the Yes-voted non-linking columns per table (projection re-adds the
+    linking columns). Every table keeps an entry so no table leaves the
+    schema at this stage.
     """
-    requested: dict[str, list[str]] = {}
-    for table in sub.table_names():
+    requested: dict[str, list[str]] = {table: [] for table in sub.table_names()}
+    columns: list[tuple[str, str]] = []
+    for table in requested:
         linking = catalog.linking_columns(table)
-        kept: list[str] = []
-        for column in sub.selection[table]:
-            if column in linking:
-                continue
-            profile = agents.build_column_profile(catalog, table, column, context)
-            relevant = agents.filter_column(
-                profile,
-                question,
-                hint,
-                gateway,
-                scenario_key=f"{qid}+filter_column+{table}.{column}",
-            )
+        columns += [(table, c) for c in sub.selection[table] if c not in linking]
+    for start in range(0, len(columns), WINDOW):
+        window = columns[start : start + WINDOW]
+        profiles = [
+            agents.build_column_profile(catalog, table, column, context)
+            for table, column in window
+        ]
+        votes = agents.filter_column(profiles, question, hint, gateway, scenario_prefix=qid)
+        for (table, column), relevant in zip(window, votes):
             if relevant:
-                kept.append(column)
-        requested[table] = kept
+                requested[table].append(column)
     return requested
 
 

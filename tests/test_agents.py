@@ -72,28 +72,29 @@ class TestExtractKeywords:
 
 class TestFilterColumn:
     PROFILE = ColumnProfile("results", "fastestLapTime", "TEXT")
+    KEY = "k+filter_column+results.fastestLapTime"
 
     def test_yes(self):
         gw = gw_with(
-            {("k", "filter_column"): ['{"chain_of_thought_reasoning": "r", "is_column_information_relevant": "Yes"}']}
+            {(self.KEY, "filter_column"): ['{"chain_of_thought_reasoning": "r", "is_column_information_relevant": "Yes"}']}
         )
-        assert filter_column(self.PROFILE, QUESTION, HINT, gw, "k") is True
+        assert filter_column([self.PROFILE], QUESTION, HINT, gw, "k") == [True]
 
     def test_no(self):
         gw = gw_with(
-            {("k", "filter_column"): ['{"is_column_information_relevant": "No"}']}
+            {(self.KEY, "filter_column"): ['{"is_column_information_relevant": "No"}']}
         )
-        assert filter_column(self.PROFILE, QUESTION, HINT, gw, "k") is False
+        assert filter_column([self.PROFILE], QUESTION, HINT, gw, "k") == [False]
 
     def test_parse_failure_keeps_column(self, caplog):
-        gw = gw_with({("k", "filter_column"): ["garbled"]})
+        gw = gw_with({(self.KEY, "filter_column"): ["garbled"]})
         with caplog.at_level(logging.WARNING):
-            assert filter_column(self.PROFILE, QUESTION, HINT, gw, "k") is True
+            assert filter_column([self.PROFILE], QUESTION, HINT, gw, "k") == [True]
         assert len(gw.calls) == 1  # no retry for this tool
 
     def test_profile_rendered_into_prompt(self):
         backend = MockBackend(
-            responses={("k", "filter_column"): ['{"is_column_information_relevant": "Yes"}']}
+            responses={("k+filter_column+district.A11", "filter_column"): ['{"is_column_information_relevant": "Yes"}']}
         )
         gw = Gateway.single(backend)
         profile = ColumnProfile(
@@ -101,9 +102,23 @@ class TestFilterColumn:
             descriptions=["expanded column name: average salary"],
             matched_values=["8968"],
         )
-        filter_column(profile, "q", "h", gw, "k")
+        filter_column([profile], "q", "h", gw, "k")
         # prompt token count reflects the profile text making it in
         assert gw.calls[0].prompt_tokens > 0
+
+    def test_votes_in_profile_order(self):
+        answers = {"a": "Yes", "b": "No", "c": "garbled", "d": "No"}
+        gw = gw_with({
+            (f"k+filter_column+t.{c}", "filter_column"): [
+                a if a == "garbled" else f'{{"is_column_information_relevant": "{a}"}}'
+            ]
+            for c, a in answers.items()
+        })
+        profiles = [ColumnProfile("t", c, "TEXT") for c in answers]
+        assert filter_column(profiles, QUESTION, HINT, gw, "k") == [True, False, True, False]
+        assert [r.scenario_key for r in gw.calls] == [
+            f"k+filter_column+t.{c}" for c in answers
+        ]
 
 
 class TestSelectTables:

@@ -98,3 +98,42 @@ def test_pooled_backend_spans_keep_their_parent(monkeypatch, tmp_path):
     parents = [s.parent.name for s in backend]
     assert parents.count("agents.generate_candidate") == 3
     assert parents.count("agents.evaluate_against_test") == 2
+
+
+def test_chunked_filter_spans_keep_their_parent(monkeypatch, tmp_path, motorsport_db):
+    """The column filter's backend calls run in chunks on the pool; each is
+    charged to the `agents.filter_column` span of its window."""
+    from mock_runs import FUNNEL_GOLD_SQL, FUNNEL_HINT, FUNNEL_QUESTION, funnel_responses
+
+    from querycrew import pipeline
+    from querycrew.gateway import Gateway, MockBackend
+
+    config = pipeline.PipelineConfig(team="IR_SS_CG", n_candidates=1)
+    artifacts = pipeline.ensure_artifacts(motorsport_db, config, cache_dir=tmp_path)
+    gw = Gateway.single(MockBackend(responses=funnel_responses(artifacts.catalog, "f1_0001")))
+
+    tracing = _load_tracing(monkeypatch)
+    names = {name for name, *_ in tracing.BOUNDARIES}
+    assert {
+        "agents.filter_column", "gateway.structured", "gateway.complete_rendered",
+        "pipeline.revise_loop", "harness.validate_gold",
+    } <= names
+    tracer = tracing.Tracer()
+    tracer.install()  # raises if a boundary no longer resolves
+    try:
+        with tracer.root("test"):
+            sql, _ = pipeline.run(
+                FUNNEL_QUESTION, FUNNEL_HINT, artifacts, config, gw, qid="f1_0001"
+            )
+    finally:
+        tracer.uninstall()
+
+    assert sql == FUNNEL_GOLD_SQL
+    assert tracer.orphans == []
+    filters = [s for s in tracer.spans if s.name == "agents.filter_column"]
+    assert len(filters) == 1  # the 64 non-linking columns fill one window
+    backend = [s for s in tracer.spans if s.name == "gateway.backend"]
+    under_filter = [s for s in backend if s.parent is filters[0]]
+    assert len(under_filter) == 64
+    # keywords, table selection, column selection and the one sample
+    assert len(backend) == 64 + 4

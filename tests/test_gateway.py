@@ -1,3 +1,4 @@
+import json
 import sys
 import tempfile
 import threading
@@ -5,12 +6,15 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from querycrew.agents import RetrievedContext, generate_candidate
 from querycrew.catalog import full_projection
+from querycrew import gateway
 from querycrew.gateway import (
+    POOL_WIDTH,
+    WINDOW,
     Completion,
     Gateway,
     GatewayError,
@@ -19,6 +23,8 @@ from querycrew.gateway import (
     MockLookupError,
     ParseError,
     SamplingParams,
+    _balanced_block,
+    _strip_fences,
     complete,
     parse_structured,
     sanitize_scenario_key,
@@ -109,6 +115,69 @@ class TestRenderTemplate:
         assert set(TEMPLATES) == set(expected)
         for tid, placeholders in expected.items():
             assert set(TEMPLATES[tid].placeholders()) == placeholders, tid
+
+
+def _scan_only_json_object(text: str) -> dict:
+    """JSON-object parsing by the balanced-block scan alone."""
+    block = _balanced_block(_strip_fences(text), "{", "}")
+    if block is not None:
+        try:
+            value = json.loads(block)
+            if isinstance(value, dict):
+                return value
+        except json.JSONDecodeError:
+            pass
+    raise ParseError("no parseable JSON object in response", raw=text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.raw)
+
+
+TRICKY = st.text(alphabet="ab \"\\'{}[]:,\n`\u00e9", max_size=12)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TRICKY,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TRICKY, inner, max_size=3),
+    max_leaves=8,
+)
+JSON_OBJECTS = st.builds(
+    json.dumps,
+    st.dictionaries(TRICKY, JSON_VALUES, max_size=4),
+    ensure_ascii=st.booleans(),
+    indent=st.sampled_from([None, 1]),
+)
+MODEL_TEXTS = st.one_of(
+    JSON_OBJECTS,
+    st.builds(lambda obj, lang: f"```{lang}\n{obj}\n```", JSON_OBJECTS, st.sampled_from(["", "json"])),
+    st.builds(lambda prose, obj, tail: f"{prose}{obj}{tail}", TRICKY, JSON_OBJECTS, TRICKY),
+    st.builds(lambda obj, value: f"[{value}, {obj}]", JSON_OBJECTS, JSON_VALUES.map(json.dumps)),
+    JSON_VALUES.map(json.dumps),
+    TRICKY,
+    st.text(max_size=40),
+)
+
+
+class TestParseJsonFastPath:
+    """A text that is a whole JSON object is parsed directly; every other
+    text goes to the balanced-block scan. The two must agree everywhere."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=MODEL_TEXTS)
+    @example(text='{"is_column_information_relevant": "Yes"}')
+    @example(text=' {"a": "it\'s \\"quoted\\" {x}"} ')
+    @example(text='```json\n{"a": 1}\n```')
+    @example(text='Sure: {"a": 1}')
+    @example(text='[1, {"a": 1}]')
+    @example(text='"{\\"a\\": 1}"')
+    @example(text="[" * 100_000 + '{"a": 1}')  # too deep for json.loads
+    @example(text="{'a': 1}")
+    def test_matches_scan_only(self, text):
+        assert _outcome(lambda t: parse_structured(t, JSON_OBJECT), text) == _outcome(
+            _scan_only_json_object, text
+        )
 
 
 class TestParseStructured:
@@ -543,10 +612,10 @@ class TestStructuredMany:
 
             batch = Gateway.single(_scripted(outcomes), log_path=Path(tmp) / "b.jsonl")
             try:
-                answers = batch.structured_many(
+                answers = list(batch.structured_many(
                     "select_tables", [SELECT_BINDINGS] * len(keys), SamplingParams(), keys,
                     retry,
-                )
+                ))
             except GatewayError as exc:
                 assert str(exc) == expected_error
             else:
@@ -575,3 +644,58 @@ class TestStructuredMany:
         assert [r.scenario_key for r in gw.calls] == [
             f"q+generate_candidate+{i}" for i in range(8)
         ]
+
+
+class TestStructuredManyWindows:
+    def test_mismatched_keys_rejected(self):
+        backend = MockBackend(responses={("k0", "select_tables"): ['{"ok": 1}']})
+        gw = Gateway.single(backend)
+        with pytest.raises(ValueError):
+            gw.structured_many(
+                "select_tables", [SELECT_BINDINGS] * 3, SamplingParams(), ["k0", "k1"]
+            )
+        with pytest.raises(ValueError):
+            gw.structured_many("select_tables", [SELECT_BINDINGS], SamplingParams(), ["k0", "k1"])
+        assert backend.calls == 0
+        assert gw.calls == []
+
+    def test_at_most_pool_width_tasks_per_window(self, monkeypatch):
+        n = 2 * WINDOW + 5
+        keys = [f"k{i}" for i in range(n)]
+        backend = MockBackend(responses={(k, "select_tables"): [f'{{"i": {i}}}'] for i, k in enumerate(keys)})
+        submitted: list[list[str]] = []
+        submit = gateway._POOL.submit
+
+        def counting_submit(fn, *args):
+            submitted.append(list(args[-1]))  # the chunk's scenario keys
+            return submit(fn, *args)
+
+        monkeypatch.setattr(gateway._POOL, "submit", counting_submit)
+        gw = Gateway.single(backend)
+        answers = list(
+            gw.structured_many("select_tables", [SELECT_BINDINGS] * n, SamplingParams(), keys)
+        )
+        assert answers == [{"i": i} for i in range(n)]
+        assert [r.scenario_key for r in gw.calls] == keys
+        # each window's chunks are consecutive runs of its keys, at most POOL_WIDTH of them
+        windows = [keys[i : i + WINDOW] for i in range(0, n, WINDOW)]
+        per_window, chunks = [], iter(submitted)
+        for window in windows:
+            covered: list[str] = []
+            count = 0
+            while covered != window:
+                covered += next(chunks)
+                count += 1
+            per_window.append(count)
+        assert next(chunks, None) is None
+        assert per_window == [POOL_WIDTH, POOL_WIDTH, 5]
+
+    def test_unparseable_answer_carries_no_traceback(self):
+        """A ParseError kept in the answer list holds no frames, so it ties
+        no caller's locals into a reference cycle."""
+        gw = Gateway.single(_scripted(["bad_then_bad", "ok"]))
+        answers = list(gw.structured_many(
+            "select_tables", [SELECT_BINDINGS] * 2, SamplingParams(), ["k0", "k1"], False
+        ))
+        assert isinstance(answers[0], ParseError)
+        assert answers[0].__traceback__ is None

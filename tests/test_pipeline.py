@@ -1,12 +1,21 @@
 import itertools
 import logging
+import re
+import sqlite3
+import tempfile
+import threading
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mock_runs import (
     FUNNEL_GOLD_SQL,
     FUNNEL_HINT,
     FUNNEL_QUESTION,
+    FUNNEL_YES_COLUMNS,
     candidate_response,
     funnel_responses,
     keyword_response,
@@ -15,19 +24,30 @@ from mock_runs import (
     verdicts_response,
 )
 
-from querycrew.agents import CandidateQuery, Verdict
+from querycrew.agents import CandidateQuery, RetrievedContext, Verdict, build_column_profile
+from querycrew.catalog import full_projection, introspect_database, project
 from querycrew.executor import OK, ExecutionResult, execute
-from querycrew.gateway import Gateway, MockBackend
+from querycrew.gateway import (
+    WINDOW,
+    Gateway,
+    GatewayError,
+    HttpChatBackend,
+    MockBackend,
+    ParseError,
+    SamplingParams,
+)
 from querycrew.pipeline import (
     PipelineConfig,
     PipelineError,
     RunEnv,
+    _filter_columns_stage,
     cluster_by_result,
     ensure_artifacts,
     revise_loop,
     run,
     score_and_select,
 )
+from querycrew.templates import DEFAULT_FEWSHOTS
 
 
 def executed(sql: str, rows, index: int = 0) -> CandidateQuery:
@@ -704,3 +724,192 @@ class TestFullTeam:
         ]
         # keywords + 64 filters + tables + columns + 2 candidates + 1 testgen + 1 eval
         assert trace.llm_calls == 1 + 64 + 1 + 1 + 2 + 1 + 1
+
+
+class _FilterSession:
+    """Fake HTTP session for a cheap filter model: answers Yes for the funnel's
+    relevant columns and No otherwise, and counts requests in flight."""
+
+    def __init__(self, yes_columns):
+        self.yes = yes_columns
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def post(self, url, json, **kwargs):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        prompt = json["messages"][0]["content"]
+        # the profile follows the few-shot examples, which have profiles too
+        column = (
+            re.findall(r"Table name: (\w+)", prompt)[-1],
+            re.findall(r"Original column name: (\w+)", prompt)[-1],
+        )
+        answer = "Yes" if column in self.yes else "No"
+        time.sleep(0.002)
+        with self.lock:
+            self.in_flight -= 1
+        return _FilterResponse(f'{{"is_column_information_relevant": "{answer}"}}')
+
+
+class _FilterResponse:
+    status_code = 200
+
+    def __init__(self, content):
+        self.content = content
+
+    def json(self):
+        return {"choices": [{"message": {"content": self.content}}]}
+
+
+def _non_linking(catalog, sub):
+    return [
+        (table, column)
+        for table in sub.table_names()
+        for column in sub.selection[table]
+        if column not in catalog.linking_columns(table)
+    ]
+
+
+class TestFilterFanOut:
+    def test_http_filter_backend_gate_and_record_order(self, motorsport_artifacts, funnel_config):
+        qid = "f1_0009"
+        catalog = motorsport_artifacts.catalog
+        session = _FilterSession(FUNNEL_YES_COLUMNS)
+        gw = Gateway(
+            backends={
+                "filter_column": HttpChatBackend("http://x", "m", max_in_flight=2, session=session),
+                "default": MockBackend(responses=funnel_responses(catalog, qid)),
+            }
+        )
+        sql, trace = run(FUNNEL_QUESTION, FUNNEL_HINT, motorsport_artifacts, funnel_config, gw, qid=qid)
+        assert session.peak == 2
+        assert [r.scenario_key for r in gw.calls if r.template_id == "filter_column"] == [
+            f"{qid}+filter_column+{t}.{c}" for t, c in _non_linking(catalog, full_projection(catalog))
+        ]
+        assert sql == FUNNEL_GOLD_SQL
+        assert (trace.stages[1].n_tables, trace.stages[1].n_columns) == (13, 36)
+
+
+WIDE_TABLES, WIDE_COLUMNS = 3, 100
+FILTER_ANSWERS = {
+    "Yes": '{"chain_of_thought_reasoning": "r", "is_column_information_relevant": "Yes"}',
+    "No": '{"is_column_information_relevant": "No"}',
+    "garbled": "the column might matter",
+    "error": None,  # no scripted response: the mock raises a GatewayError
+}
+
+
+@pytest.fixture(scope="module")
+def wide_catalog(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wide") / "wide.sqlite"
+    conn = sqlite3.connect(path)
+    columns = ", ".join(f"c{i} TEXT" for i in range(WIDE_COLUMNS))
+    for t in range(WIDE_TABLES):
+        conn.execute(f"CREATE TABLE t{t} (id INTEGER PRIMARY KEY, {columns})")
+    conn.close()
+    return introspect_database(path)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append((record.name, record.levelno, record.getMessage()))
+
+
+def _filter_one_by_one(catalog, sub, gw, qid):
+    """The column filter as one call after another, each raising its own
+    parse failure: the stage's behaviour before its calls were batched."""
+    requested = {}
+    for table in sub.table_names():
+        kept = []
+        for column in sub.selection[table]:
+            if column in catalog.linking_columns(table):
+                continue
+            profile = build_column_profile(catalog, table, column, RetrievedContext())
+            bindings = {
+                "FEWSHOT_EXAMPLES": DEFAULT_FEWSHOTS["filter_column"],
+                "COLUMN_PROFILE": profile.render(),
+                "QUESTION": FUNNEL_QUESTION,
+                "HINT": FUNNEL_HINT,
+            }
+            try:
+                payload = gw.structured(
+                    "filter_column", bindings, SamplingParams(temperature=0.0),
+                    f"{qid}+filter_column+{table}.{column}", retry_on_parse_failure=False,
+                )
+            except ParseError:
+                logging.getLogger("querycrew.agents").warning(
+                    "filter_column unparseable for %s.%s; keeping column", table, column
+                )
+                kept.append(column)
+                continue
+            if str(payload.get("is_column_information_relevant", "Yes")).strip().lower() != "no":
+                kept.append(column)
+        requested[table] = kept
+    return requested
+
+
+class TestFilterStageMatchesOneByOne:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_columns=st.integers(0, WIDE_TABLES * WIDE_COLUMNS),
+        special=st.dictionaries(
+            st.integers(0, WIDE_TABLES * WIDE_COLUMNS - 1),
+            st.sampled_from(["Yes", "garbled", "error"]),
+            max_size=8,
+        ),
+    )
+    @example(n_columns=WINDOW + 1, special={WINDOW: "error", 3: "garbled"})
+    @example(n_columns=WINDOW + 40, special={WINDOW + 1: "garbled", WINDOW + 30: "error"})
+    @example(n_columns=2 * WINDOW, special={WINDOW - 1: "garbled", 2 * WINDOW - 1: "error"})
+    @example(n_columns=2 * WINDOW + 1, special={2 * WINDOW: "Yes", WINDOW + 9: "error"})
+    def test_chunked_stage_matches_one_by_one(self, wide_catalog, n_columns, special):
+        """Kept columns, call records, the prompt log, WARNING records and a
+        raised backend error are those of a one-by-one filter, whatever the
+        column count and wherever the answers fall among windows and chunks."""
+        everything = _non_linking(wide_catalog, full_projection(wide_catalog))
+        chosen = everything[:n_columns]
+        requested = {t.name: [c for tt, c in chosen if tt == t.name] for t in wide_catalog.tables}
+        sub = project(wide_catalog, requested)
+        qid = "w_0001"
+        responses = {}
+        for i, (table, column) in enumerate(chosen):
+            text = FILTER_ANSWERS[special.get(i, "No")]
+            if text is not None:
+                responses[(f"{qid}+filter_column+{table}.{column}", "filter_column")] = [text]
+
+        handler = _Records()
+        agents_logger = logging.getLogger("querycrew.agents")
+        agents_logger.addHandler(handler)
+        outcomes = []
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                for name, stage in (
+                    ("one_by_one", lambda gw: _filter_one_by_one(wide_catalog, sub, gw, qid)),
+                    ("chunked", lambda gw: _filter_columns_stage(
+                        wide_catalog, sub, FUNNEL_QUESTION, FUNNEL_HINT, RetrievedContext(),
+                        gw, qid,
+                    )),
+                ):
+                    log = Path(tmp) / f"{name}.jsonl"
+                    gw = Gateway.single(MockBackend(responses=responses), log_path=log)
+                    handler.records = []
+                    try:
+                        result = stage(gw)
+                    except GatewayError as exc:
+                        result = ("GatewayError", str(exc))
+                    outcomes.append((
+                        result,
+                        [(r.template_id, r.scenario_key, r.backend_id, r.n_samples,
+                          r.prompt_tokens, r.completion_tokens) for r in gw.calls],
+                        log.read_bytes() if log.exists() else b"",
+                        handler.records,
+                    ))
+        finally:
+            agents_logger.removeHandler(handler)
+        assert outcomes[1] == outcomes[0]
