@@ -213,7 +213,8 @@ def retrieve_context(store: ContextStore, query_text: str, k: int) -> list[Descr
     if k <= 0 or not store.items:
         return []
     q = store.embedder.embed([query_text])[0]
-    scores = store.vectors @ q
+    # without BLAS, identical rows get identical scores, so ties fall to doc_id
+    scores = np.einsum("ij,j->i", store.vectors, q)
     order = sorted(range(len(store.items)), key=lambda i: (-scores[i], store.items[i].doc_id))
     hits = []
     for i in order[:k]:

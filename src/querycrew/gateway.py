@@ -1,6 +1,6 @@
 """Chat-completion access: HTTP backend with bounded retry, a deterministic
 mock backend for offline runs, structured-output parsing, and per-call
-accounting.
+accounting into run-scoped ledgers.
 
 The mock backend is a pure lookup: (scenario_key, template_id) maps to a
 scripted response, either from an in-memory mapping or from a fixture
@@ -21,7 +21,7 @@ import re
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ContextManager, Iterator, Mapping, Protocol, Sequence
 
@@ -89,6 +89,34 @@ class CallRecord:
     prompt_tokens: int
     completion_tokens: int
     elapsed: float
+
+
+_LEDGER = contextvars.ContextVar("querycrew_ledger", default=None)
+
+
+@contextlib.contextmanager
+def ledger() -> Iterator[list[CallRecord]]:
+    """The CallRecord of every gateway call made in this context, in order.
+
+    On exit the records also reach the enclosing ledger, if any. Runs on
+    threads or in contexts of their own keep their own ledgers. A call made
+    outside any ledger is recorded nowhere.
+    """
+    outer = _LEDGER.get()
+    records: list[CallRecord] = []
+    token = _LEDGER.set(records)
+    try:
+        yield records
+    finally:
+        _LEDGER.reset(token)
+        if outer is not None:
+            outer.extend(records)
+
+
+def tally(records: Sequence[CallRecord]) -> tuple[int, int, int]:
+    """A ledger's calls, prompt tokens and completion tokens."""
+    prompt = sum(r.prompt_tokens for r in records)
+    return len(records), prompt, sum(r.completion_tokens for r in records)
 
 
 class Backend(Protocol):
@@ -469,13 +497,13 @@ class Gateway:
     """Routes tool calls to backends and records per-call accounting.
 
     `backends` maps a template_id to its backend; the "default" entry covers
-    everything unbound. Every complete() invocation appends one CallRecord,
-    which is what pipeline traces count as an LLM call. With `log_path` set,
-    full request/response pairs are appended there as JSONL for replay.
+    everything unbound. Every backend call appends one CallRecord to the
+    current `ledger`, which is what pipeline traces count as an LLM call.
+    With `log_path` set, full request/response pairs are appended there as
+    JSONL for replay.
     """
 
     backends: dict[str, Backend]
-    calls: list[CallRecord] = field(default_factory=list)
     log_path: Path | None = None
 
     @classmethod
@@ -516,17 +544,19 @@ class Gateway:
         completions, elapsed = sent or _timed_complete(
             backend, prompt, params, template_id, scenario_key
         )
-        self.calls.append(
-            CallRecord(
-                template_id=template_id,
-                scenario_key=scenario_key,
-                backend_id=getattr(backend, "backend_id", "?"),
-                n_samples=params.n_samples,
-                prompt_tokens=completions[0].prompt_tokens,
-                completion_tokens=sum(c.completion_tokens for c in completions),
-                elapsed=elapsed,
+        records = _LEDGER.get()
+        if records is not None:
+            records.append(
+                CallRecord(
+                    template_id=template_id,
+                    scenario_key=scenario_key,
+                    backend_id=getattr(backend, "backend_id", "?"),
+                    n_samples=params.n_samples,
+                    prompt_tokens=completions[0].prompt_tokens,
+                    completion_tokens=sum(c.completion_tokens for c in completions),
+                    elapsed=elapsed,
+                )
             )
-        )
         if self.log_path is not None:
             with open(self.log_path, "a", encoding="utf-8") as fh:
                 fh.write(
@@ -561,7 +591,7 @@ class Gateway:
         copy of the caller's context, whose worker makes the chunk's backend
         calls one after another; a one-request window calls the backend
         inline. Each answer is then recorded, logged and parsed on the
-        calling thread at its turn, so `calls`, the log and whatever the
+        calling thread at its turn, so the ledger, the log and whatever the
         caller does with an answer happen as if the requests had run one
         after another.
 
@@ -634,9 +664,12 @@ class Gateway:
         answer = self._answer(
             template_id, prompt, params, scenario_key, None, retry_on_parse_failure
         )
-        if isinstance(answer, ParseError):
-            raise answer
-        return answer
+        try:
+            if isinstance(answer, ParseError):
+                raise answer
+            return answer
+        finally:
+            del answer  # a raised error held here would tie its traceback into a cycle
 
     def _answer(
         self,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import executor, pipeline
 from .catalog import FkEdge, SchemaCatalog, SubSchema, TableInfo, introspect_database, project
-from .gateway import Gateway
+from .gateway import Gateway, ledger, tally
 from .pipeline import DbArtifacts, PipelineConfig, RunTrace, StageRecord
 from .sql_items import extract_sql_items
 
@@ -410,50 +410,38 @@ def run_benchmark(
                         resumed_catalogs[item.db_id] = introspect_database(db_file)
                     _collect_stage_pr(stage_prs, stages, item, resumed_catalogs[item.db_id])
                 continue
-            calls_before = len(gateway.calls)
-            try:
-                if item.db_id not in artifacts_cache:
-                    artifacts_cache[item.db_id] = pipeline.ensure_artifacts(db_file, config)
-                artifacts = artifacts_cache[item.db_id]
-                sql, trace = pipeline.run(
-                    item.question,
-                    item.evidence,
-                    artifacts,
-                    config,
-                    gateway,
-                    qid=item.question_id,
-                )
-                candidate_ex = [
-                    int(executor.results_match(c.exec_result, gold, mode=config.compare_mode))
-                    for c in trace.candidates
-                ]
-                outcome = ItemOutcome(
-                    question_id=item.question_id,
-                    db_id=item.db_id,
-                    difficulty=item.difficulty,
-                    predicted_sql=sql,
-                    ex=candidate_ex[trace.selected_index],
-                    llm_calls=trace.llm_calls,
-                    prompt_tokens=trace.prompt_tokens,
-                    completion_tokens=trace.completion_tokens,
-                    candidate_ex=candidate_ex,
-                )
-                _collect_stage_pr(stage_prs, trace.stages, item, artifacts.catalog)
-                _write_trace_jsonl(traces_dir / f"{item.question_id}.jsonl", trace)
-            except Exception as exc:
-                logger.warning("item %s failed: %s", item.question_id, exc)
-                spent = gateway.calls[calls_before:]
-                outcome = ItemOutcome(
-                    question_id=item.question_id,
-                    db_id=item.db_id,
-                    difficulty=item.difficulty,
-                    predicted_sql="",
-                    ex=0,
-                    llm_calls=len(spent),
-                    prompt_tokens=sum(r.prompt_tokens for r in spent),
-                    completion_tokens=sum(r.completion_tokens for r in spent),
-                    error=str(exc),
-                )
+            with ledger() as spent:
+                try:
+                    if item.db_id not in artifacts_cache:
+                        artifacts_cache[item.db_id] = pipeline.ensure_artifacts(db_file, config)
+                    artifacts = artifacts_cache[item.db_id]
+                    sql, trace = pipeline.run(
+                        item.question, item.evidence, artifacts, config, gateway,
+                        qid=item.question_id,
+                    )
+                    candidate_ex = [
+                        int(executor.results_match(c.exec_result, gold, mode=config.compare_mode))
+                        for c in trace.candidates
+                    ]
+                    ex, error = candidate_ex[trace.selected_index], ""
+                    _collect_stage_pr(stage_prs, trace.stages, item, artifacts.catalog)
+                    _write_trace_jsonl(traces_dir / f"{item.question_id}.jsonl", trace)
+                except Exception as exc:
+                    logger.warning("item %s failed: %s", item.question_id, exc)
+                    sql, ex, candidate_ex, error = "", 0, [], str(exc)
+            llm_calls, prompt_tokens, completion_tokens = tally(spent)
+            outcome = ItemOutcome(
+                question_id=item.question_id,
+                db_id=item.db_id,
+                difficulty=item.difficulty,
+                predicted_sql=sql,
+                ex=ex,
+                llm_calls=llm_calls,
+                prompt_tokens=prompt_tokens,
+                completion_tokens=completion_tokens,
+                candidate_ex=candidate_ex,
+                error=error,
+            )
             pred_fh.write(outcome.to_json_line() + "\n")
             outcomes.append(outcome)
 

@@ -4,8 +4,9 @@ A run walks the configured stages: information retrieval (keywords, value
 matches, catalog descriptions), optional schema-selection funnel (column
 filter, table select, column select, with linking columns always retained),
 candidate generation with execution-guided revision, result clustering, and
-optional unit-test scoring. Every completion call is recorded so a trace can
-account for LLM usage exactly.
+optional unit-test scoring. Each run records its completion calls in a
+ledger of its own (`gateway.ledger`), so its trace accounts for LLM usage
+exactly, even while other runs share the gateway.
 
 Scenario keys passed to the gateway are deterministic:
 `<qid>+<tool>+<attempt>`, where attempt is the sample index for generation,
@@ -17,16 +18,18 @@ the column-filter votes of each window of columns form one batch, a
 question's candidate samples another, each revision wave another, and its
 unit-test verdicts one more. A batch is split into at most `POOL_WIDTH`
 chunks of consecutive calls, one pool task each. Everything else, rendering,
-parsing and SQL execution included, runs on the calling thread. Call records
-keep the order of a one-by-one run with one exception: revisions are recorded
-wave by wave (every candidate's first revision, then every second revision,
-and so on), not candidate by candidate.
+parsing and SQL execution included, runs on the calling thread, which is
+where the call records are appended. They keep the order of a one-by-one run
+with one exception: revisions are recorded wave by wave (every candidate's
+first revision, then every second revision, and so on), not candidate by
+candidate.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -57,6 +60,7 @@ from .context_store import (
     retrieve_context,
 )
 from .gateway import WINDOW, CallRecord, Gateway, HttpChatBackend, MockBackend, SamplingParams
+from .gateway import ledger, tally
 from .value_index import IndexConfig, ValueIndex, build_value_index, retrieve_entities
 
 logger = logging.getLogger(__name__)
@@ -341,9 +345,7 @@ def run(
     Returns the selected SQL plus a trace whose llm_calls equals the number
     of completion invocations made during this run.
     """
-    import time as _time
-
-    start = _time.perf_counter()
+    start = time.perf_counter()
     if isinstance(db, DbArtifacts):
         artifacts = db
     else:
@@ -351,119 +353,97 @@ def run(
     catalog = artifacts.catalog
     roles = config.roles
     trace = RunTrace(question_id=qid)
-    calls_before = len(gateway.calls)
 
-    # --- information retrieval ------------------------------------------
-    context = RetrievedContext()
-    if "IR" in roles:
-        keywords = agents.extract_keywords(
-            question, hint, gateway, scenario_key=f"{qid}+extract_keywords+0"
-        )
-        if keywords and config.tool_enabled("retrieve_entity"):
-            context.entities = retrieve_entities(
-                artifacts.value_index,
-                [k.text for k in keywords],
-                embedder=artifacts.context_store.embedder
-                if artifacts.context_store
-                else None,
-                cfg=config.index,
+    with ledger() as records:
+        # --- information retrieval --------------------------------------
+        context = RetrievedContext()
+        if "IR" in roles:
+            keywords = agents.extract_keywords(
+                question, hint, gateway, scenario_key=f"{qid}+extract_keywords+0"
             )
-        if artifacts.context_store is not None and config.tool_enabled("retrieve_context"):
-            query_text = f"{question} {hint}".strip()
-            context.descriptions = retrieve_context(
-                artifacts.context_store, query_text, config.context_k
-            )
+            if keywords and config.tool_enabled("retrieve_entity"):
+                store = artifacts.context_store
+                context.entities = retrieve_entities(
+                    artifacts.value_index, [k.text for k in keywords],
+                    embedder=store.embedder if store else None, cfg=config.index,
+                )
+            if artifacts.context_store is not None and config.tool_enabled("retrieve_context"):
+                query_text = f"{question} {hint}".strip()
+                context.descriptions = retrieve_context(
+                    artifacts.context_store, query_text, config.context_k
+                )
 
-    sub = full_projection(catalog)
-    trace.stages.append(_stage_record("initial", sub))
+        sub = full_projection(catalog)
+        trace.stages.append(_stage_record("initial", sub))
 
-    # --- schema selection funnel ----------------------------------------
-    # `requested` carries only the semantically chosen columns; the projected
-    # sub re-adds linking columns each stage. Tracking the two separately lets
-    # FK columns drop out once their counterpart table leaves the selection.
-    if "SS" in roles:
-        requested = sub.as_requested()
-        if config.tool_enabled("filter_column"):
-            requested = _filter_columns_stage(
-                catalog, sub, question, hint, context, gateway, qid
-            )
-            sub = project(catalog, requested)
-            trace.stages.append(_stage_record("filter_column", sub))
-        if config.tool_enabled("select_tables"):
-            tables = agents.select_tables(
-                sub,
-                question,
-                hint,
-                gateway,
-                scenario_key=f"{qid}+select_tables+0",
-                entities=context.entities,
-                descriptions=context.descriptions,
-            )
-            requested = {t: requested[t] for t in tables}
-            sub = project(catalog, requested)
-            trace.stages.append(_stage_record("select_tables", sub))
-        if config.tool_enabled("select_columns"):
-            requested = agents.select_columns(
-                sub,
-                question,
-                hint,
-                gateway,
-                scenario_key=f"{qid}+select_columns+0",
-                entities=context.entities,
-                descriptions=context.descriptions,
-            )
-            sub = project(catalog, requested)
-            trace.stages.append(_stage_record("select_columns", sub))
+        # --- schema selection funnel ------------------------------------
+        # `requested` carries only the semantically chosen columns; the projected
+        # sub re-adds linking columns each stage. Tracking the two separately lets
+        # FK columns drop out once their counterpart table leaves the selection.
+        if "SS" in roles:
+            requested = sub.as_requested()
+            if config.tool_enabled("filter_column"):
+                requested = _filter_columns_stage(
+                    catalog, sub, question, hint, context, gateway, qid
+                )
+                sub = project(catalog, requested)
+                trace.stages.append(_stage_record("filter_column", sub))
+            if config.tool_enabled("select_tables"):
+                tables = agents.select_tables(
+                    sub, question, hint, gateway, scenario_key=f"{qid}+select_tables+0",
+                    entities=context.entities, descriptions=context.descriptions,
+                )
+                requested = {t: requested[t] for t in tables}
+                sub = project(catalog, requested)
+                trace.stages.append(_stage_record("select_tables", sub))
+            if config.tool_enabled("select_columns"):
+                requested = agents.select_columns(
+                    sub, question, hint, gateway, scenario_key=f"{qid}+select_columns+0",
+                    entities=context.entities, descriptions=context.descriptions,
+                )
+                sub = project(catalog, requested)
+                trace.stages.append(_stage_record("select_columns", sub))
 
-    # --- candidate generation and revision ------------------------------
-    temperature = config.generation_temperature if config.n_candidates > 1 else 0.0
-    params = SamplingParams(
-        temperature=temperature,
-        max_tokens=config.max_tokens,
-        n_samples=config.n_candidates,
-    )
-    try:
-        candidates = agents.generate_candidate(
-            question, hint, sub, context, gateway, params, scenario_prefix=qid
+        # --- candidate generation and revision --------------------------
+        temperature = config.generation_temperature if config.n_candidates > 1 else 0.0
+        params = SamplingParams(
+            temperature=temperature, max_tokens=config.max_tokens, n_samples=config.n_candidates
         )
-    except agents.GenerationError as exc:
-        raise PipelineError(str(exc)) from exc
+        try:
+            candidates = agents.generate_candidate(
+                question, hint, sub, context, gateway, params, scenario_prefix=qid
+            )
+        except agents.GenerationError as exc:
+            raise PipelineError(str(exc)) from exc
 
-    for candidate in candidates:
-        candidate.exec_result = executor.execute(
-            artifacts.db_file,
-            candidate.sql,
-            timeout=config.execution_timeout_s,
-            row_cap=config.row_cap,
-        )
-    if config.tool_enabled("revise"):
-        env = RunEnv(question, hint, sub, context, artifacts.db_file, gateway, qid)
-        candidates = _revise_in_waves(candidates, env, config)
-    trace.revisions_total = sum(c.revision_count for c in candidates)
+        for candidate in candidates:
+            candidate.exec_result = executor.execute(
+                artifacts.db_file, candidate.sql,
+                timeout=config.execution_timeout_s, row_cap=config.row_cap,
+            )
+        if config.tool_enabled("revise"):
+            env = RunEnv(question, hint, sub, context, artifacts.db_file, gateway, qid)
+            candidates = _revise_in_waves(candidates, env, config)
+        trace.revisions_total = sum(c.revision_count for c in candidates)
 
-    clusters = cluster_by_result(candidates)
+        clusters = cluster_by_result(candidates)
 
-    # --- selection -------------------------------------------------------
-    verdict_matrix: list[list[Verdict]] = []
-    tests: list = []
-    if "UT" in roles and len(clusters) > 1:
-        tests = agents.generate_unit_tests(
-            question,
-            hint,
-            sub,
-            clusters,
-            config.n_unit_tests,
-            gateway,
-            scenario_key=f"{qid}+generate_unit_tests+0",
-        )
-        verdict_matrix = agents.evaluate_against_test(
-            question, hint, sub, candidates, tests, gateway, scenario_prefix=qid
-        )
-        winner = score_and_select(candidates, verdict_matrix, clusters)
-    elif "UT" in roles:
-        winner = clusters[0].representative_position
-    else:
-        winner = _first_reasonable(candidates)
+        # --- selection ---------------------------------------------------
+        verdict_matrix: list[list[Verdict]] = []
+        tests: list = []
+        if "UT" in roles and len(clusters) > 1:
+            tests = agents.generate_unit_tests(
+                question, hint, sub, clusters, config.n_unit_tests, gateway,
+                scenario_key=f"{qid}+generate_unit_tests+0",
+            )
+            verdict_matrix = agents.evaluate_against_test(
+                question, hint, sub, candidates, tests, gateway, scenario_prefix=qid
+            )
+            winner = score_and_select(candidates, verdict_matrix, clusters)
+        elif "UT" in roles:
+            winner = clusters[0].representative_position
+        else:
+            winner = _first_reasonable(candidates)
 
     trace.n_unit_tests = len(tests)
     trace.scores = [
@@ -481,12 +461,9 @@ def run(
         }
         for c in clusters
     ]
-    new_records = gateway.calls[calls_before:]
-    trace.records = [{f: getattr(r, f) for f in _TRACED_CALL_FIELDS} for r in new_records]
-    trace.llm_calls = len(new_records)
-    trace.prompt_tokens = sum(r.prompt_tokens for r in new_records)
-    trace.completion_tokens = sum(r.completion_tokens for r in new_records)
-    trace.duration_s = _time.perf_counter() - start
+    trace.records = [{f: getattr(r, f) for f in _TRACED_CALL_FIELDS} for r in records]
+    trace.llm_calls, trace.prompt_tokens, trace.completion_tokens = tally(records)
+    trace.duration_s = time.perf_counter() - start
     return trace.selected_sql, trace
 
 

@@ -16,6 +16,14 @@ from fixture_dbs import (
 )
 
 from querycrew.catalog import introspect_database
+from querycrew.gateway import ledger
+
+
+@pytest.fixture
+def calls():
+    """The CallRecord of every gateway call the test makes, in call order."""
+    with ledger() as records:
+        yield records
 
 
 @pytest.fixture(scope="session")

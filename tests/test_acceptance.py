@@ -45,7 +45,7 @@ from querycrew.agents import CandidateQuery, Verdict
 from querycrew.catalog import SchemaCatalog, full_projection, introspect_database, project, render_schema_prompt
 from querycrew.context_store import HashingEmbedder
 from querycrew.executor import execute
-from querycrew.gateway import Gateway, MockBackend
+from querycrew.gateway import Gateway, MockBackend, ledger
 from querycrew.harness import (
     execution_accuracy,
     extract_gold_schema_items,
@@ -595,10 +595,11 @@ class TestCriterion8RevisionLoop:
                 }
             )
         )
-        stuck = revise_loop(hopeless, env(gw2, "r2"), config)
+        with ledger() as calls:
+            stuck = revise_loop(hopeless, env(gw2, "r2"), config)
         assert stuck.revision_count == 3
         assert not stuck.exec_result.is_ok()
-        assert len(gw2.calls) == 3
+        assert len(calls) == 3
         announce(8, "revision loop: 1 step to fix, hard stop at max_revisions=3")
 
 

@@ -86,13 +86,13 @@ class TestFilterColumn:
         )
         assert filter_column([self.PROFILE], QUESTION, HINT, gw, "k") == [False]
 
-    def test_parse_failure_keeps_column(self, caplog):
+    def test_parse_failure_keeps_column(self, caplog, calls):
         gw = gw_with({(self.KEY, "filter_column"): ["garbled"]})
         with caplog.at_level(logging.WARNING):
             assert filter_column([self.PROFILE], QUESTION, HINT, gw, "k") == [True]
-        assert len(gw.calls) == 1  # no retry for this tool
+        assert len(calls) == 1  # no retry for this tool
 
-    def test_profile_rendered_into_prompt(self):
+    def test_profile_rendered_into_prompt(self, calls):
         backend = MockBackend(
             responses={("k+filter_column+district.A11", "filter_column"): ['{"is_column_information_relevant": "Yes"}']}
         )
@@ -104,9 +104,9 @@ class TestFilterColumn:
         )
         filter_column([profile], "q", "h", gw, "k")
         # prompt token count reflects the profile text making it in
-        assert gw.calls[0].prompt_tokens > 0
+        assert calls[0].prompt_tokens > 0
 
-    def test_votes_in_profile_order(self):
+    def test_votes_in_profile_order(self, calls):
         answers = {"a": "Yes", "b": "No", "c": "garbled", "d": "No"}
         gw = gw_with({
             (f"k+filter_column+t.{c}", "filter_column"): [
@@ -116,7 +116,7 @@ class TestFilterColumn:
         })
         profiles = [ColumnProfile("t", c, "TEXT") for c in answers]
         assert filter_column(profiles, QUESTION, HINT, gw, "k") == [True, False, True, False]
-        assert [r.scenario_key for r in gw.calls] == [
+        assert [r.scenario_key for r in calls] == [
             f"k+filter_column+t.{c}" for c in answers
         ]
 
@@ -208,7 +208,7 @@ class TestSelectColumns:
 
 
 class TestGenerateCandidate:
-    def test_n_samples(self, motorsport_catalog):
+    def test_n_samples(self, motorsport_catalog, calls):
         sub = full_projection(motorsport_catalog)
         responses = {
             (f"q+generate_candidate+{i}", "generate_candidate"): [
@@ -223,7 +223,7 @@ class TestGenerateCandidate:
         )
         assert [c.generation_index for c in candidates] == [0, 1, 2]
         assert [c.sql for c in candidates] == ["SELECT 0", "SELECT 1", "SELECT 2"]
-        assert len(gw.calls) == 3
+        assert len(calls) == 3
 
     def test_single_sample(self, motorsport_catalog):
         sub = full_projection(motorsport_catalog)
@@ -302,7 +302,7 @@ class TestRevise:
         assert out is candidate
         assert out.revision_count == 1
 
-    def test_issue_detail_lands_in_prompt(self, motorsport_catalog):
+    def test_issue_detail_lands_in_prompt(self, motorsport_catalog, calls):
         sub = project(motorsport_catalog, {"drivers": ["forename"]})
         candidate = CandidateQuery(sql="SELECT 1")
         backend = MockBackend(
@@ -313,7 +313,7 @@ class TestRevise:
             QUESTION, HINT, sub, RetrievedContext(), [candidate],
             [FaultReport("runtime_error", "no such column: ghost")], gw, "k",
         )
-        assert len(gw.calls) == 1
+        assert len(calls) == 1
 
 
 class TestUnitTests:

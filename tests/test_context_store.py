@@ -11,6 +11,8 @@ from querycrew.context_store import (
     ContextStoreError,
     HashingEmbedder,
     RemoteEmbedder,
+    ContextStore,
+    StoreItem,
     build_context_store,
     retrieve_context,
 )
@@ -124,6 +126,19 @@ class TestRetrieveContext:
         a = retrieve_context(store, "currency of the customer", 5)
         b = retrieve_context(store, "currency of the customer", 5)
         assert [(h.doc_id, h.cosine) for h in a] == [(h.doc_id, h.cosine) for h in b]
+
+    def test_identical_descriptions_in_doc_id_order(self):
+        """Replicated descriptions tie exactly, so doc_id orders them."""
+        embedder = HashingEmbedder()
+        text = "the amount of the loan in the account's currency"
+        items = [
+            StoreItem(f"t{i}.amount.column_description", f"t{i}", "amount", "column_description", text)
+            for i in reversed(range(7))
+        ]
+        store = ContextStore(items, embedder.embed([text] * 7), embedder)
+        hits = retrieve_context(store, "loan amount of account", 7)
+        assert [h.doc_id for h in hits] == [f"t{i}.amount.column_description" for i in range(7)]
+        assert len({h.cosine for h in hits}) == 1
 
 
 class TestRemoteEmbedder:

@@ -1,8 +1,11 @@
+import contextvars
+import gc
 import json
 import sys
 import tempfile
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from querycrew import gateway
 from querycrew.gateway import (
     POOL_WIDTH,
     WINDOW,
+    CallRecord,
     Completion,
     Gateway,
     GatewayError,
@@ -26,6 +30,7 @@ from querycrew.gateway import (
     _balanced_block,
     _strip_fences,
     complete,
+    ledger,
     parse_structured,
     sanitize_scenario_key,
 )
@@ -392,7 +397,7 @@ class TestHttpBackend:
         assert out[0].completion_tokens == 5
 
 
-    def test_max_in_flight_gate_holds(self, motorsport_catalog):
+    def test_max_in_flight_gate_holds(self, motorsport_catalog, calls):
         class FakeResponse:
             status_code = 200
 
@@ -422,13 +427,13 @@ class TestHttpBackend:
         )
         assert session.peak == 2
         assert [c.generation_index for c in candidates] == list(range(20))
-        assert [r.scenario_key for r in gw.calls] == [
+        assert [r.scenario_key for r in calls] == [
             f"q+generate_candidate+{i}" for i in range(20)
         ]
 
 
 class TestGatewayStructured:
-    def test_counts_calls(self):
+    def test_counts_calls(self, calls):
         backend = MockBackend(
             responses={("q1+select_tables+0", "select_tables"): ['{"table_names": ["t"]}']}
         )
@@ -440,10 +445,10 @@ class TestGatewayStructured:
             "q1+select_tables+0",
         )
         assert payload["table_names"] == ["t"]
-        assert len(gw.calls) == 1
-        assert gw.calls[0].template_id == "select_tables"
+        assert len(calls) == 1
+        assert calls[0].template_id == "select_tables"
 
-    def test_retry_on_parse_failure_uses_retry_key(self):
+    def test_retry_on_parse_failure_uses_retry_key(self, calls):
         backend = MockBackend(
             responses={
                 ("q1+select_tables+0", "select_tables"): ["garbage"],
@@ -458,7 +463,7 @@ class TestGatewayStructured:
             "q1+select_tables+0",
         )
         assert payload == {"table_names": []}
-        assert len(gw.calls) == 2
+        assert len(calls) == 2
 
     def test_second_failure_propagates(self):
         backend = MockBackend(
@@ -476,7 +481,7 @@ class TestGatewayStructured:
                 "k",
             )
 
-    def test_no_retry_mode(self):
+    def test_no_retry_mode(self, calls):
         backend = MockBackend(responses={("k", "revise"): ["junk"]})
         gw = Gateway.single(backend)
         with pytest.raises(ParseError):
@@ -490,7 +495,29 @@ class TestGatewayStructured:
                 "k",
                 retry_on_parse_failure=False,
             )
-        assert len(gw.calls) == 1
+        assert len(calls) == 1
+
+    def test_parse_failure_frees_callers_locals(self):
+        """The raised ParseError ties no frame into a reference cycle, so a
+        caller's locals die with the caller even with the collector off."""
+        gw = Gateway.single(MockBackend(responses={("k", "select_tables"): ["junk"]}))
+
+        class Buffer:
+            pass
+
+        def caller():
+            buffer = Buffer()
+            try:
+                gw.structured("select_tables", SELECT_BINDINGS, SamplingParams(), "k", False)
+            except ParseError:
+                pass
+            return weakref.ref(buffer)
+
+        gc.disable()
+        try:
+            assert caller()() is None
+        finally:
+            gc.enable()
 
     def test_per_tool_backend_binding(self):
         cheap = MockBackend(responses={("k", "filter_column"): ['{"is_column_information_relevant": "No"}']})
@@ -508,6 +535,42 @@ class TestGatewayStructured:
         )
         assert cheap.calls == 1
         assert strong.calls == 0
+
+
+class TestLedger:
+    def _call(self, gw, key):
+        gw.complete_prompt("revise", "p", SamplingParams(), key)
+
+    def test_nested_records_reach_the_outer_ledger(self):
+        gw = Gateway.single(MockBackend(responses={(k, "revise"): ["r"] for k in "abc"}))
+        self._call(gw, "a")  # outside any ledger: recorded nowhere
+        with ledger() as outer:
+            self._call(gw, "b")
+            with ledger() as inner:
+                self._call(gw, "c")
+            assert [r.scenario_key for r in inner] == ["c"]
+        assert [r.scenario_key for r in outer] == ["b", "c"]
+
+    def test_contexts_on_one_thread_keep_their_own(self):
+        """Runs stepped in turn on one thread, each in a context of its own,
+        each see only their own calls."""
+        gw = Gateway.single(MockBackend(responses={(k, "revise"): ["r"] for k in "abcd"}))
+
+        def run(keys):
+            with ledger() as records:
+                for key in keys:
+                    self._call(gw, key)
+                    yield
+            yield [r.scenario_key for r in records]
+
+        runs = [run("ac"), run("bd")]
+        contexts = [contextvars.copy_context() for _ in runs]
+        results = [[], []]
+        for _ in range(3):
+            for i, steps in enumerate(runs):
+                results[i].append(contexts[i].run(next, steps))
+        assert results[0][-1] == ["a", "c"]
+        assert results[1][-1] == ["b", "d"]
 
 
 def test_sanitize_scenario_key():
@@ -574,11 +637,11 @@ def _answer(value):
     return value
 
 
-def _records(gw: Gateway) -> list[tuple]:
+def _records(calls: list[CallRecord]) -> list[tuple]:
     return [
         (r.template_id, r.scenario_key, r.backend_id, r.n_samples, r.prompt_tokens,
          r.completion_tokens)
-        for r in gw.calls
+        for r in calls
     ]
 
 
@@ -597,34 +660,36 @@ class TestStructuredMany:
         with tempfile.TemporaryDirectory() as tmp:
             one_by_one = Gateway.single(_scripted(outcomes), log_path=Path(tmp) / "a.jsonl")
             expected, expected_error = [], None
-            for key in keys:
-                try:
-                    expected.append(
-                        one_by_one.structured(
-                            "select_tables", SELECT_BINDINGS, SamplingParams(), key, retry
+            with ledger() as one_by_one_calls:
+                for key in keys:
+                    try:
+                        expected.append(
+                            one_by_one.structured(
+                                "select_tables", SELECT_BINDINGS, SamplingParams(), key, retry
+                            )
                         )
-                    )
-                except ParseError as exc:
-                    expected.append(_answer(exc))
-                except GatewayError as exc:
-                    expected_error = str(exc)
-                    break
+                    except ParseError as exc:
+                        expected.append(_answer(exc))
+                    except GatewayError as exc:
+                        expected_error = str(exc)
+                        break
 
             batch = Gateway.single(_scripted(outcomes), log_path=Path(tmp) / "b.jsonl")
-            try:
-                answers = list(batch.structured_many(
-                    "select_tables", [SELECT_BINDINGS] * len(keys), SamplingParams(), keys,
-                    retry,
-                ))
-            except GatewayError as exc:
-                assert str(exc) == expected_error
-            else:
-                assert expected_error is None
-                assert [_answer(a) for a in answers] == expected
-            assert _records(batch) == _records(one_by_one)
+            with ledger() as batch_calls:
+                try:
+                    answers = list(batch.structured_many(
+                        "select_tables", [SELECT_BINDINGS] * len(keys), SamplingParams(), keys,
+                        retry,
+                    ))
+                except GatewayError as exc:
+                    assert str(exc) == expected_error
+                else:
+                    assert expected_error is None
+                    assert [_answer(a) for a in answers] == expected
+            assert _records(batch_calls) == _records(one_by_one_calls)
             assert _read(Path(tmp) / "b.jsonl") == _read(Path(tmp) / "a.jsonl")
 
-    def test_samples_in_flight_together(self, motorsport_catalog):
+    def test_samples_in_flight_together(self, motorsport_catalog, calls):
         class BarrierBackend:
             backend_id = "barrier"
 
@@ -641,13 +706,13 @@ class TestStructuredMany:
             SamplingParams(temperature=1.0, n_samples=8), scenario_prefix="q",
         )
         assert len(candidates) == 8
-        assert [r.scenario_key for r in gw.calls] == [
+        assert [r.scenario_key for r in calls] == [
             f"q+generate_candidate+{i}" for i in range(8)
         ]
 
 
 class TestStructuredManyWindows:
-    def test_mismatched_keys_rejected(self):
+    def test_mismatched_keys_rejected(self, calls):
         backend = MockBackend(responses={("k0", "select_tables"): ['{"ok": 1}']})
         gw = Gateway.single(backend)
         with pytest.raises(ValueError):
@@ -657,9 +722,9 @@ class TestStructuredManyWindows:
         with pytest.raises(ValueError):
             gw.structured_many("select_tables", [SELECT_BINDINGS], SamplingParams(), ["k0", "k1"])
         assert backend.calls == 0
-        assert gw.calls == []
+        assert calls == []
 
-    def test_at_most_pool_width_tasks_per_window(self, monkeypatch):
+    def test_at_most_pool_width_tasks_per_window(self, monkeypatch, calls):
         n = 2 * WINDOW + 5
         keys = [f"k{i}" for i in range(n)]
         backend = MockBackend(responses={(k, "select_tables"): [f'{{"i": {i}}}'] for i, k in enumerate(keys)})
@@ -676,7 +741,7 @@ class TestStructuredManyWindows:
             gw.structured_many("select_tables", [SELECT_BINDINGS] * n, SamplingParams(), keys)
         )
         assert answers == [{"i": i} for i in range(n)]
-        assert [r.scenario_key for r in gw.calls] == keys
+        assert [r.scenario_key for r in calls] == keys
         # each window's chunks are consecutive runs of its keys, at most POOL_WIDTH of them
         windows = [keys[i : i + WINDOW] for i in range(0, n, WINDOW)]
         per_window, chunks = [], iter(submitted)

@@ -379,7 +379,7 @@ class TestRunBenchmark:
         assert report.outcomes[1].ex == 0
         assert report.outcomes[1].error
 
-    def test_failed_item_records_its_calls(self, bench_env, tmp_path):
+    def test_failed_item_records_its_calls(self, bench_env, tmp_path, calls):
         item = load_dataset(bench_env["dataset"], "bird")[0]
         # the only candidate does not parse, so the item fails after one call
         responses = {(f"{item.question_id}+generate_candidate+0", "generate_candidate"): ["{"]}
@@ -391,8 +391,8 @@ class TestRunBenchmark:
         outcome = report.outcomes[0]
         assert outcome.error
         assert outcome.llm_calls == 1
-        assert outcome.prompt_tokens == gw.calls[0].prompt_tokens > 0
-        assert outcome.completion_tokens == gw.calls[0].completion_tokens
+        assert outcome.prompt_tokens == calls[0].prompt_tokens > 0
+        assert outcome.completion_tokens == calls[0].completion_tokens
         assert report.mean_llm_calls == 1.0
 
     def test_each_query_executed_once(self, bench_env, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import sqlite3
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from querycrew.gateway import (
     MockBackend,
     ParseError,
     SamplingParams,
+    ledger,
 )
 from querycrew.pipeline import (
     PipelineConfig,
@@ -220,7 +222,7 @@ class TestRevise_loop:
         assert out.revision_count == 1
         assert out.exec_result.status == OK
 
-    def test_never_fixed_stops_at_cap(self, motorsport_artifacts, funnel_config):
+    def test_never_fixed_stops_at_cap(self, motorsport_artifacts, funnel_config, calls):
         responses = {
             (f"q+revise+0.{r}", "revise"): [revise_response("SELEC still broken")]
             for r in (1, 2, 3)
@@ -231,16 +233,16 @@ class TestRevise_loop:
         out = revise_loop(candidate, self._env(motorsport_artifacts, gw), funnel_config)
         assert out.revision_count == 3
         assert out.exec_result.status == "syntax_error"
-        assert len(gw.calls) == 3
+        assert len(calls) == 3
 
-    def test_ok_nonempty_untouched(self, motorsport_artifacts, funnel_config):
+    def test_ok_nonempty_untouched(self, motorsport_artifacts, funnel_config, calls):
         gw = Gateway.single(MockBackend(responses={}))
         candidate = CandidateQuery(sql="SELECT forename FROM drivers", generation_index=0)
         candidate.exec_result = execute(motorsport_artifacts.db_file, candidate.sql)
         out = revise_loop(candidate, self._env(motorsport_artifacts, gw), funnel_config)
         assert out is candidate
         assert out.revision_count == 0
-        assert gw.calls == []
+        assert calls == []
 
     def test_empty_result_triggers_revision(self, motorsport_artifacts, funnel_config):
         gw = Gateway.single(
@@ -726,6 +728,49 @@ class TestFullTeam:
         assert trace.llm_calls == 1 + 64 + 1 + 1 + 2 + 1 + 1
 
 
+class _BarrierMock(MockBackend):
+    """A mock whose keyword calls wait until `parties` of them are out."""
+
+    def __init__(self, responses, parties: int):
+        super().__init__(responses=responses)
+        self.barrier = threading.Barrier(parties, timeout=5)
+
+    def complete(self, prompt, params, template_id, scenario_key):
+        if template_id == "extract_keywords":
+            self.barrier.wait()
+        return super().complete(prompt, params, template_id, scenario_key)
+
+
+class TestSharedGateway:
+    def test_concurrent_runs_trace_as_if_solo(self, motorsport_artifacts):
+        """Two questions run at once on one gateway, from two threads: each
+        trace holds exactly the calls and tokens of the same run alone."""
+        config = PipelineConfig(team="IR_SS_CG_UT", n_candidates=2, n_unit_tests=1)
+        responses = {}
+        for qid in ("c_0001", "c_0002"):
+            responses.update(funnel_responses(motorsport_artifacts.catalog, qid))
+            responses[(f"{qid}+generate_candidate+1", "generate_candidate")] = [
+                candidate_response("SELECT MAX(fastestLapTime) FROM results WHERE driverId = 1")
+            ]
+            responses[(f"{qid}+generate_unit_tests+0", "generate_unit_tests")] = [
+                unit_tests_response(["The answer SQL query should use MIN"])
+            ]
+            responses[(f"{qid}+evaluate+0", "evaluate_unit_test")] = [
+                verdicts_response(["Passed", "Failed"])
+            ]
+
+        def accounting(gw, qid):
+            _, trace = run(FUNNEL_QUESTION, FUNNEL_HINT, motorsport_artifacts, config, gw, qid=qid)
+            return (trace.records, trace.llm_calls, trace.prompt_tokens, trace.completion_tokens)
+
+        solo = [accounting(Gateway.single(_BarrierMock(responses, 1)), q) for q in ("c_0001", "c_0002")]
+        shared = Gateway.single(_BarrierMock(responses, 2))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            both = [pool.submit(accounting, shared, q) for q in ("c_0001", "c_0002")]
+            assert [f.result() for f in both] == solo
+        assert solo[0][1] == 1 + 64 + 1 + 1 + 2 + 1 + 1
+
+
 class _FilterSession:
     """Fake HTTP session for a cheap filter model: answers Yes for the funnel's
     relevant columns and No otherwise, and counts requests in flight."""
@@ -773,7 +818,9 @@ def _non_linking(catalog, sub):
 
 
 class TestFilterFanOut:
-    def test_http_filter_backend_gate_and_record_order(self, motorsport_artifacts, funnel_config):
+    def test_http_filter_backend_gate_and_record_order(
+        self, motorsport_artifacts, funnel_config, calls
+    ):
         qid = "f1_0009"
         catalog = motorsport_artifacts.catalog
         session = _FilterSession(FUNNEL_YES_COLUMNS)
@@ -785,7 +832,7 @@ class TestFilterFanOut:
         )
         sql, trace = run(FUNNEL_QUESTION, FUNNEL_HINT, motorsport_artifacts, funnel_config, gw, qid=qid)
         assert session.peak == 2
-        assert [r.scenario_key for r in gw.calls if r.template_id == "filter_column"] == [
+        assert [r.scenario_key for r in calls if r.template_id == "filter_column"] == [
             f"{qid}+filter_column+{t}.{c}" for t, c in _non_linking(catalog, full_projection(catalog))
         ]
         assert sql == FUNNEL_GOLD_SQL
@@ -899,14 +946,15 @@ class TestFilterStageMatchesOneByOne:
                     log = Path(tmp) / f"{name}.jsonl"
                     gw = Gateway.single(MockBackend(responses=responses), log_path=log)
                     handler.records = []
-                    try:
-                        result = stage(gw)
-                    except GatewayError as exc:
-                        result = ("GatewayError", str(exc))
+                    with ledger() as records:
+                        try:
+                            result = stage(gw)
+                        except GatewayError as exc:
+                            result = ("GatewayError", str(exc))
                     outcomes.append((
                         result,
                         [(r.template_id, r.scenario_key, r.backend_id, r.n_samples,
-                          r.prompt_tokens, r.completion_tokens) for r in gw.calls],
+                          r.prompt_tokens, r.completion_tokens) for r in records],
                         log.read_bytes() if log.exists() else b"",
                         handler.records,
                     ))
