@@ -3,18 +3,20 @@
 select), candidate generation and revision, and unit-test generation and
 evaluation.
 
-Each tool is a pure orchestration over the gateway plus the structural
-modules. Failure policy is asymmetric on purpose: schema-selection tools
-fail open (keep everything) because over-pruning makes questions
-unanswerable, while scoring tools fail closed (a candidate whose verdict
-cannot be parsed counts as Failed).
+Each tool takes the question's `RunEnv` first, plus only its own inputs, and
+is a pure orchestration over the gateway plus the structural modules.
+`RunEnv.key` formats every scenario key. Failure policy is asymmetric on
+purpose: schema-selection tools fail open (keep everything) because
+over-pruning makes questions unanswerable, while scoring tools fail closed
+(a candidate whose verdict cannot be parsed counts as Failed).
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Sequence
 
 from .catalog import SchemaCatalog, SubSchema, project, render_schema_prompt
@@ -109,30 +111,53 @@ class RetrievedContext:
         return "\n".join(lines)
 
 
-def extract_keywords(
-    question: str, hint: str, gw: Gateway, scenario_key: str = "q+extract_keywords+0"
-) -> list[Keyword]:
+@dataclass
+class RunEnv:
+    """One question's run, which every tool takes first.
+
+    The pipeline builds it before IR; IR fills `context` in place, and schema
+    selection narrows `sub` stage by stage.
+    """
+
+    question: str
+    hint: str
+    sub: SubSchema
+    context: RetrievedContext
+    db_file: Path
+    gateway: Gateway
+    qid: str
+
+    def key(self, tool: str, attempt: object = 0) -> str:
+        """The scenario key of one call: `<qid>+<tool>+<attempt>`."""
+        return f"{self.qid}+{tool}+{attempt}"
+
+    def bindings(self, **extra: object) -> dict[str, object]:
+        return {"QUESTION": self.question, "HINT": self.hint or "none", **extra}
+
+    def schema(self) -> str:
+        """The sub-schema prompt, annotated with the retrieved context."""
+        return render_schema_prompt(self.sub, self.context.entities, self.context.descriptions)
+
+
+def extract_keywords(env: RunEnv) -> list[Keyword]:
     """Keyword and keyphrase extraction from the question and hint.
 
     The output list is deduplicated and order-preserving. A parse failure
     after the retry yields an empty list so the pipeline can proceed without
     entity retrieval.
     """
-    bindings = {
-        "FEWSHOT_EXAMPLES": DEFAULT_FEWSHOTS["extract_keywords"],
-        "QUESTION": question,
-        "HINT": hint or "none",
-    }
+    bindings = env.bindings(FEWSHOT_EXAMPLES=DEFAULT_FEWSHOTS["extract_keywords"])
     try:
-        items = gw.structured(
-            "extract_keywords", bindings, SamplingParams(temperature=0.0), scenario_key
+        items = env.gateway.structured(
+            "extract_keywords", bindings, SamplingParams(temperature=0.0),
+            env.key("extract_keywords"),
         )
     except ParseError:
         logger.warning("keyword extraction unparseable; continuing without keywords")
         return []
     keywords: list[Keyword] = []
     seen: set[str] = set()
-    question_lower = question.lower()
+    question_lower = env.question.lower()
     for item in items:
         text = str(item).strip()
         if not text or text.lower() in seen:
@@ -143,27 +168,17 @@ def extract_keywords(
     return keywords
 
 
-def filter_column(
-    profiles: Sequence[ColumnProfile],
-    question: str,
-    hint: str,
-    gw: Gateway,
-    scenario_prefix: str = "q",
-) -> list[bool]:
+def filter_column(env: RunEnv, profiles: Sequence[ColumnProfile]) -> list[bool]:
     """Relevance votes for a window of columns, in the order of `profiles`:
-    one call per column, all sent as one batch, under scenario key
-    `<prefix>+filter_column+<table>.<column>`. A vote that does not parse
-    keeps its column."""
-    base = {
-        "FEWSHOT_EXAMPLES": DEFAULT_FEWSHOTS["filter_column"],
-        "QUESTION": question,
-        "HINT": hint or "none",
-    }
-    payloads = gw.structured_many(
+    one call per column, all sent as one batch, with attempt
+    `<table>.<column>` in `RunEnv.key`. A vote that does not parse keeps its
+    column."""
+    base = env.bindings(FEWSHOT_EXAMPLES=DEFAULT_FEWSHOTS["filter_column"])
+    payloads = env.gateway.structured_many(
         "filter_column",
         [{**base, "COLUMN_PROFILE": profile.render()} for profile in profiles],
         SamplingParams(temperature=0.0),
-        [f"{scenario_prefix}+filter_column+{p.table}.{p.column}" for p in profiles],
+        [env.key("filter_column", f"{p.table}.{p.column}") for p in profiles],
         retry_on_parse_failure=False,
     )
     votes = []
@@ -181,29 +196,18 @@ def filter_column(
     return votes
 
 
-def select_tables(
-    sub: SubSchema,
-    question: str,
-    hint: str,
-    gw: Gateway,
-    scenario_key: str = "q+select_tables+0",
-    entities: Sequence[EntityMatch] = (),
-    descriptions: Sequence[DescriptionHit] = (),
-) -> list[str]:
-    """Tables needed for the query, filtered to names that exist in `sub`.
+def select_tables(env: RunEnv) -> list[str]:
+    """Tables needed for the query, filtered to names that exist in `env.sub`.
 
     An empty intersection or a parse failure falls back to every table of
     the sub-schema: schema selection must not make a question unanswerable.
     """
-    bindings = {
-        "DATABASE_SCHEMA": render_schema_prompt(sub, entities, descriptions),
-        "QUESTION": question,
-        "HINT": hint or "none",
-    }
+    sub = env.sub
     all_tables = sub.table_names()
     try:
-        payload = gw.structured(
-            "select_tables", bindings, SamplingParams(temperature=0.0), scenario_key
+        payload = env.gateway.structured(
+            "select_tables", env.bindings(DATABASE_SCHEMA=env.schema()),
+            SamplingParams(temperature=0.0), env.key("select_tables"),
         )
     except ParseError:
         logger.warning("select_tables unparseable; keeping all tables")
@@ -225,28 +229,18 @@ def select_tables(
     return chosen
 
 
-def select_columns(
-    sub: SubSchema,
-    question: str,
-    hint: str,
-    gw: Gateway,
-    scenario_key: str = "q+select_columns+0",
-    entities: Sequence[EntityMatch] = (),
-    descriptions: Sequence[DescriptionHit] = (),
-) -> dict[str, list[str]]:
+def select_columns(env: RunEnv) -> dict[str, list[str]]:
     """Columns needed for the query, re-projected so PK/FK retention holds.
 
-    The model's table->columns map is intersected with `sub`; unknown names
-    are dropped with a warning and a parse failure returns `sub` unchanged.
+    The model's table->columns map is intersected with `env.sub`; unknown
+    names are dropped with a warning and a parse failure returns the
+    sub-schema unchanged.
     """
-    bindings = {
-        "DATABASE_SCHEMA": render_schema_prompt(sub, entities, descriptions),
-        "QUESTION": question,
-        "HINT": hint or "none",
-    }
+    sub = env.sub
     try:
-        payload = gw.structured(
-            "select_columns", bindings, SamplingParams(temperature=0.0), scenario_key
+        payload = env.gateway.structured(
+            "select_columns", env.bindings(DATABASE_SCHEMA=env.schema()),
+            SamplingParams(temperature=0.0), env.key("select_columns"),
         )
     except ParseError:
         logger.warning("select_columns unparseable; keeping sub-schema unchanged")
@@ -278,36 +272,18 @@ def select_columns(
     return reprojected.as_requested()
 
 
-def generate_candidate(
-    question: str,
-    hint: str,
-    sub: SubSchema,
-    context: RetrievedContext,
-    gw: Gateway,
-    params: SamplingParams,
-    scenario_prefix: str = "q",
-) -> list[CandidateQuery]:
+def generate_candidate(env: RunEnv, params: SamplingParams) -> list[CandidateQuery]:
     """Sample params.n_samples candidate queries, one completion call each,
-    sent to the backend as one batch.
+    sent to the backend as one batch, with the sample index as attempt.
 
     Samples whose JSON cannot be parsed are dropped; their generation index
     is not reused. If every sample drops, GenerationError is raised.
     """
-    bindings = {
-        "DATABASE_SCHEMA": render_schema_prompt(
-            sub, context.entities, context.descriptions
-        ),
-        "QUESTION": question,
-        "HINT": hint or "none",
-    }
-    single = SamplingParams(
-        temperature=params.temperature, max_tokens=params.max_tokens, n_samples=1
-    )
-    payloads = gw.structured_many(
+    payloads = env.gateway.structured_many(
         "generate_candidate",
-        [bindings] * params.n_samples,
-        single,
-        [f"{scenario_prefix}+generate_candidate+{i}" for i in range(params.n_samples)],
+        [env.bindings(DATABASE_SCHEMA=env.schema())] * params.n_samples,
+        replace(params, n_samples=1),
+        [env.key("generate_candidate", i) for i in range(params.n_samples)],
         retry_on_parse_failure=False,
     )
     candidates: list[CandidateQuery] = []
@@ -336,40 +312,30 @@ class GenerationError(Exception):
 
 
 def revise(
-    question: str,
-    hint: str,
-    sub: SubSchema,
-    context: RetrievedContext,
-    candidates: Sequence[CandidateQuery],
-    issues: Sequence[FaultReport],
-    gw: Gateway,
-    scenario_prefix: str = "q",
+    env: RunEnv, candidates: Sequence[CandidateQuery], issues: Sequence[FaultReport]
 ) -> list[CandidateQuery]:
     """One revision attempt for each faulty candidate, sent as one batch.
 
     Each prompt carries its candidate's executed result or error text
-    (`issues` pairs with `candidates`), under scenario key
-    `<prefix>+revise+<generation index>.<revision number>`. A parse failure
+    (`issues` pairs with `candidates`), with attempt
+    `<generation index>.<revision number>` in `RunEnv.key`. A parse failure
     returns that candidate unchanged (with a warning) rather than losing it.
     """
-    schema = render_schema_prompt(sub, context.entities, context.descriptions)
-    missing = context.entity_lines()
-    payloads = gw.structured_many(
+    base = {
+        "DATABASE_SCHEMA": env.schema(),
+        "MISSING_ENTITIES": env.context.entity_lines(),
+        "QUESTION": env.question,
+        "EVIDENCE": env.hint or "none",
+    }
+    payloads = env.gateway.structured_many(
         "revise",
         [
-            {
-                "DATABASE_SCHEMA": schema,
-                "MISSING_ENTITIES": missing,
-                "QUESTION": question,
-                "EVIDENCE": hint or "none",
-                "SQL": candidate.sql,
-                "QUERY_RESULT": issue.detail,
-            }
+            {**base, "SQL": candidate.sql, "QUERY_RESULT": issue.detail}
             for candidate, issue in zip(candidates, issues)
         ],
         SamplingParams(temperature=0.0),
         [
-            f"{scenario_prefix}+revise+{c.generation_index}.{c.revision_count + 1}"
+            env.key("revise", f"{c.generation_index}.{c.revision_count + 1}")
             for c in candidates
         ],
         retry_on_parse_failure=False,
@@ -392,30 +358,21 @@ def revise(
     return revised
 
 
-def generate_unit_tests(
-    question: str,
-    hint: str,
-    sub: SubSchema,
-    clusters: Sequence[Cluster],
-    k: int,
-    gw: Gateway,
-    scenario_key: str = "q+generate_unit_tests+0",
-) -> list[UnitTest]:
+def generate_unit_tests(env: RunEnv, clusters: Sequence[Cluster], k: int) -> list[UnitTest]:
     """Up to k natural-language unit tests that tell the clusters apart."""
     if not clusters:
         raise ValueError("generate_unit_tests requires at least one cluster")
     if k < 1:
         raise ValueError("k must be >= 1")
-    bindings = {
-        "UNIT_TEST_CAP": k,
-        "DATABASE_SCHEMA": render_schema_prompt(sub),
-        "CANDIDATE_QUERIES": render_clusters(clusters),
-        "QUESTION": question,
-        "HINT": hint or "none",
-    }
+    bindings = env.bindings(
+        UNIT_TEST_CAP=k,
+        DATABASE_SCHEMA=render_schema_prompt(env.sub),
+        CANDIDATE_QUERIES=render_clusters(clusters),
+    )
     try:
-        statements = gw.structured(
-            "generate_unit_tests", bindings, SamplingParams(temperature=0.0), scenario_key
+        statements = env.gateway.structured(
+            "generate_unit_tests", bindings, SamplingParams(temperature=0.0),
+            env.key("generate_unit_tests"),
         )
     except ParseError:
         logger.warning("unit test generation unparseable; no tests produced")
@@ -429,17 +386,11 @@ def generate_unit_tests(
 
 
 def evaluate_against_test(
-    question: str,
-    hint: str,
-    sub: SubSchema,
-    candidates: Sequence[CandidateQuery],
-    tests: Sequence[UnitTest],
-    gw: Gateway,
-    scenario_prefix: str = "q",
+    env: RunEnv, candidates: Sequence[CandidateQuery], tests: Sequence[UnitTest]
 ) -> list[list[Verdict]]:
     """Verdicts of every candidate against each unit test: one call per
-    test, all tests sent as one batch, under scenario key
-    `<prefix>+evaluate+<test index>`.
+    test, all tests sent as one batch, under `RunEnv.key` with tool
+    `evaluate` and the test index as attempt.
 
     Each verdict row has one entry per candidate: responses that omit a
     candidate score it as Failed, and an unparseable response fails every
@@ -447,19 +398,17 @@ def evaluate_against_test(
     """
     if not candidates:
         raise ValueError("evaluate_against_test requires at least one candidate")
-    base = {
-        "DATABASE_SCHEMA": render_schema_prompt(sub),
-        "CANDIDATE_QUERIES": "\n\n".join(
+    base = env.bindings(
+        DATABASE_SCHEMA=render_schema_prompt(env.sub),
+        CANDIDATE_QUERIES="\n\n".join(
             f"Candidate Response #{i + 1}:\n{c.sql}" for i, c in enumerate(candidates)
         ),
-        "QUESTION": question,
-        "HINT": hint or "none",
-    }
-    answers = gw.structured_many(
+    )
+    answers = env.gateway.structured_many(
         "evaluate_unit_test",
         [{**base, "UNIT_TEST": test.statement} for test in tests],
         SamplingParams(temperature=0.0),
-        [f"{scenario_prefix}+evaluate+{test.index}" for test in tests],
+        [env.key("evaluate", test.index) for test in tests],
     )
     return [_verdict_row(words, test, len(candidates)) for words, test in zip(answers, tests)]
 

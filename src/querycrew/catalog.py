@@ -24,6 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .executor import connect_read_only
+
 logger = logging.getLogger(__name__)
 
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -251,7 +253,7 @@ def introspect_database(db_file: str | Path) -> SchemaCatalog:
     """
     path = Path(db_file)
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        conn = connect_read_only(path)
     except sqlite3.Error as exc:
         raise CatalogError(f"cannot open database {path}: {exc}") from exc
     try:

@@ -3,8 +3,9 @@ canonicalization, fault classification, result-set comparison, and result
 fingerprints used to cluster candidate queries.
 
 Execution never mutates the database: connections are opened in read-only
-mode and an authorizer rejects anything that is not a plain read. Faults are
-reported as statuses, never raised past this module's boundary.
+mode (`connect_read_only`) and an authorizer rejects anything that is not a
+read. Faults are reported as statuses, never raised past this module's
+boundary.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ _ALLOWED_ACTIONS = {
     sqlite3.SQLITE_FUNCTION,
     sqlite3.SQLITE_RECURSIVE,
 }
+# PRAGMA optimize may run ANALYZE, so its table-valued form is no plain read
+_WRITING_PRAGMAS = {"optimize"}
 
 
 @dataclass
@@ -62,6 +65,13 @@ class ResultFingerprint:
     digest: str
 
 
+def connect_read_only(db_file: str | Path) -> sqlite3.Connection:
+    """A read-only connection to `db_file`, through a percent-encoded `file:`
+    URI, so a `#`, `?` or `%` in the path cannot start the URI's query or
+    fragment."""
+    return sqlite3.connect(Path(db_file).resolve().as_uri() + "?mode=ro", uri=True)
+
+
 def execute(
     db_file: str | Path,
     sql: str,
@@ -73,18 +83,28 @@ def execute(
     Write statements and DDL are rejected (runtime_error); statements that
     exceed the time budget are interrupted (timeout).
     """
-    path = Path(db_file)
     start = time.perf_counter()
     timed_out = False
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        conn = connect_read_only(db_file)
     except sqlite3.Error as exc:
         return ExecutionResult(RUNTIME_ERROR, error_text=str(exc), elapsed=0.0)
     try:
         deadline = start + timeout
+        in_select = False
 
-        def authorize(action, *_args):
-            if action in _ALLOWED_ACTIONS:
+        def authorize(action, arg1, *_args):
+            # Inside a SELECT, building an eponymous virtual table (json_each,
+            # pragma_table_info, ...) reports updates of sqlite_master's
+            # columns, and a pragma table-valued function reports its pragma.
+            # A PRAGMA statement reports no SELECT, so it stays denied.
+            nonlocal in_select
+            in_select = in_select or action == sqlite3.SQLITE_SELECT
+            select_part = in_select and (
+                (action == sqlite3.SQLITE_UPDATE and arg1 == "sqlite_master")
+                or (action == sqlite3.SQLITE_PRAGMA and arg1 not in _WRITING_PRAGMAS)
+            )
+            if action in _ALLOWED_ACTIONS or select_part:
                 return sqlite3.SQLITE_OK
             return sqlite3.SQLITE_DENY
 
@@ -160,8 +180,7 @@ def results_match(a: ExecutionResult, b: ExecutionResult, mode: str = "set") -> 
 
     `set` compares distinct canonical rows, `multiset` respects multiplicity.
     """
-    if mode not in ("set", "multiset"):
-        raise ValueError(f"unknown comparison mode {mode!r}")
+    _check_mode(mode)
     if not (a.is_ok() and b.is_ok()):
         return False
     if a.truncated or b.truncated:
@@ -172,13 +191,24 @@ def results_match(a: ExecutionResult, b: ExecutionResult, mode: str = "set") -> 
     return ca == cb
 
 
-def fingerprint(result: ExecutionResult) -> ResultFingerprint:
-    """Digest of the distinct canonical rows (ok) or the fault kind (non-ok)."""
+def _check_mode(mode: str) -> None:
+    if mode not in ("set", "multiset"):
+        raise ValueError(f"unknown comparison mode {mode!r}")
+
+
+def fingerprint(result: ExecutionResult, mode: str = "set") -> ResultFingerprint:
+    """Digest of the canonical rows (ok) or the fault kind (non-ok).
+
+    Rows count as `results_match` counts them in `mode`: `set` hashes the
+    distinct rows, `multiset` every row.
+    """
+    _check_mode(mode)
     h = hashlib.sha256()
     if result.is_ok():
         h.update(b"ok/")
         h.update(b"truncated/" if result.truncated else b"complete/")
-        for row in sorted(set(canonicalize(result.rows or []))):
+        rows = canonicalize(result.rows or [])
+        for row in sorted(set(rows)) if mode == "set" else rows:
             h.update(repr(row).encode("utf-8"))
             h.update(b"\x1e")
     else:

@@ -624,9 +624,8 @@ class Gateway:
                 render_template(template_id, bindings)
                 for bindings in bindings_list[start : start + WINDOW]
             ]
-            if len(prompts) < 2:
-                for prompt, key in zip(prompts, keys):
-                    yield self._answer(template_id, prompt, params, key, None, retry)
+            if len(prompts) == 1:
+                yield self._answer(template_id, prompts[0], params, keys[0], None, retry)
                 continue
             backend = self.backend_for(template_id)
             width = min(len(prompts), POOL_WIDTH)
@@ -658,11 +657,10 @@ class Gateway:
         re-asked once with an appended instruction to emit valid output; the
         second failure propagates. The re-ask uses scenario key
         `<key>#retry1` so scripted runs can stage both responses. This is
-        the one-request case of `structured_many`, without its lists.
+        the one-request case of `structured_many`.
         """
-        prompt = render_template(template_id, bindings)
-        answer = self._answer(
-            template_id, prompt, params, scenario_key, None, retry_on_parse_failure
+        (answer,) = self._answers(
+            template_id, [bindings], params, [scenario_key], retry_on_parse_failure
         )
         try:
             if isinstance(answer, ParseError):

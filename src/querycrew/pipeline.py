@@ -8,10 +8,13 @@ optional unit-test scoring. Each run records its completion calls in a
 ledger of its own (`gateway.ledger`), so its trace accounts for LLM usage
 exactly, even while other runs share the gateway.
 
-Scenario keys passed to the gateway are deterministic:
-`<qid>+<tool>+<attempt>`, where attempt is the sample index for generation,
-`<table>.<column>` for column filtering, `<candidate>.<revision>` for
-revision, and the test index for evaluation.
+A run builds one `agents.RunEnv` before IR and hands it to every agent tool:
+IR fills its context in place and schema selection narrows its sub-schema
+stage by stage. Scenario keys passed to the gateway are deterministic and
+come from `RunEnv.key`: `<qid>+<tool>+<attempt>`, where attempt is the sample
+index for generation, `<table>.<column>` for column filtering,
+`<candidate>.<revision>` for revision, the test index for evaluation and 0
+otherwise.
 
 Independent model calls go to the backend together (`Gateway.structured_many`):
 the column-filter votes of each window of columns form one batch, a
@@ -35,7 +38,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import agents, executor
-from .agents import CandidateQuery, Cluster, RetrievedContext, Verdict
+from .agents import CandidateQuery, Cluster, RetrievedContext, RunEnv, Verdict
 from .caching import (
     CONTEXT_STORE_MAGIC,
     VALUE_INDEX_MAGIC,
@@ -319,19 +322,6 @@ def _field_values(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-@dataclass
-class RunEnv:
-    """Everything a revision attempt needs besides the candidate itself."""
-
-    question: str
-    hint: str
-    sub: SubSchema
-    context: RetrievedContext
-    db_file: Path
-    gateway: Gateway
-    qid: str
-
-
 def run(
     question: str,
     hint: str,
@@ -355,54 +345,45 @@ def run(
     trace = RunTrace(question_id=qid)
 
     with ledger() as records:
+        env = RunEnv(
+            question, hint, full_projection(catalog), RetrievedContext(),
+            artifacts.db_file, gateway, qid,
+        )
         # --- information retrieval --------------------------------------
-        context = RetrievedContext()
         if "IR" in roles:
-            keywords = agents.extract_keywords(
-                question, hint, gateway, scenario_key=f"{qid}+extract_keywords+0"
-            )
+            keywords = agents.extract_keywords(env)
             if keywords and config.tool_enabled("retrieve_entity"):
                 store = artifacts.context_store
-                context.entities = retrieve_entities(
+                env.context.entities = retrieve_entities(
                     artifacts.value_index, [k.text for k in keywords],
                     embedder=store.embedder if store else None, cfg=config.index,
                 )
             if artifacts.context_store is not None and config.tool_enabled("retrieve_context"):
                 query_text = f"{question} {hint}".strip()
-                context.descriptions = retrieve_context(
+                env.context.descriptions = retrieve_context(
                     artifacts.context_store, query_text, config.context_k
                 )
-
-        sub = full_projection(catalog)
-        trace.stages.append(_stage_record("initial", sub))
+        trace.stages.append(_stage_record("initial", env.sub))
 
         # --- schema selection funnel ------------------------------------
         # `requested` carries only the semantically chosen columns; the projected
         # sub re-adds linking columns each stage. Tracking the two separately lets
         # FK columns drop out once their counterpart table leaves the selection.
         if "SS" in roles:
-            requested = sub.as_requested()
+            requested = env.sub.as_requested()
             if config.tool_enabled("filter_column"):
-                requested = _filter_columns_stage(
-                    catalog, sub, question, hint, context, gateway, qid
-                )
-                sub = project(catalog, requested)
-                trace.stages.append(_stage_record("filter_column", sub))
+                requested = _filter_columns_stage(env)
+                env.sub = project(catalog, requested)
+                trace.stages.append(_stage_record("filter_column", env.sub))
             if config.tool_enabled("select_tables"):
-                tables = agents.select_tables(
-                    sub, question, hint, gateway, scenario_key=f"{qid}+select_tables+0",
-                    entities=context.entities, descriptions=context.descriptions,
-                )
+                tables = agents.select_tables(env)
                 requested = {t: requested[t] for t in tables}
-                sub = project(catalog, requested)
-                trace.stages.append(_stage_record("select_tables", sub))
+                env.sub = project(catalog, requested)
+                trace.stages.append(_stage_record("select_tables", env.sub))
             if config.tool_enabled("select_columns"):
-                requested = agents.select_columns(
-                    sub, question, hint, gateway, scenario_key=f"{qid}+select_columns+0",
-                    entities=context.entities, descriptions=context.descriptions,
-                )
-                sub = project(catalog, requested)
-                trace.stages.append(_stage_record("select_columns", sub))
+                requested = agents.select_columns(env)
+                env.sub = project(catalog, requested)
+                trace.stages.append(_stage_record("select_columns", env.sub))
 
         # --- candidate generation and revision --------------------------
         temperature = config.generation_temperature if config.n_candidates > 1 else 0.0
@@ -410,35 +391,27 @@ def run(
             temperature=temperature, max_tokens=config.max_tokens, n_samples=config.n_candidates
         )
         try:
-            candidates = agents.generate_candidate(
-                question, hint, sub, context, gateway, params, scenario_prefix=qid
-            )
+            candidates = agents.generate_candidate(env, params)
         except agents.GenerationError as exc:
             raise PipelineError(str(exc)) from exc
 
         for candidate in candidates:
             candidate.exec_result = executor.execute(
-                artifacts.db_file, candidate.sql,
+                env.db_file, candidate.sql,
                 timeout=config.execution_timeout_s, row_cap=config.row_cap,
             )
         if config.tool_enabled("revise"):
-            env = RunEnv(question, hint, sub, context, artifacts.db_file, gateway, qid)
             candidates = _revise_in_waves(candidates, env, config)
         trace.revisions_total = sum(c.revision_count for c in candidates)
 
-        clusters = cluster_by_result(candidates)
+        clusters = cluster_by_result(candidates, config.compare_mode)
 
         # --- selection ---------------------------------------------------
         verdict_matrix: list[list[Verdict]] = []
         tests: list = []
         if "UT" in roles and len(clusters) > 1:
-            tests = agents.generate_unit_tests(
-                question, hint, sub, clusters, config.n_unit_tests, gateway,
-                scenario_key=f"{qid}+generate_unit_tests+0",
-            )
-            verdict_matrix = agents.evaluate_against_test(
-                question, hint, sub, candidates, tests, gateway, scenario_prefix=qid
-            )
+            tests = agents.generate_unit_tests(env, clusters, config.n_unit_tests)
+            verdict_matrix = agents.evaluate_against_test(env, candidates, tests)
             winner = score_and_select(candidates, verdict_matrix, clusters)
         elif "UT" in roles:
             winner = clusters[0].representative_position
@@ -476,15 +449,7 @@ def _stage_record(stage: str, sub: SubSchema) -> StageRecord:
     )
 
 
-def _filter_columns_stage(
-    catalog: SchemaCatalog,
-    sub: SubSchema,
-    question: str,
-    hint: str,
-    context: RetrievedContext,
-    gateway: Gateway,
-    qid: str,
-) -> dict[str, list[str]]:
+def _filter_columns_stage(env: RunEnv) -> dict[str, list[str]]:
     """Per-column relevance votes; linking columns bypass the model call.
 
     The non-linking columns go to the filter a window at a time, so a
@@ -493,18 +458,19 @@ def _filter_columns_stage(
     linking columns). Every table keeps an entry so no table leaves the
     schema at this stage.
     """
-    requested: dict[str, list[str]] = {table: [] for table in sub.table_names()}
+    catalog = env.sub.parent
+    requested: dict[str, list[str]] = {table: [] for table in env.sub.table_names()}
     columns: list[tuple[str, str]] = []
     for table in requested:
         linking = catalog.linking_columns(table)
-        columns += [(table, c) for c in sub.selection[table] if c not in linking]
+        columns += [(table, c) for c in env.sub.selection[table] if c not in linking]
     for start in range(0, len(columns), WINDOW):
         window = columns[start : start + WINDOW]
         profiles = [
-            agents.build_column_profile(catalog, table, column, context)
+            agents.build_column_profile(catalog, table, column, env.context)
             for table, column in window
         ]
-        votes = agents.filter_column(profiles, question, hint, gateway, scenario_prefix=qid)
+        votes = agents.filter_column(env, profiles)
         for (table, column), relevant in zip(window, votes):
             if relevant:
                 requested[table].append(column)
@@ -547,14 +513,7 @@ def _revise_in_waves(
         if not due:
             return current
         revised = agents.revise(
-            env.question,
-            env.hint,
-            env.sub,
-            env.context,
-            [current[pos] for pos, _ in due],
-            [fault for _, fault in due],
-            env.gateway,
-            scenario_prefix=env.qid,
+            env, [current[pos] for pos, _ in due], [fault for _, fault in due]
         )
         active = []
         for (pos, _), new in zip(due, revised):
@@ -570,8 +529,11 @@ def _revise_in_waves(
             active.append(pos)
 
 
-def cluster_by_result(candidates: Sequence[CandidateQuery]) -> list[Cluster]:
-    """Partition executed candidates by result fingerprint.
+def cluster_by_result(
+    candidates: Sequence[CandidateQuery], mode: str = "set"
+) -> list[Cluster]:
+    """Partition executed candidates by result fingerprint, with rows
+    counted as `executor.results_match` counts them in `mode`.
 
     Clusters are ordered by size descending, then by their representative
     (the member with the lowest generation index).
@@ -580,7 +542,7 @@ def cluster_by_result(candidates: Sequence[CandidateQuery]) -> list[Cluster]:
     for pos, candidate in enumerate(candidates):
         if candidate.exec_result is None:
             raise ValueError("cluster_by_result requires executed candidates")
-        digest = executor.fingerprint(candidate.exec_result).digest
+        digest = executor.fingerprint(candidate.exec_result, mode).digest
         groups.setdefault(digest, []).append(pos)
     clusters = []
     for digest, members in groups.items():

@@ -24,7 +24,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .catalog import SchemaCatalog
+from .catalog import SchemaCatalog, _tick
+from .executor import connect_read_only
 from .textutils import char_ngrams, jaccard, ngram_hash, normalize_value
 
 logger = logging.getLogger(__name__)
@@ -256,7 +257,7 @@ def build_value_index(
     cfg = cfg or IndexConfig()
     path = Path(db_file)
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        conn = connect_read_only(path)
     except sqlite3.Error as exc:
         raise ValueIndexError(f"cannot open database {path}: {exc}") from exc
 
@@ -493,7 +494,3 @@ def attach_sample_values(catalog: SchemaCatalog, index: ValueIndex, per_column: 
 def _is_text_type(declared_type: str) -> bool:
     upper = declared_type.upper()
     return any(marker in upper for marker in _TEXT_TYPE_MARKERS)
-
-
-def _tick(name: str) -> str:
-    return name.replace('"', '""')

@@ -1,4 +1,5 @@
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from querycrew.agents import (
     ColumnProfile,
     GenerationError,
     RetrievedContext,
+    RunEnv,
     UnitTest,
     Verdict,
     build_column_profile,
@@ -34,39 +36,45 @@ QUESTION = "What's the fastest lap time ever in a race for Lewis Hamilton?"
 HINT = "fastest lap time ever refers to min(fastestLapTime)"
 
 
+def _env(gw, sub=None, qid="k", question=QUESTION, hint=HINT):
+    return RunEnv(question, hint, sub, RetrievedContext(), Path("unused.sqlite"), gw, qid)
+
+
 class TestExtractKeywords:
     def test_two_keywords(self):
         gw = gw_with(
             {("q+extract_keywords+0", "extract_keywords"): ['["Lewis Hamilton", "fastest lap time"]']}
         )
-        keywords = extract_keywords(QUESTION, HINT, gw, "q+extract_keywords+0")
+        keywords = extract_keywords(_env(gw, qid="q"))
         assert [k.text for k in keywords] == ["Lewis Hamilton", "fastest lap time"]
         assert keywords[0].source == "question"
 
     def test_duplicates_removed(self):
         gw = gw_with(
-            {("k", "extract_keywords"): ['["a", "b", "a", "B"]']}
+            {("k+extract_keywords+0", "extract_keywords"): ['["a", "b", "a", "B"]']}
         )
-        keywords = extract_keywords("a b question", "", gw, "k")
+        keywords = extract_keywords(_env(gw, question="a b question", hint=""))
         assert [k.text for k in keywords] == ["a", "b"]
 
     def test_empty_list_ok(self):
-        gw = gw_with({("k", "extract_keywords"): ["[]"]})
-        assert extract_keywords("q", "", gw, "k") == []
+        gw = gw_with({("k+extract_keywords+0", "extract_keywords"): ["[]"]})
+        assert extract_keywords(_env(gw, question="q", hint="")) == []
 
     def test_unparseable_after_retry_empty(self, caplog):
         gw = gw_with(
             {
-                ("k", "extract_keywords"): ["nonsense"],
-                ("k#retry1", "extract_keywords"): ["still nonsense"],
+                ("k+extract_keywords+0", "extract_keywords"): ["nonsense"],
+                ("k+extract_keywords+0#retry1", "extract_keywords"): ["still nonsense"],
             }
         )
         with caplog.at_level(logging.WARNING):
-            assert extract_keywords("q", "", gw, "k") == []
+            assert extract_keywords(_env(gw, question="q", hint="")) == []
 
     def test_hint_source(self):
-        gw = gw_with({("k", "extract_keywords"): ['["min(fastestLapTime)"]']})
-        keywords = extract_keywords("a question", "refers to min(fastestLapTime)", gw, "k")
+        gw = gw_with({("k+extract_keywords+0", "extract_keywords"): ['["min(fastestLapTime)"]']})
+        keywords = extract_keywords(
+            _env(gw, question="a question", hint="refers to min(fastestLapTime)")
+        )
         assert keywords[0].source == "hint"
 
 
@@ -78,18 +86,18 @@ class TestFilterColumn:
         gw = gw_with(
             {(self.KEY, "filter_column"): ['{"chain_of_thought_reasoning": "r", "is_column_information_relevant": "Yes"}']}
         )
-        assert filter_column([self.PROFILE], QUESTION, HINT, gw, "k") == [True]
+        assert filter_column(_env(gw), [self.PROFILE]) == [True]
 
     def test_no(self):
         gw = gw_with(
             {(self.KEY, "filter_column"): ['{"is_column_information_relevant": "No"}']}
         )
-        assert filter_column([self.PROFILE], QUESTION, HINT, gw, "k") == [False]
+        assert filter_column(_env(gw), [self.PROFILE]) == [False]
 
     def test_parse_failure_keeps_column(self, caplog, calls):
         gw = gw_with({(self.KEY, "filter_column"): ["garbled"]})
         with caplog.at_level(logging.WARNING):
-            assert filter_column([self.PROFILE], QUESTION, HINT, gw, "k") == [True]
+            assert filter_column(_env(gw), [self.PROFILE]) == [True]
         assert len(calls) == 1  # no retry for this tool
 
     def test_profile_rendered_into_prompt(self, calls):
@@ -102,7 +110,7 @@ class TestFilterColumn:
             descriptions=["expanded column name: average salary"],
             matched_values=["8968"],
         )
-        filter_column([profile], "q", "h", gw, "k")
+        filter_column(_env(gw, question="q", hint="h"), [profile])
         # prompt token count reflects the profile text making it in
         assert calls[0].prompt_tokens > 0
 
@@ -115,7 +123,7 @@ class TestFilterColumn:
             for c, a in answers.items()
         })
         profiles = [ColumnProfile("t", c, "TEXT") for c in answers]
-        assert filter_column(profiles, QUESTION, HINT, gw, "k") == [True, False, True, False]
+        assert filter_column(_env(gw), profiles) == [True, False, True, False]
         assert [r.scenario_key for r in calls] == [
             f"k+filter_column+t.{c}" for c in answers
         ]
@@ -125,39 +133,39 @@ class TestSelectTables:
     def test_two_tables(self, motorsport_catalog):
         sub = full_projection(motorsport_catalog)
         gw = gw_with(
-            {("k", "select_tables"): ['{"chain_of_thought_reasoning": "r", "table_names": ["drivers", "results"]}']}
+            {("k+select_tables+0", "select_tables"): ['{"chain_of_thought_reasoning": "r", "table_names": ["drivers", "results"]}']}
         )
-        assert select_tables(sub, QUESTION, HINT, gw, "k") == ["drivers", "results"]
+        assert select_tables(_env(gw, sub)) == ["drivers", "results"]
 
     def test_hallucinated_name_dropped(self, motorsport_catalog, caplog):
         sub = full_projection(motorsport_catalog)
         gw = gw_with(
-            {("k", "select_tables"): ['{"table_names": ["drivers", "ghost"]}']}
+            {("k+select_tables+0", "select_tables"): ['{"table_names": ["drivers", "ghost"]}']}
         )
         with caplog.at_level(logging.WARNING):
-            assert select_tables(sub, QUESTION, HINT, gw, "k") == ["drivers"]
+            assert select_tables(_env(gw, sub)) == ["drivers"]
 
     def test_empty_intersection_falls_back(self, motorsport_catalog, caplog):
         sub = full_projection(motorsport_catalog)
-        gw = gw_with({("k", "select_tables"): ['{"table_names": ["ghost"]}']})
+        gw = gw_with({("k+select_tables+0", "select_tables"): ['{"table_names": ["ghost"]}']})
         with caplog.at_level(logging.WARNING):
-            out = select_tables(sub, QUESTION, HINT, gw, "k")
+            out = select_tables(_env(gw, sub))
         assert out == sub.table_names()
 
     def test_parse_failure_falls_back(self, motorsport_catalog):
         sub = full_projection(motorsport_catalog)
         gw = gw_with(
             {
-                ("k", "select_tables"): ["junk"],
-                ("k#retry1", "select_tables"): ["junk again"],
+                ("k+select_tables+0", "select_tables"): ["junk"],
+                ("k+select_tables+0#retry1", "select_tables"): ["junk again"],
             }
         )
-        assert select_tables(sub, QUESTION, HINT, gw, "k") == sub.table_names()
+        assert select_tables(_env(gw, sub)) == sub.table_names()
 
     def test_case_insensitive_resolution(self, motorsport_catalog):
         sub = full_projection(motorsport_catalog)
-        gw = gw_with({("k", "select_tables"): ['{"table_names": ["DRIVERS"]}']})
-        assert select_tables(sub, QUESTION, HINT, gw, "k") == ["drivers"]
+        gw = gw_with({("k+select_tables+0", "select_tables"): ['{"table_names": ["DRIVERS"]}']})
+        assert select_tables(_env(gw, sub)) == ["drivers"]
 
 
 class TestSelectColumns:
@@ -168,13 +176,13 @@ class TestSelectColumns:
         )
         gw = gw_with(
             {
-                ("k", "select_columns"): [
+                ("k+select_columns+0", "select_columns"): [
                     '{"chain_of_thought_reasoning": "r",'
                     ' "drivers": ["forename"], "results": ["fastestLapTime"]}'
                 ]
             }
         )
-        out = select_columns(sub, QUESTION, HINT, gw, "k")
+        out = select_columns(_env(gw, sub))
         assert out == {
             "drivers": ["driverId", "forename"],
             "results": ["resultId", "driverId", "fastestLapTime"],
@@ -182,17 +190,17 @@ class TestSelectColumns:
 
     def test_zero_columns_keeps_pk(self, motorsport_catalog):
         sub = project(motorsport_catalog, {"drivers": ["forename"]})
-        gw = gw_with({("k", "select_columns"): ['{"drivers": []}']})
-        out = select_columns(sub, QUESTION, HINT, gw, "k")
+        gw = gw_with({("k+select_columns+0", "select_columns"): ['{"drivers": []}']})
+        out = select_columns(_env(gw, sub))
         assert out == {"drivers": ["driverId"]}
 
     def test_unknown_columns_dropped_with_warning(self, motorsport_catalog, caplog):
         sub = project(motorsport_catalog, {"drivers": ["forename"]})
         gw = gw_with(
-            {("k", "select_columns"): ['{"drivers": ["forename", "ghost_col"]}']}
+            {("k+select_columns+0", "select_columns"): ['{"drivers": ["forename", "ghost_col"]}']}
         )
         with caplog.at_level(logging.WARNING):
-            out = select_columns(sub, QUESTION, HINT, gw, "k")
+            out = select_columns(_env(gw, sub))
         assert out == {"drivers": ["driverId", "forename"]}
         assert any("ghost_col" in r.message for r in caplog.records)
 
@@ -200,11 +208,11 @@ class TestSelectColumns:
         sub = project(motorsport_catalog, {"drivers": ["forename"]})
         gw = gw_with(
             {
-                ("k", "select_columns"): ["junk"],
-                ("k#retry1", "select_columns"): ["junk"],
+                ("k+select_columns+0", "select_columns"): ["junk"],
+                ("k+select_columns+0#retry1", "select_columns"): ["junk"],
             }
         )
-        assert select_columns(sub, QUESTION, HINT, gw, "k") == sub.as_requested()
+        assert select_columns(_env(gw, sub)) == sub.as_requested()
 
 
 class TestGenerateCandidate:
@@ -218,8 +226,7 @@ class TestGenerateCandidate:
         }
         gw = gw_with(responses)
         candidates = generate_candidate(
-            QUESTION, HINT, sub, RetrievedContext(), gw,
-            SamplingParams(temperature=1.0, n_samples=3), scenario_prefix="q",
+            _env(gw, sub, qid="q"), SamplingParams(temperature=1.0, n_samples=3)
         )
         assert [c.generation_index for c in candidates] == [0, 1, 2]
         assert [c.sql for c in candidates] == ["SELECT 0", "SELECT 1", "SELECT 2"]
@@ -230,9 +237,7 @@ class TestGenerateCandidate:
         gw = gw_with(
             {("q+generate_candidate+0", "generate_candidate"): ['{"SQL": "SELECT 1"}']}
         )
-        out = generate_candidate(
-            QUESTION, HINT, sub, RetrievedContext(), gw, SamplingParams(), "q"
-        )
+        out = generate_candidate(_env(gw, sub, qid="q"), SamplingParams())
         assert len(out) == 1
 
     def test_identical_sql_distinct_indices(self, motorsport_catalog):
@@ -242,10 +247,7 @@ class TestGenerateCandidate:
             for i in range(2)
         }
         gw = gw_with(responses)
-        out = generate_candidate(
-            QUESTION, HINT, sub, RetrievedContext(), gw,
-            SamplingParams(n_samples=2), "q",
-        )
+        out = generate_candidate(_env(gw, sub, qid="q"), SamplingParams(n_samples=2))
         assert [c.generation_index for c in out] == [0, 1]
 
     def test_bad_sample_dropped_index_preserved(self, motorsport_catalog, caplog):
@@ -257,10 +259,7 @@ class TestGenerateCandidate:
             }
         )
         with caplog.at_level(logging.WARNING):
-            out = generate_candidate(
-                QUESTION, HINT, sub, RetrievedContext(), gw,
-                SamplingParams(n_samples=2), "q",
-            )
+            out = generate_candidate(_env(gw, sub, qid="q"), SamplingParams(n_samples=2))
         assert len(out) == 1
         assert out[0].generation_index == 1
 
@@ -270,9 +269,7 @@ class TestGenerateCandidate:
             {("q+generate_candidate+0", "generate_candidate"): ["junk"]}
         )
         with pytest.raises(GenerationError):
-            generate_candidate(
-                QUESTION, HINT, sub, RetrievedContext(), gw, SamplingParams(), "q"
-            )
+            generate_candidate(_env(gw, sub, qid="q"), SamplingParams())
 
 
 class TestRevise:
@@ -283,8 +280,8 @@ class TestRevise:
             {("k+revise+0.1", "revise"): ['{"revised_SQL": "SELECT 1"}']}
         )
         (out,) = revise(
-            QUESTION, HINT, sub, RetrievedContext(), [candidate],
-            [FaultReport("syntax_error", 'near "SELEC": syntax error')], gw, "k",
+            _env(gw, sub), [candidate],
+            [FaultReport("syntax_error", 'near "SELEC": syntax error')],
         )
         assert out.sql == "SELECT 1"
         assert out.revision_count == 1
@@ -296,8 +293,8 @@ class TestRevise:
         gw = gw_with({("k+revise+2.2", "revise"): ["junk"]})
         with caplog.at_level(logging.WARNING):
             (out,) = revise(
-                QUESTION, HINT, sub, RetrievedContext(), [candidate],
-                [FaultReport("empty_result", "query returned 0 rows")], gw, "k",
+                _env(gw, sub), [candidate],
+                [FaultReport("empty_result", "query returned 0 rows")],
             )
         assert out is candidate
         assert out.revision_count == 1
@@ -310,8 +307,8 @@ class TestRevise:
         )
         gw = Gateway.single(backend)
         revise(
-            QUESTION, HINT, sub, RetrievedContext(), [candidate],
-            [FaultReport("runtime_error", "no such column: ghost")], gw, "k",
+            _env(gw, sub), [candidate],
+            [FaultReport("runtime_error", "no such column: ghost")],
         )
         assert len(calls) == 1
 
@@ -335,9 +332,9 @@ class TestUnitTests:
         sub = full_projection(motorsport_catalog)
         statements = [f"The answer SQL query should check aspect {i}" for i in range(10)]
         gw = gw_with(
-            {("k", "generate_unit_tests"): [f"<Answer>\n{statements!r}\n</Answer>"]}
+            {("k+generate_unit_tests+0", "generate_unit_tests"): [f"<Answer>\n{statements!r}\n</Answer>"]}
         )
-        tests = generate_unit_tests(QUESTION, HINT, sub, self._clusters(), 10, gw, "k")
+        tests = generate_unit_tests(_env(gw, sub), self._clusters(), 10)
         assert len(tests) == 10
         assert [t.index for t in tests] == list(range(10))
 
@@ -345,30 +342,30 @@ class TestUnitTests:
         sub = full_projection(motorsport_catalog)
         statements = [f"test {i}" for i in range(12)]
         gw = gw_with(
-            {("k", "generate_unit_tests"): [f"<Answer>\n{statements!r}\n</Answer>"]}
+            {("k+generate_unit_tests+0", "generate_unit_tests"): [f"<Answer>\n{statements!r}\n</Answer>"]}
         )
-        tests = generate_unit_tests(QUESTION, HINT, sub, self._clusters(), 10, gw, "k")
+        tests = generate_unit_tests(_env(gw, sub), self._clusters(), 10)
         assert len(tests) == 10
 
     def test_parse_failure_empty(self, motorsport_catalog, caplog):
         sub = full_projection(motorsport_catalog)
         gw = gw_with(
             {
-                ("k", "generate_unit_tests"): ["junk"],
-                ("k#retry1", "generate_unit_tests"): ["junk"],
+                ("k+generate_unit_tests+0", "generate_unit_tests"): ["junk"],
+                ("k+generate_unit_tests+0#retry1", "generate_unit_tests"): ["junk"],
             }
         )
         with caplog.at_level(logging.WARNING):
-            tests = generate_unit_tests(QUESTION, HINT, sub, self._clusters(), 5, gw, "k")
+            tests = generate_unit_tests(_env(gw, sub), self._clusters(), 5)
         assert tests == []
 
     def test_requires_clusters_and_positive_k(self, motorsport_catalog):
         sub = full_projection(motorsport_catalog)
         gw = gw_with({})
         with pytest.raises(ValueError):
-            generate_unit_tests(QUESTION, HINT, sub, [], 5, gw, "k")
+            generate_unit_tests(_env(gw, sub), [], 5)
         with pytest.raises(ValueError):
-            generate_unit_tests(QUESTION, HINT, sub, self._clusters(), 0, gw, "k")
+            generate_unit_tests(_env(gw, sub), self._clusters(), 0)
 
 
 class TestEvaluate:
@@ -390,9 +387,7 @@ class TestEvaluate:
                 ]
             }
         )
-        (verdicts,) = evaluate_against_test(
-            QUESTION, HINT, sub, self.CANDS, [self.TEST], gw, "k"
-        )
+        (verdicts,) = evaluate_against_test(_env(gw, sub), self.CANDS, [self.TEST])
         assert verdicts == [Verdict.PASSED, Verdict.FAILED, Verdict.PASSED]
 
     def test_short_verdicts_padded_failed(self, motorsport_catalog, caplog):
@@ -406,9 +401,7 @@ class TestEvaluate:
             }
         )
         with caplog.at_level(logging.WARNING):
-            (verdicts,) = evaluate_against_test(
-                QUESTION, HINT, sub, self.CANDS, [self.TEST], gw, "k"
-            )
+            (verdicts,) = evaluate_against_test(_env(gw, sub), self.CANDS, [self.TEST])
         assert verdicts == [Verdict.PASSED, Verdict.PASSED, Verdict.FAILED]
 
     def test_parse_failure_all_failed(self, motorsport_catalog, caplog):
@@ -420,9 +413,7 @@ class TestEvaluate:
             }
         )
         with caplog.at_level(logging.WARNING):
-            (verdicts,) = evaluate_against_test(
-                QUESTION, HINT, sub, self.CANDS, [self.TEST], gw, "k"
-            )
+            (verdicts,) = evaluate_against_test(_env(gw, sub), self.CANDS, [self.TEST])
         assert verdicts == [Verdict.FAILED] * 3
 
 

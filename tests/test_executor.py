@@ -1,4 +1,7 @@
+import contextlib
+import json
 import random
+import shutil
 import sqlite3
 
 import pytest
@@ -18,6 +21,8 @@ from querycrew.executor import (
     fingerprint,
     results_match,
 )
+from querycrew.catalog import introspect_database
+from querycrew.value_index import build_value_index
 
 
 # ints that a float holds exactly, at every magnitude a float reaches
@@ -118,6 +123,123 @@ class TestExecute:
     def test_unreadable_db(self, tmp_path):
         result = execute(tmp_path / "absent.sqlite", "SELECT 1")
         assert result.status == RUNTIME_ERROR
+
+    def test_database_under_odd_directory_name(self, tmp_path, finance_db):
+        """`#`, `%`, `?` and a space in a directory name stay part of the
+        path: every read-only opener reads the database there and creates no
+        file beside its directory."""
+        folder = tmp_path / "odd#dir %41?x"
+        folder.mkdir()
+        db = shutil.copy(finance_db, folder / "finance.sqlite")
+        result = execute(db, "SELECT count(*) FROM customers")
+        assert result.status == OK, result.error_text
+        assert result.rows == [(5,)]
+        catalog = introspect_database(db)
+        assert catalog == introspect_database(finance_db)
+        index = build_value_index(catalog, db)
+        assert index.values == build_value_index(catalog, finance_db).values
+        assert [p.name for p in tmp_path.iterdir()] == [folder.name]
+
+
+# Statement shapes over the table-valued-function fixture below; `t` is a
+# table, `c` one of its columns, `k` a small integer, `arr` a JSON int array.
+READ_SHAPES = [
+    "SELECT * FROM {t}",
+    "SELECT value FROM json_each('{arr}')",
+    "SELECT key, value, type, fullkey FROM json_tree('{{\"a\": {arr}}}')",
+    "SELECT name, type, pk FROM pragma_table_info('{t}')",
+    "SELECT count(*) FROM pragma_table_info('{t}')",
+    "SELECT * FROM pragma_index_list('{t}')",
+    "SELECT * FROM pragma_foreign_key_list('{t}')",
+    "SELECT p.name, j.value FROM pragma_table_info('{t}') p JOIN json_each('{arr}') j"
+    " ON p.cid = j.value",
+    "SELECT * FROM {t} WHERE rowid IN (SELECT value FROM json_each('{arr}'))",
+    "SELECT (SELECT count(*) FROM json_each('{arr}')), {c} FROM {t}",
+    "WITH j AS (SELECT value FROM json_each('{arr}')) SELECT value * {k} FROM j",
+    "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < {k})"
+    " SELECT n FROM r",
+    "SELECT {c}, row_number() OVER (ORDER BY rowid DESC) FROM {t}",
+    "SELECT value FROM json_each('{arr}') UNION SELECT {k} ORDER BY 1",
+    "SELECT {c} FROM {t} EXCEPT SELECT value FROM json_each('{arr}')",
+    "VALUES ({k}, 'x'), ({k} + 1, NULL)",
+    "SELECT a.{c} FROM {t} a JOIN {t} b ON a.rowid = b.rowid + {k}",
+]
+WRITE_SHAPES = [
+    "INSERT INTO {t} SELECT * FROM {t}",
+    "DELETE FROM {t}",
+    "UPDATE {t} SET {c} = NULL",
+    "REPLACE INTO {t} SELECT * FROM {t}",
+    "WITH j AS (SELECT value FROM json_each('{arr}')) INSERT INTO {t} ({c}) SELECT value FROM j",
+    "DELETE FROM {t} WHERE rowid IN (SELECT value FROM json_each('{arr}'))",
+    "UPDATE {t} SET {c} = (SELECT name FROM pragma_table_info('{t}') LIMIT 1)",
+    "CREATE TABLE z AS SELECT * FROM json_each('{arr}')",
+    "DROP TABLE {t}",
+    "ALTER TABLE {t} ADD COLUMN z{k}",
+    "CREATE INDEX z ON {t} ({c})",
+    "CREATE TEMP TABLE z (x)",
+    "CREATE TEMP VIEW z AS SELECT * FROM {t}",
+    "CREATE TEMP TRIGGER z AFTER DELETE ON {t} BEGIN SELECT 1; END",
+    "ATTACH DATABASE ':memory:' AS z",
+    "PRAGMA user_version = {k}",
+    "PRAGMA query_only = 0",
+    "PRAGMA writable_schema = 1",
+    "PRAGMA table_info('{t}')",
+    "SELECT * FROM pragma_optimize",
+    "VACUUM",
+    "REINDEX",
+    "REINDEX {t}",
+    "ANALYZE",
+    "ANALYZE {t}",
+    "BEGIN IMMEDIATE",
+]
+TVF_TABLES = {"customers": ["Gender", "Currency"], "transactions_1k": ["Date", "Amount"]}
+
+
+@pytest.fixture(scope="module")
+def tvf_db(finance_db, tmp_path_factory):
+    """A copy of the finance database with an index on each table above, so
+    that REINDEX has something to rebuild (without one it is a no-op that
+    reports nothing to the authorizer)."""
+    db = shutil.copy(finance_db, tmp_path_factory.mktemp("tvf") / "finance.sqlite")
+    with contextlib.closing(sqlite3.connect(db)) as conn:
+        for table, columns in TVF_TABLES.items():
+            conn.execute(f"CREATE INDEX {table}_{columns[0]} ON {table} ({columns[0]})")
+        conn.commit()
+    return db
+
+
+@st.composite
+def statements(draw, shapes):
+    table = draw(st.sampled_from(sorted(TVF_TABLES)))
+    return draw(st.sampled_from(shapes)).format(
+        t=table,
+        c=draw(st.sampled_from(TVF_TABLES[table])),
+        k=draw(st.integers(0, 6)),
+        arr=json.dumps(draw(st.lists(st.integers(-2, 8), max_size=5))),
+    )
+
+
+def _schema_version(db) -> int:
+    with contextlib.closing(sqlite3.connect(db)) as conn:
+        return conn.execute("PRAGMA schema_version").fetchone()[0]
+
+
+class TestReadOnlyGuard:
+    @given(statements(READ_SHAPES))
+    def test_reads_return_unguarded_rows(self, tvf_db, sql):
+        with contextlib.closing(sqlite3.connect(tvf_db)) as conn:
+            expected = conn.execute(sql).fetchall()
+        result = execute(tvf_db, sql)
+        assert result.status == OK, (sql, result.error_text)
+        assert result.rows == expected
+
+    @given(statements(WRITE_SHAPES))
+    def test_writes_rejected_and_file_unchanged(self, tvf_db, sql):
+        before, version = tvf_db.read_bytes(), _schema_version(tvf_db)
+        result = execute(tvf_db, sql)
+        assert result.status == RUNTIME_ERROR, sql
+        assert tvf_db.read_bytes() == before
+        assert _schema_version(tvf_db) == version
 
 
 class TestCanonicalize:
@@ -238,6 +360,26 @@ class TestFingerprint:
         b = [tuple(data.draw(_equal_cells(c)) for c in row) for row in b]
         ra, rb = _ok(a), _ok(b)
         assert (fingerprint(ra) == fingerprint(rb)) == results_match(ra, rb, "set")
+
+    @given(st.data(), st.sampled_from(["set", "multiset"]))
+    def test_equal_digests_iff_results_match(self, data, mode):
+        row = st.tuples(cells, cells)
+        a = data.draw(st.lists(row, max_size=4))
+        # b shuffles a's rows, maybe repeats or drops some, and rewrites cells
+        # to equal ones
+        b = data.draw(st.permutations(a))
+        b = b[: data.draw(st.integers(0, len(b)))]
+        if a:
+            b += data.draw(st.lists(st.sampled_from(a), max_size=2))
+        b += data.draw(st.lists(row, max_size=1))
+        b = [tuple(data.draw(_equal_cells(c)) for c in row) for row in b]
+        ra, rb = _ok(a), _ok(b)
+        assert (fingerprint(ra, mode) == fingerprint(rb, mode)) == results_match(ra, rb, mode)
+
+    def test_multiset_counts_duplicates(self):
+        a, b = _ok([(1,), (1,)]), _ok([(1,)])
+        assert fingerprint(a) == fingerprint(b)
+        assert fingerprint(a, "multiset") != fingerprint(b, "multiset")
 
 
 class TestClassifyFault:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from querycrew.agents import RetrievedContext, generate_candidate
+from querycrew.agents import RetrievedContext, RunEnv, generate_candidate
 from querycrew.catalog import full_projection
 from querycrew import gateway
 from querycrew.gateway import (
@@ -421,10 +421,10 @@ class TestHttpBackend:
 
         session = CountingSession()
         gw = Gateway.single(HttpChatBackend("http://x", "m", max_in_flight=2, session=session))
-        candidates = generate_candidate(
-            "q", "h", full_projection(motorsport_catalog), RetrievedContext(), gw,
-            SamplingParams(temperature=1.0, n_samples=20), scenario_prefix="q",
+        env = RunEnv(
+            "q", "h", full_projection(motorsport_catalog), RetrievedContext(), Path(), gw, "q"
         )
+        candidates = generate_candidate(env, SamplingParams(temperature=1.0, n_samples=20))
         assert session.peak == 2
         assert [c.generation_index for c in candidates] == list(range(20))
         assert [r.scenario_key for r in calls] == [
@@ -701,10 +701,10 @@ class TestStructuredMany:
                 return [Completion('{"SQL": "SELECT 1"}', 1, 1, self.backend_id)]
 
         gw = Gateway.single(BarrierBackend())
-        candidates = generate_candidate(
-            "q", "h", full_projection(motorsport_catalog), RetrievedContext(), gw,
-            SamplingParams(temperature=1.0, n_samples=8), scenario_prefix="q",
+        env = RunEnv(
+            "q", "h", full_projection(motorsport_catalog), RetrievedContext(), Path(), gw, "q"
         )
+        candidates = generate_candidate(env, SamplingParams(temperature=1.0, n_samples=8))
         assert len(candidates) == 8
         assert [r.scenario_key for r in calls] == [
             f"q+generate_candidate+{i}" for i in range(8)

@@ -938,10 +938,9 @@ class TestFilterStageMatchesOneByOne:
             with tempfile.TemporaryDirectory() as tmp:
                 for name, stage in (
                     ("one_by_one", lambda gw: _filter_one_by_one(wide_catalog, sub, gw, qid)),
-                    ("chunked", lambda gw: _filter_columns_stage(
-                        wide_catalog, sub, FUNNEL_QUESTION, FUNNEL_HINT, RetrievedContext(),
-                        gw, qid,
-                    )),
+                    ("chunked", lambda gw: _filter_columns_stage(RunEnv(
+                        FUNNEL_QUESTION, FUNNEL_HINT, sub, RetrievedContext(), Path(), gw, qid,
+                    ))),
                 ):
                     log = Path(tmp) / f"{name}.jsonl"
                     gw = Gateway.single(MockBackend(responses=responses), log_path=log)
