@@ -3,7 +3,9 @@
 Each cache is a small envelope: a magic line naming the format version, a
 JSON header with the hashes the payload was built from, and a pickled
 payload. A loader returns None whenever the magic or the expected header
-does not match, which makes "rebuild on mismatch" the caller's one-liner.
+does not match, and also when the payload does not unpickle (a corrupt file,
+or one that names a class the code no longer has), which makes "rebuild on
+mismatch" the caller's one-liner.
 """
 
 from __future__ import annotations
@@ -66,5 +68,5 @@ def load_envelope(path: str | Path, magic: bytes, expected_header: dict) -> obje
             if header != expected_header:
                 return None
             return pickle.load(fh)
-    except (OSError, ValueError, pickle.UnpicklingError, EOFError):
+    except Exception:  # unreadable, or corrupt in any way unpickling can fail
         return None

@@ -15,6 +15,7 @@ to a question.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import re
@@ -340,8 +341,8 @@ def ingest_catalog_descriptions(
         except OSError as exc:
             logger.warning("cannot read %s: %s", csv_path, exc)
             continue
-        reader = csv.DictReader(text.splitlines())
-        for row in reader:
+        # newline="" keeps the line breaks of a quoted field that spans lines
+        for row in csv.DictReader(io.StringIO(text, newline="")):
             if not row:
                 continue
             original = (row.get("original_column_name") or "").strip()

@@ -13,7 +13,6 @@ character 3-grams) that keeps tests and air-gapped deployments offline.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 import requests
 
 from .catalog import SchemaCatalog
-from .gateway import post_with_retry
+from .gateway import post_json
 from .textutils import char_ngrams, ngram_hash, normalize_value
 
 logger = logging.getLogger(__name__)
@@ -82,9 +81,8 @@ class HashingEmbedder:
 class RemoteEmbedder:
     """Embeddings over an HTTP endpoint compatible with the standard API.
 
-    Texts go out in requests of at most EMBED_CHUNK inputs each, in order.
-    Transport failures are retried with exponential backoff; a non-200
-    response fails at once.
+    Texts go out in requests of at most EMBED_CHUNK inputs each, in order,
+    through `post_json`; its failures raise ContextStoreError.
     """
 
     kind = "remote"
@@ -106,32 +104,15 @@ class RemoteEmbedder:
         self.session = session or requests.Session()
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        headers = {}
-        api_key = os.environ.get(self.api_key_env, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         rows = []
         for start in range(0, len(texts), EMBED_CHUNK):
-            chunk = list(texts[start : start + EMBED_CHUNK])
-            try:
-                resp = post_with_retry(
-                    self.session,
-                    f"{self.base_url}/embeddings",
-                    EMBED_RETRIES,
-                    EMBED_BACKOFF_S,
-                    json={"model": self.model, "input": chunk},
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                raise ContextStoreError(
-                    f"embeddings endpoint unreachable after {EMBED_RETRIES} retries: {exc}"
-                ) from exc
-            if resp.status_code != 200:
-                raise ContextStoreError(
-                    f"embeddings endpoint returned {resp.status_code}: {resp.text[:200]}"
-                )
-            rows += [d["embedding"] for d in resp.json()["data"]]
+            body = post_json(
+                self.session, f"{self.base_url}/embeddings",
+                {"model": self.model, "input": list(texts[start : start + EMBED_CHUNK])},
+                self.api_key_env, self.timeout, EMBED_RETRIES, EMBED_BACKOFF_S,
+                ContextStoreError,
+            )
+            rows += [d["embedding"] for d in body["data"]]
         vectors = np.array(rows, dtype=np.float64)
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms == 0] = 1.0

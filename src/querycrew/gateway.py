@@ -17,6 +17,7 @@ import contextlib
 import contextvars
 import json
 import logging
+import os
 import re
 import threading
 import time
@@ -130,9 +131,9 @@ class Backend(Protocol):
 class HttpChatBackend:
     """Client for a chat-completions-compatible HTTP endpoint.
 
-    Transport failures are retried up to `max_retries` times with exponential
-    backoff; a non-200 response fails immediately with a body excerpt. At
-    most `max_in_flight` requests run concurrently against one backend.
+    Requests go through `post_json`, with `max_retries` and `backoff_s`; its
+    failures raise GatewayError. At most `max_in_flight` requests run
+    concurrently against one backend.
     """
 
     def __init__(
@@ -159,12 +160,6 @@ class HttpChatBackend:
     def complete(
         self, prompt: str, params: SamplingParams, template_id: str, scenario_key: str
     ) -> list[Completion]:
-        import os
-
-        headers = {}
-        api_key = os.environ.get(self.api_key_env, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -172,24 +167,10 @@ class HttpChatBackend:
             "max_tokens": params.max_tokens,
             "n": params.n_samples,
         }
-        try:
-            resp = post_with_retry(
-                self.session,
-                f"{self.base_url}/chat/completions",
-                self.max_retries,
-                self.backoff_s,
-                gate=self._gate,
-                json=payload,
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise GatewayError(
-                f"backend unreachable after {self.max_retries} retries: {exc}"
-            ) from exc
-        if resp.status_code != 200:
-            raise GatewayError(f"backend returned {resp.status_code}: {resp.text[:200]}")
-        body = resp.json()
+        body = post_json(
+            self.session, f"{self.base_url}/chat/completions", payload, self.api_key_env,
+            self.timeout, self.max_retries, self.backoff_s, GatewayError, gate=self._gate,
+        )
         usage = body.get("usage", {})
         choices = body.get("choices", [])
         if len(choices) != params.n_samples:
@@ -210,29 +191,43 @@ class HttpChatBackend:
         return completions
 
 
-def post_with_retry(
+def post_json(
     session: requests.Session,
     url: str,
+    payload: object,
+    api_key_env: str,
+    timeout: float,
     max_retries: int,
     backoff_s: float,
+    error: type[Exception],
     gate: ContextManager = contextlib.nullcontext(),
-    **kwargs,
-) -> requests.Response:
-    """POST, retrying transport failures up to `max_retries` times.
+):
+    """POST `payload` as JSON and return the decoded body of the response.
 
-    The waits between attempts double from `backoff_s`. Each attempt holds
-    `gate` while the request is out, never while it waits. Any response,
-    whatever its status, is returned as is; the last transport error is
-    raised once every attempt has failed.
+    This is the one HTTP client of the package. The bearer header comes from
+    the environment variable `api_key_env` when it is set. A transport
+    failure is retried up to `max_retries` times, the waits doubling from
+    `backoff_s`; each attempt holds `gate` while the request is out, never
+    while it waits. Exhausted retries, a non-200 response (with a body
+    excerpt) and a body that is not JSON each raise `error`.
     """
-    for attempt in range(max_retries):
+    api_key = os.environ.get(api_key_env, "")
+    headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+    for attempt in range(max_retries + 1):
         try:
             with gate:
-                return session.post(url, **kwargs)
-        except requests.RequestException:
-            time.sleep(backoff_s * (2**attempt))
-    with gate:
-        return session.post(url, **kwargs)
+                resp = session.post(url, json=payload, headers=headers, timeout=timeout)
+            break
+        except requests.RequestException as exc:
+            if attempt == max_retries:
+                raise error(f"{url} unreachable after {max_retries} retries: {exc}") from exc
+            time.sleep(backoff_s * 2**attempt)
+    if resp.status_code != 200:
+        raise error(f"{url} returned {resp.status_code}: {resp.text[:200]}")
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise error(f"{url} returned a body that is not JSON: {exc}") from exc
 
 
 class MockLookupError(GatewayError):
@@ -443,7 +438,7 @@ def _parse_json_object(text: str) -> dict:
     body = _strip_fences(text)
     try:  # a whole JSON object is the block the scan below would find
         value = json.loads(body)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # bad JSON, too long an integer, too deep
         value = None
     if isinstance(value, dict):
         return value
@@ -453,7 +448,7 @@ def _parse_json_object(text: str) -> dict:
             value = json.loads(block)
             if isinstance(value, dict):
                 return value
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             pass
     raise ParseError("no parseable JSON object in response", raw=text)
 
@@ -465,8 +460,8 @@ def _parse_python_list(text: str) -> list[str]:
             value = ast.literal_eval(block)
             if isinstance(value, (list, tuple)):
                 return [str(item) for item in value]
-        except (ValueError, SyntaxError):
-            pass
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+            pass  # what literal_eval documents it raises on malformed input
     raise ParseError("no parseable Python list in response", raw=text)
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -223,7 +223,8 @@ def ensure_artifacts(
     cache_dir: str | Path | None = None,
     description_dir: str | Path | None = None,
 ) -> DbArtifacts:
-    """Load cached preprocessing artifacts, rebuilding on any mismatch.
+    """Load cached preprocessing artifacts, rebuilding any that is stale or
+    does not load.
 
     Caches are keyed by the database file hash and the relevant config so a
     schema, content, or config change invalidates them automatically.
@@ -238,35 +239,30 @@ def ensure_artifacts(
 
     embedder = build_embedder(config)
     db_hash = file_sha256(db_file)
-    index_header = {"db": db_hash, "config": config_hash(config.index.to_dict())}
-    store_header = {
-        "db": db_hash,
-        "config": config_hash({"embedder": config.embedder, "k": "context"}),
-    }
-
     cache_dir = Path(cache_dir) if cache_dir else db_file.parent
-    index_path = cache_dir / f"{db_file.stem}.value_index.qcx"
-    store_path = cache_dir / f"{db_file.stem}.context_store.qcx"
 
-    value_index = load_envelope(index_path, VALUE_INDEX_MAGIC, index_header)
-    if value_index is None:
-        value_index = build_value_index(catalog, db_file, config.index)
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            save_envelope(index_path, VALUE_INDEX_MAGIC, index_header, value_index)
-        except OSError as exc:
-            logger.warning("could not persist value index cache: %s", exc)
+    def load_or_build(kind: str, magic: bytes, config_key: dict, build):
+        path = cache_dir / f"{db_file.stem}.{kind}.qcx"
+        header = {"db": db_hash, "config": config_hash(config_key)}
+        artifact = load_envelope(path, magic, header)
+        if artifact is None:
+            artifact = build()
+            try:
+                cache_dir.mkdir(parents=True, exist_ok=True)
+                save_envelope(path, magic, header, artifact)
+            except OSError as exc:
+                logger.warning("could not persist %s cache: %s", kind, exc)
+        return artifact
 
-    store = load_envelope(store_path, CONTEXT_STORE_MAGIC, store_header)
-    if store is None:
-        store = build_context_store(catalog, embedder)
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            # embedders may hold live sessions; persist the store without one
-            bare = ContextStore(items=store.items, vectors=store.vectors, embedder=None)
-            save_envelope(store_path, CONTEXT_STORE_MAGIC, store_header, bare)
-        except OSError as exc:
-            logger.warning("could not persist context store cache: %s", exc)
+    value_index = load_or_build(
+        "value_index", VALUE_INDEX_MAGIC, config.index.to_dict(),
+        lambda: build_value_index(catalog, db_file, config.index),
+    )
+    # embedders may hold live sessions; the store is built and cached without one
+    store = load_or_build(
+        "context_store", CONTEXT_STORE_MAGIC, {"embedder": config.embedder, "k": "context"},
+        lambda: replace(build_context_store(catalog, embedder), embedder=None),
+    )
     store.embedder = embedder
 
     return DbArtifacts(

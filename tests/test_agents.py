@@ -94,6 +94,13 @@ class TestFilterColumn:
         )
         assert filter_column(_env(gw), [self.PROFILE]) == [False]
 
+    def test_too_deep_answer_keeps_column(self, caplog):
+        deep = '{"is_column_information_relevant": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        gw = gw_with({(self.KEY, "filter_column"): [deep]})
+        with caplog.at_level(logging.WARNING):
+            assert filter_column(_env(gw), [self.PROFILE]) == [True]
+        assert any("keeping column" in r.message for r in caplog.records)
+
     def test_parse_failure_keeps_column(self, caplog, calls):
         gw = gw_with({(self.KEY, "filter_column"): ["garbled"]})
         with caplog.at_level(logging.WARNING):

@@ -150,6 +150,23 @@ class TestDescriptionIngestion:
         out = ingest_catalog_descriptions(finance_catalog, desc)
         assert out.table("district").column("A3").expanded_name == "region name"
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_quoted_field_keeps_its_line_breaks(self, finance_catalog, tmp_path, eol):
+        desc = tmp_path / "desc_multiline"
+        desc.mkdir()
+        lines = [
+            "original_column_name,column_name,column_description,data_format,value_description",
+            'A2,district name,"name of',
+            'the district",text,"line one',
+            'line two"',
+            "A3,region,region of the district,text,",
+        ]
+        (desc / "district.csv").write_bytes(eol.join(lines).encode("utf-8") + eol.encode())
+        district = ingest_catalog_descriptions(finance_catalog, desc).table("district")
+        assert district.column("A2").column_description == "name of\nthe district"
+        assert district.column("A2").value_description == "line one\nline two"
+        assert district.column("A3").column_description == "region of the district"
+
 
 class TestProjection:
     def test_pk_added(self, motorsport_catalog):

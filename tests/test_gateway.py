@@ -9,11 +9,18 @@ import weakref
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from querycrew.agents import RetrievedContext, RunEnv, generate_candidate
 from querycrew.catalog import full_projection
+from querycrew.context_store import (
+    EMBED_BACKOFF_S,
+    EMBED_RETRIES,
+    ContextStoreError,
+    RemoteEmbedder,
+)
 from querycrew import gateway
 from querycrew.gateway import (
     POOL_WIDTH,
@@ -261,6 +268,62 @@ class TestParseStructured:
             assert parsed
 
 
+DEEP_JSON = 'x {"a": ' + "[" * 100_000 + "]" * 100_000 + "}"
+LONG_INT_JSON = '{"a": ' + "7" * 5_000 + "}"  # past Python's int-string limit
+UNHASHABLE_LISTS = ["[{[1]}]", "[{{}: 1}]"]  # literal_eval raises TypeError
+BRACKETED_TEXTS = st.lists(
+    st.sampled_from(
+        ["[", "]", "{", "}", '"', "'", "\\", ":", ",", " ", "\n", "0", "7", "a", "Z",
+         "<Answer>", "</Answer>"]
+    ),
+    max_size=30,
+).map("".join)
+
+
+def _has_shape(value, shape) -> bool:
+    if shape == JSON_OBJECT:
+        return isinstance(value, dict)
+    if shape == VERDICT_LINES:
+        return isinstance(value, list) and set(value) <= {"Passed", "Failed"}
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+class TestParseStructuredTotal:
+    """Every parser returns its shape or raises ParseError, whatever the text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=BRACKETED_TEXTS, shape=st.sampled_from(
+        [JSON_OBJECT, PYTHON_LIST, TAGGED_ANSWER_BLOCK, VERDICT_LINES]
+    ))
+    @example(text=UNHASHABLE_LISTS[0], shape=PYTHON_LIST)
+    @example(text=f"<Answer>{UNHASHABLE_LISTS[1]}</Answer>", shape=TAGGED_ANSWER_BLOCK)
+    @example(text=LONG_INT_JSON, shape=JSON_OBJECT)
+    def test_shape_or_parse_error(self, text, shape):
+        try:
+            value = parse_structured(text, shape)
+        except ParseError:
+            return
+        assert _has_shape(value, shape), value
+
+    def test_too_deep_json_block(self):
+        with pytest.raises(ParseError):
+            parse_structured(DEEP_JSON, JSON_OBJECT)
+
+    @pytest.mark.parametrize(
+        "text", [LONG_INT_JSON, "Sure: " + LONG_INT_JSON], ids=["whole", "block"]
+    )
+    def test_too_long_json_integer(self, text):
+        with pytest.raises(ParseError):
+            parse_structured(text, JSON_OBJECT)
+
+    @pytest.mark.parametrize("text", UNHASHABLE_LISTS)
+    def test_unhashable_literal(self, text):
+        with pytest.raises(ParseError):
+            parse_structured(text, PYTHON_LIST)
+        with pytest.raises(ParseError):
+            parse_structured(f"<Answer>{text}</Answer>", TAGGED_ANSWER_BLOCK)
+
+
 class TestMockBackend:
     def test_scripted_fixture_verbatim(self):
         backend = MockBackend(responses={("q1", "extract_keywords"): ['["a"]']})
@@ -430,6 +493,97 @@ class TestHttpBackend:
         assert [r.scenario_key for r in calls] == [
             f"q+generate_candidate+{i}" for i in range(20)
         ]
+
+
+class FakeResponse:
+    """A response with a status, a text and, if `body` is given, a JSON body."""
+
+    def __init__(self, status_code=200, body=None, text=""):
+        self.status_code = status_code
+        self.body = body
+        self.text = text
+
+    def json(self):
+        if self.body is None:
+            raise requests.JSONDecodeError("Expecting value", self.text, 0)
+        return self.body
+
+
+class ScriptedSession:
+    """Records each post's headers and answers with its outcomes in turn,
+    repeating the last one; an exception outcome is raised."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.headers = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.headers.append(headers)
+        outcome = self.outcomes.pop(0) if len(self.outcomes) > 1 else self.outcomes[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+# name -> (client on a session, its call, its key variable, its error class,
+#          its retries, its first wait, a body it accepts)
+HTTP_CLIENTS = {
+    "chat": (
+        lambda s: HttpChatBackend("http://x", "m", max_retries=2, backoff_s=0.25, session=s),
+        lambda client: client.complete("p", SamplingParams(), "t", "s"),
+        "LLM_API_KEY", GatewayError, 2, 0.25,
+        {"choices": [{"message": {"content": "hi"}}]},
+    ),
+    "embeddings": (
+        lambda s: RemoteEmbedder("http://x", "m", dimension=2, session=s),
+        lambda client: client.embed(["a"]),
+        "EMBEDDINGS_API_KEY", ContextStoreError, EMBED_RETRIES, EMBED_BACKOFF_S,
+        {"data": [{"embedding": [3.0, 4.0]}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HTTP_CLIENTS))
+class TestPostJson:
+    """Both HTTP clients go through `post_json`, and so behave alike."""
+
+    def test_bearer_header_from_own_variable(self, name, monkeypatch):
+        make, call, variable, _error, _retries, _wait, body = HTTP_CLIENTS[name]
+        for other in {c[2] for c in HTTP_CLIENTS.values()} - {variable}:
+            monkeypatch.setenv(other, "someone-elses-key")
+        session = ScriptedSession(FakeResponse(body=body))
+        client = make(session)
+        monkeypatch.setenv(variable, "k3y")
+        call(client)
+        monkeypatch.delenv(variable)
+        call(client)
+        assert session.headers == [{"Authorization": "Bearer k3y"}, {}]
+
+    def test_transport_failures_retried_with_doubling_waits(self, name, monkeypatch):
+        make, call, _variable, error, retries, wait, _body = HTTP_CLIENTS[name]
+        waits = []
+        monkeypatch.setattr(time, "sleep", waits.append)
+        session = ScriptedSession(requests.ConnectionError("connection reset"))
+        with pytest.raises(error, match="unreachable"):
+            call(make(session))
+        assert len(session.headers) == 1 + retries
+        assert waits == [wait * 2**i for i in range(retries)]
+
+    def test_non_200_raises_with_status_and_excerpt(self, name):
+        make, call, _variable, error, _retries, _wait, _body = HTTP_CLIENTS[name]
+        text = "overloaded " + "z" * 400
+        session = ScriptedSession(FakeResponse(503, text=text))
+        with pytest.raises(error) as exc:
+            call(make(session))
+        assert "503" in str(exc.value) and text[:200] in str(exc.value)
+        assert text[:201] not in str(exc.value)
+        assert len(session.headers) == 1
+
+    def test_body_that_is_not_json_raises(self, name):
+        make, call, _variable, error, _retries, _wait, _body = HTTP_CLIENTS[name]
+        session = ScriptedSession(FakeResponse(200, text="<html>gateway timeout</html>"))
+        with pytest.raises(error, match="not JSON"):
+            call(make(session))
 
 
 class TestGatewayStructured:

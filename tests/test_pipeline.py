@@ -625,6 +625,25 @@ class TestArtifactCaching:
             assert index_cache.read_bytes() == whole, cut
             assert again.value_index.values == built.value_index.values
 
+    @pytest.mark.parametrize("kind", ["value_index", "context_store"])
+    def test_payload_that_does_not_unpickle_is_rebuilt(self, tmp_path, kind):
+        from fixture_dbs import build_finance_db, build_finance_descriptions
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        build_finance_descriptions(tmp_path / "database_description")
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        built = ensure_artifacts(db, config)
+        cache = tmp_path / f"finance.{kind}.qcx"
+        whole = cache.read_bytes()
+        size_at = whole.index(b"\n") + 1
+        header_end = size_at + 8 + int.from_bytes(whole[size_at : size_at + 8], "big")
+        # a payload whose header still matches, naming a class the code does not have
+        cache.write_bytes(whole[:header_end] + b"cquerycrew.value_index\nNoSuchClass\n.")
+        again = ensure_artifacts(db, config)
+        assert cache.read_bytes() == whole
+        assert again.value_index.values == built.value_index.values
+        assert again.context_store.items == built.context_store.items != []
+
     def test_save_leaves_no_temporary_file(self, tmp_path):
         from fixture_dbs import build_finance_db
 
