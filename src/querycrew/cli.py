@@ -88,7 +88,7 @@ def _load_config(path: str | None) -> PipelineConfig:
 def cmd_preprocess(args) -> int:
     config = _load_config(args.config)
     root = Path(args.db_root)
-    db_files = sorted(root.glob("*/*.sqlite")) + sorted(root.glob("*.sqlite"))
+    db_files = _db_files(root)
     if not db_files:
         print(f"no SQLite databases under {root}", file=sys.stderr)
         return 1
@@ -102,6 +102,21 @@ def cmd_preprocess(args) -> int:
             f"{len(artifacts.context_store or [])} descriptions"
         )
     return 0
+
+
+def _db_files(root: Path) -> list[Path]:
+    """Each database under `root` as `harness.resolve_db_file` finds it, one
+    per id: a subdirectory, or a top-level `.sqlite` or `.db` file."""
+    entries = list(root.glob("*"))
+    ids = {p.name for p in entries if p.is_dir()}
+    ids |= {p.stem for p in entries if p.suffix in (".sqlite", ".db")}
+    files = []
+    for db_id in sorted(ids):
+        try:
+            files.append(harness.resolve_db_file(root, db_id))
+        except harness.DatasetError:
+            pass  # a subdirectory without a database of its name
+    return files
 
 
 def cmd_ask(args) -> int:
@@ -145,13 +160,13 @@ def cmd_bench(args) -> int:
 def cmd_synth_schema(args) -> int:
     catalogs = []
     for source in args.sources:
-        path = Path(source)
+        path = Path(source).resolve()
         if path.is_dir():
-            matches = sorted(path.glob("*.sqlite"))
-            if not matches:
-                print(f"no SQLite file in {path}", file=sys.stderr)
+            try:
+                path = harness.resolve_db_file(path.parent, path.name)
+            except harness.DatasetError as exc:
+                print(exc, file=sys.stderr)
                 return 1
-            path = matches[0]
         catalogs.append(introspect_database(path))
     merged = harness.synthesize_large_schema(
         catalogs, target_columns=args.target_columns, required=None, seed=args.seed

@@ -82,7 +82,8 @@ class RemoteEmbedder:
     """Embeddings over an HTTP endpoint compatible with the standard API.
 
     Texts go out in requests of at most EMBED_CHUNK inputs each, in order,
-    through `post_json`; its failures raise ContextStoreError.
+    through `post_json`; its failures raise ContextStoreError, as does a body
+    that is not one finite vector of `dimension` numbers per text sent.
     """
 
     kind = "remote"
@@ -104,16 +105,26 @@ class RemoteEmbedder:
         self.session = session or requests.Session()
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        rows = []
+        url = f"{self.base_url}/embeddings"
+        chunks = [np.zeros((0, self.dimension))]
         for start in range(0, len(texts), EMBED_CHUNK):
+            chunk = list(texts[start : start + EMBED_CHUNK])
             body = post_json(
-                self.session, f"{self.base_url}/embeddings",
-                {"model": self.model, "input": list(texts[start : start + EMBED_CHUNK])},
+                self.session, url, {"model": self.model, "input": chunk},
                 self.api_key_env, self.timeout, EMBED_RETRIES, EMBED_BACKOFF_S,
                 ContextStoreError,
             )
-            rows += [d["embedding"] for d in body["data"]]
-        vectors = np.array(rows, dtype=np.float64)
+            try:
+                rows = np.array([d["embedding"] for d in body["data"]], dtype=np.float64)
+                expected = (len(chunk), self.dimension)
+                if rows.shape != expected or not np.isfinite(rows).all():
+                    raise ValueError(f"shape {rows.shape}, expected {expected} finite values")
+            except (LookupError, TypeError, ValueError, OverflowError) as exc:
+                raise ContextStoreError(
+                    f"{url} returned a body of the wrong shape: {exc!r}"
+                ) from exc
+            chunks.append(rows)
+        vectors = np.concatenate(chunks)
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         return vectors / norms

@@ -132,8 +132,8 @@ class HttpChatBackend:
     """Client for a chat-completions-compatible HTTP endpoint.
 
     Requests go through `post_json`, with `max_retries` and `backoff_s`; its
-    failures raise GatewayError. At most `max_in_flight` requests run
-    concurrently against one backend.
+    failures, and a body of the wrong shape, raise GatewayError. At most
+    `max_in_flight` requests run concurrently against one backend.
     """
 
     def __init__(
@@ -167,23 +167,30 @@ class HttpChatBackend:
             "max_tokens": params.max_tokens,
             "n": params.n_samples,
         }
+        url = f"{self.base_url}/chat/completions"
         body = post_json(
-            self.session, f"{self.base_url}/chat/completions", payload, self.api_key_env,
+            self.session, url, payload, self.api_key_env,
             self.timeout, self.max_retries, self.backoff_s, GatewayError, gate=self._gate,
         )
-        usage = body.get("usage", {})
-        choices = body.get("choices", [])
-        if len(choices) != params.n_samples:
+        try:
+            usage = body.get("usage", {})
+            texts = [choice["message"]["content"] or "" for choice in body.get("choices", [])]
+            prompt_tokens = usage.get("prompt_tokens", estimate_tokens(prompt))
+            total_completion = usage.get("completion_tokens")
+            if not all(isinstance(text, str) for text in texts):
+                raise TypeError("a choice's content is not a string")
+            if not isinstance(prompt_tokens, int) or not isinstance(total_completion, int | None):
+                raise TypeError("a token count is not an integer")
+        except (AttributeError, LookupError, TypeError) as exc:
+            raise GatewayError(f"{url} returned a body of the wrong shape: {exc!r}") from exc
+        if len(texts) != params.n_samples:
             raise GatewayError(
-                f"backend returned {len(choices)} choices, expected {params.n_samples}"
+                f"backend returned {len(texts)} choices, expected {params.n_samples}"
             )
-        prompt_tokens = usage.get("prompt_tokens", estimate_tokens(prompt))
-        total_completion = usage.get("completion_tokens")
         completions = []
-        for choice in choices:
-            text = choice["message"]["content"] or ""
+        for text in texts:
             per_sample = (
-                total_completion // len(choices)
+                total_completion // len(texts)
                 if total_completion is not None
                 else estimate_tokens(text)
             )

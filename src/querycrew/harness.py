@@ -58,61 +58,59 @@ class SchemaPR:
         return astuple(self)
 
 
+# dataset format -> (gold SQL fields in order of preference, evidence field,
+# difficulty field); a format without one of the last two reads its default
+_FIELDS = {
+    "bird": (("SQL", "sql"), "evidence", "difficulty"),
+    "spider": (("query", "SQL"), None, None),
+}
+
+
 def load_dataset(path: str | Path, fmt: str = "bird") -> list[BenchmarkItem]:
     """Load a benchmark JSON array.
 
     The bird format carries question/evidence/SQL/db_id/difficulty; the
     spider format maps query->gold_sql with empty evidence (spider databases
     ship no catalog descriptions, so context retrieval should be disabled
-    for those runs).
+    for those runs). A row without `db_id` or `question` raises DatasetError.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if fmt not in _FIELDS:
+        raise ValueError(f"unknown dataset format {fmt!r}")
+    (sql_key, alt_sql_key), evidence_key, difficulty_key = _FIELDS[fmt]
     items: list[BenchmarkItem] = []
-    for i, row in enumerate(raw):
-        if fmt == "bird":
-            items.append(
-                BenchmarkItem(
-                    question_id=str(row.get("question_id", i)),
-                    db_id=row["db_id"],
-                    question=row["question"],
-                    evidence=row.get("evidence", "") or "",
-                    gold_sql=row.get("SQL") or row.get("sql") or "",
-                    difficulty=row.get("difficulty", "simple"),
-                )
+    for i, row in enumerate(json.loads(Path(path).read_text(encoding="utf-8"))):
+        if not isinstance(row, dict) or not {"db_id", "question"} <= row.keys():
+            raise DatasetError(f"row {i} of {path} is not an object with db_id and question")
+        items.append(
+            BenchmarkItem(
+                question_id=str(row.get("question_id", i)),
+                db_id=row["db_id"],
+                question=row["question"],
+                evidence=row.get(evidence_key, "") or "",
+                gold_sql=row.get(sql_key) or row.get(alt_sql_key) or "",
+                difficulty=row.get(difficulty_key, "simple"),
             )
-        elif fmt == "spider":
-            items.append(
-                BenchmarkItem(
-                    question_id=str(row.get("question_id", i)),
-                    db_id=row["db_id"],
-                    question=row["question"],
-                    evidence="",
-                    gold_sql=row.get("query") or row.get("SQL") or "",
-                    difficulty="simple",
-                )
-            )
-        else:
-            raise ValueError(f"unknown dataset format {fmt!r}")
+        )
     return items
 
 
 def validate_gold(
-    items: Sequence[BenchmarkItem], db_file_for: dict[str, Path]
-) -> list[str]:
-    """Question ids whose gold SQL does not execute ok on its database."""
-    flagged = []
-    for item in items:
-        db_file = db_file_for.get(item.db_id)
-        if db_file is None:
-            flagged.append(item.question_id)
-            continue
-        result = executor.execute(db_file, item.gold_sql)
-        if not result.is_ok():
-            logger.warning(
-                "gold SQL for %s fails: %s", item.question_id, result.error_text
-            )
-            flagged.append(item.question_id)
-    return flagged
+    item: BenchmarkItem, db_root: str | Path, config: PipelineConfig
+) -> executor.ExecutionResult:
+    """The item's gold SQL run on its database under `config.row_cap` and
+    `config.execution_timeout_s`. A failure is logged; a missing database is
+    a runtime_error carrying the DatasetError text."""
+    try:
+        db_file = resolve_db_file(db_root, item.db_id)
+    except DatasetError as exc:
+        gold = executor.ExecutionResult(executor.RUNTIME_ERROR, error_text=str(exc))
+    else:
+        gold = executor.execute(
+            db_file, item.gold_sql, timeout=config.execution_timeout_s, row_cap=config.row_cap
+        )
+    if not gold.is_ok():
+        logger.warning("gold SQL for %s fails: %s", item.question_id, gold.error_text)
+    return gold
 
 
 def execution_accuracy(
@@ -365,13 +363,16 @@ def run_benchmark(
 
     Resumable: question ids already present in predictions.jsonl are loaded,
     not re-run; a torn last line left by a killed sweep is dropped and its
-    item runs again. Per-item failures, a broken database included, are
-    recorded as EX=0 with an error note and never abort the sweep.
+    item runs again. Per-item failures are recorded as EX=0 with an error
+    note and never abort the sweep: a broken database, or a missing one (its
+    DatasetError text is the error), fails only its own items, and flags
+    their gold.
 
-    EX is scored from the results the pipeline already executed: each item
-    runs only its gold SQL here, once. `config.row_cap` and
-    `config.execution_timeout_s` bound every execution of the sweep, gold
-    included, and a result longer than `row_cap` scores EX 0.
+    EX is scored from the results the pipeline already executed: each item,
+    resumed or not, runs only its gold SQL here, once, in `validate_gold`.
+    `config.row_cap` and `config.execution_timeout_s` bound every execution
+    of the sweep, gold included, and a result longer than `row_cap` scores
+    EX 0.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -384,37 +385,34 @@ def run_benchmark(
     gateway = gateway or pipeline.build_gateway(config, mock_dir=mock_dir)
 
     artifacts_cache: dict[str, DbArtifacts] = {}
-    resumed_catalogs: dict[str, SchemaCatalog] = {}
-    db_files: dict[str, Path] = {}
-    for item in items:
-        if item.db_id not in db_files:
-            db_files[item.db_id] = resolve_db_file(db_root, item.db_id)
-
+    catalogs: dict[str, SchemaCatalog] = {}
     outcomes: list[ItemOutcome] = []
     flagged: list[str] = []
     stage_prs: dict[str, list[SchemaPR]] = {}
     with open(predictions_path, "a", encoding="utf-8") as pred_fh:
         for item in items:
-            db_file = db_files[item.db_id]
-            gold = executor.execute(
-                db_file, item.gold_sql, timeout=config.execution_timeout_s, row_cap=config.row_cap
-            )
+            gold = validate_gold(item, db_root, config)
             if not gold.is_ok():
-                logger.warning("gold SQL for %s fails: %s", item.question_id, gold.error_text)
                 flagged.append(item.question_id)
             if item.question_id in done:
                 outcomes.append(done[item.question_id])
-                stages = _resumed_stages(traces_dir / f"{item.question_id}.jsonl")
-                if len(stages) >= 2:
-                    if item.db_id not in resumed_catalogs:
-                        resumed_catalogs[item.db_id] = introspect_database(db_file)
-                    _collect_stage_pr(stage_prs, stages, item, resumed_catalogs[item.db_id])
+                try:  # an unreadable trace or database costs only the stage PR
+                    stages = _resumed_stages(traces_dir / f"{item.question_id}.jsonl")
+                    if len(stages) >= 2:
+                        if item.db_id not in catalogs:
+                            db_file = resolve_db_file(db_root, item.db_id)
+                            catalogs[item.db_id] = introspect_database(db_file)
+                        _collect_stage_pr(stage_prs, stages, item, catalogs[item.db_id])
+                except Exception as exc:
+                    logger.warning("schema PR skipped for %s: %s", item.question_id, exc)
                 continue
             with ledger() as spent:
                 try:
                     if item.db_id not in artifacts_cache:
+                        db_file = resolve_db_file(db_root, item.db_id)
                         artifacts_cache[item.db_id] = pipeline.ensure_artifacts(db_file, config)
                     artifacts = artifacts_cache[item.db_id]
+                    catalogs[item.db_id] = artifacts.catalog
                     sql, trace = pipeline.run(
                         item.question, item.evidence, artifacts, config, gateway,
                         qid=item.question_id,

@@ -107,3 +107,29 @@ def test_synth_schema(cli_env, tmp_path):
     assert rc == 0
     merged = load_catalog(out)
     assert merged.column_count() == 100
+
+
+def test_db_root_of_db_files(cli_env, tmp_path, capsys):
+    """`.db` files resolve for `preprocess` and `synth-schema` as they do for
+    `bench` and `ask`: one in a subdirectory of its name, one at the top."""
+    root = tmp_path / "root"
+    (root / "shop").mkdir(parents=True)
+    (root / "shop" / "shop.db").write_bytes(
+        (cli_env["root"] / "motorsport" / "motorsport.sqlite").read_bytes()
+    )
+    (root / "bank.db").write_bytes((cli_env["root"] / "finance" / "finance.sqlite").read_bytes())
+    (root / "notes").mkdir()  # a subdirectory without a database is no database id
+    assert main(["preprocess", "--db-root", str(root), "--config", str(cli_env["config"])]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "bank", "shop"
+    ]
+    assert (root / "shop" / "shop.catalog.json").is_file()
+    assert (root / "bank.catalog.json").is_file()
+
+    out = tmp_path / "merged.json"
+    rc = main([
+        "synth-schema", "--sources", str(root / "shop"), str(root / "bank.db"),
+        "--target-columns", "20", "--seed", "3", "--out", str(out),
+    ])
+    assert rc == 0
+    assert load_catalog(out).column_count() == 20

@@ -586,6 +586,47 @@ class TestPostJson:
             call(make(session))
 
 
+
+# (client, a 200 JSON body it cannot read); the clients send one text and
+# ask for one sample
+WRONG_SHAPES = [
+    pytest.param("chat", [1], id="chat-list"),
+    pytest.param("chat", {"choices": "x"}, id="chat-choices-text"),
+    pytest.param("chat", {"choices": [{}]}, id="chat-no-message"),
+    pytest.param("chat", {"choices": [{"message": {"content": 5}}]}, id="chat-content-number"),
+    pytest.param(
+        "chat", {"choices": [{"message": {"content": "hi"}}], "usage": []}, id="chat-usage-list"
+    ),
+    pytest.param(
+        "chat",
+        {"choices": [{"message": {"content": "hi"}}], "usage": {"prompt_tokens": "12"}},
+        id="chat-token-count-text",
+    ),
+    pytest.param("embeddings", [1], id="embeddings-list"),
+    pytest.param("embeddings", {"data": "x"}, id="embeddings-data-text"),
+    pytest.param("embeddings", {"data": [{}]}, id="embeddings-no-embedding"),
+    pytest.param("embeddings", {"data": []}, id="embeddings-no-vector"),
+    pytest.param("embeddings", {"data": [{"embedding": "ab"}]}, id="embeddings-vector-text"),
+    pytest.param(
+        "embeddings", {"data": [{"embedding": [3.0, 4.0]}] * 2}, id="embeddings-two-vectors"
+    ),
+    pytest.param(
+        "embeddings", {"data": [{"embedding": [3.0, 4.0, 5.0]}]}, id="embeddings-too-wide"
+    ),
+    pytest.param(
+        "embeddings", {"data": [{"embedding": [None, 4.0]}]}, id="embeddings-not-finite"
+    ),
+]
+
+
+@pytest.mark.parametrize(("name", "body"), WRONG_SHAPES)
+def test_body_of_the_wrong_shape_raises(name, body):
+    """A 200 JSON body the client cannot read raises its documented error,
+    naming the URL, and no bare AttributeError, KeyError or TypeError."""
+    make, call, _variable, error, _retries, _wait, _body = HTTP_CLIENTS[name]
+    with pytest.raises(error, match="^http://x/.* wrong shape"):
+        call(make(ScriptedSession(FakeResponse(body=body))))
+
 class TestGatewayStructured:
     def test_counts_calls(self, calls):
         backend = MockBackend(

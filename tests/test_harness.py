@@ -3,6 +3,7 @@ import logging
 import math
 import random
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -262,6 +263,22 @@ class TestLoadDataset:
         with pytest.raises(ValueError):
             load_dataset(bench_env["dataset"], "csv")
 
+    def test_unknown_format_of_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ValueError, match="csv"):
+            load_dataset(path, "csv")
+
+    @pytest.mark.parametrize("fmt", ["bird", "spider"])
+    @pytest.mark.parametrize("missing", ["db_id", "question"])
+    def test_row_without_a_required_field(self, tmp_path, fmt, missing):
+        path = tmp_path / "rows.json"
+        row = {"db_id": "d", "question": "q", "SQL": "SELECT 1"}
+        del row[missing]
+        path.write_text(json.dumps([dict(row, db_id="d", question="q"), row]), encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"row 1 of {path}"):
+            load_dataset(path, fmt)
+
 
 class TestResolveDbFile:
     def test_bird_layout(self, bench_env):
@@ -271,6 +288,28 @@ class TestResolveDbFile:
     def test_missing(self, bench_env):
         with pytest.raises(DatasetError):
             resolve_db_file(bench_env["root"], "ghost")
+
+
+class TestValidateGold:
+    def test_gold_runs_under_the_row_cap(self, bench_env):
+        item = BenchmarkItem("cap", "finance", "q", "", "SELECT CustomerID FROM customers")
+        config = PipelineConfig(team="CG_only", n_candidates=1, row_cap=2)
+        gold = harness.validate_gold(item, bench_env["root"], config)
+        assert gold.is_ok() and gold.truncated and len(gold.rows) == 2
+
+    def test_missing_database_is_a_failed_gold(self, bench_env, caplog):
+        item = BenchmarkItem("ghost_0001", "ghost", "q", "", "SELECT 1")
+        with pytest.raises(DatasetError) as missing:
+            resolve_db_file(bench_env["root"], "ghost")
+        with caplog.at_level(logging.WARNING, logger="querycrew.harness"):
+            gold = harness.validate_gold(
+                item, bench_env["root"], PipelineConfig(team="CG_only", n_candidates=1)
+            )
+        assert gold.status == executor.RUNTIME_ERROR
+        assert gold.error_text == str(missing.value)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"gold SQL for ghost_0001 fails: {missing.value}"
+        ]
 
 
 class TestRunBenchmark:
@@ -438,17 +477,24 @@ class TestRunBenchmark:
         ]
 
     @pytest.mark.parametrize(
-        ("team", "kept"),
+        ("team", "kept", "ghost"),
         [
-            pytest.param("IR_CG_UT", 0.5, id="0.5"),
-            pytest.param("IR_CG_UT", 1.0, id="1.0"),
+            pytest.param("IR_CG_UT", 0.5, False, id="0.5"),
+            pytest.param("IR_CG_UT", 1.0, False, id="1.0"),
             # stage selections of resumed items still count in schema_pr_per_stage
-            pytest.param("IR_SS_CG", 0.5, id="IR_SS_CG-0.5"),
-            pytest.param("IR_SS_CG", 1.0, id="IR_SS_CG-1.0"),
+            pytest.param("IR_SS_CG", 0.5, False, id="IR_SS_CG-0.5"),
+            pytest.param("IR_SS_CG", 1.0, False, id="IR_SS_CG-1.0"),
+            # a row whose database does not exist, among the items that resume
+            pytest.param("IR_CG_UT", 0.5, True, id="ghost-0.5"),
+            pytest.param("IR_SS_CG", 0.5, True, id="ghost-IR_SS_CG-0.5"),
         ],
     )
-    def test_killed_and_resumed_matches_uninterrupted(self, bench_env, tmp_path, team, kept):
+    def test_killed_and_resumed_matches_uninterrupted(
+        self, bench_env, tmp_path, team, kept, ghost
+    ):
         items = load_dataset(bench_env["dataset"], "bird")
+        if ghost:
+            items.insert(1, replace(items[0], question_id="ghost_0001", db_id="ghost"))
         config = self._config(team)
         whole, resumed = tmp_path / "whole", tmp_path / "resumed"
         run_benchmark(items, config, whole, bench_env["root"], mock_dir=bench_env["fixtures"])
@@ -511,6 +557,65 @@ class TestRunBenchmark:
         assert [o.ex for o in report.outcomes] == [1, 0, 1]
         assert report.outcomes[1].error
         assert not report.outcomes[0].error and not report.outcomes[2].error
+
+    def test_missing_database_fails_only_its_items(self, bench_env, tmp_path):
+        items = load_dataset(bench_env["dataset"], "bird")
+        ghost = replace(items[0], question_id="ghost_0001", db_id="ghost")
+        config, out = self._config("IR_SS_CG"), tmp_path / "out"
+        without = run_benchmark(
+            items, config, tmp_path / "without", bench_env["root"], mock_dir=bench_env["fixtures"]
+        )
+        with pytest.raises(DatasetError) as missing:
+            resolve_db_file(bench_env["root"], "ghost")
+        reports = [
+            run_benchmark(
+                items[:1] + [ghost] + items[1:], config, out, bench_env["root"],
+                mock_dir=bench_env["fixtures"],
+            )
+            for _ in range(2)  # the second run resumes every item
+        ]
+        for report in reports:
+            failed = report.outcomes.pop(1)
+            assert (failed.question_id, failed.ex, failed.error) == (
+                "ghost_0001", 0, str(missing.value)
+            )
+            assert report.outcomes == without.outcomes
+            assert report.flagged_gold == ["ghost_0001"]
+            assert report.schema_pr_per_stage == without.schema_pr_per_stage
+
+    def test_unreadable_resumed_trace_costs_only_its_stage_pr(
+        self, bench_env, tmp_path, caplog
+    ):
+        items = load_dataset(bench_env["dataset"], "bird")
+        config, out = self._config("IR_SS_CG"), tmp_path / "out"
+        first = run_benchmark(items, config, out, bench_env["root"], mock_dir=bench_env["fixtures"])
+        rest = run_benchmark(
+            items[1:], config, tmp_path / "rest", bench_env["root"],
+            mock_dir=bench_env["fixtures"],
+        )
+        trace = out / "traces" / f"{items[0].question_id}.jsonl"
+        trace.write_bytes(trace.read_bytes()[:40])
+        with caplog.at_level(logging.WARNING, logger="querycrew.harness"):
+            again = run_benchmark(
+                items, config, out, bench_env["root"], mock_dir=bench_env["fixtures"]
+            )
+        assert again.outcomes == first.outcomes
+        assert again.schema_pr_per_stage == rest.schema_pr_per_stage
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            f"schema PR skipped for {items[0].question_id}"
+        ]
+
+    def test_database_gone_before_resume_is_not_fatal(self, bench_env, tmp_path):
+        root = tmp_path / "root"
+        for db in ("motorsport", "finance"):
+            shutil.copytree(bench_env["root"] / db, root / db)
+        items = load_dataset(bench_env["dataset"], "bird")
+        config, out = self._config("IR_SS_CG"), tmp_path / "out"
+        first = run_benchmark(items, config, out, root, mock_dir=bench_env["fixtures"])
+        shutil.rmtree(root / "finance")
+        again = run_benchmark(items, config, out, root, mock_dir=bench_env["fixtures"])
+        assert again.outcomes == first.outcomes
+        assert again.flagged_gold == [it.question_id for it in items if it.db_id == "finance"]
 
     def test_overall_ex_is_mean(self, bench_env, tmp_path):
         items = load_dataset(bench_env["dataset"], "bird")
