@@ -392,9 +392,9 @@ def evaluate_against_test(
     test, all tests sent as one batch, under `RunEnv.key` with tool
     `evaluate` and the test index as attempt.
 
-    Each verdict row has one entry per candidate: responses that omit a
-    candidate score it as Failed, and an unparseable response fails every
-    candidate for that test.
+    Each verdict row has one entry per candidate. A verdict lands on the
+    candidate whose number its line names; a candidate no line names scores
+    Failed, and an unparseable response fails every candidate for that test.
     """
     if not candidates:
         raise ValueError("evaluate_against_test requires at least one candidate")

@@ -140,12 +140,7 @@ class StoreItem:
 
 
 @dataclass
-class DescriptionHit:
-    doc_id: str
-    table: str
-    column: str
-    field_kind: str
-    text: str
+class DescriptionHit(StoreItem):
     cosine: float
 
 
@@ -208,17 +203,4 @@ def retrieve_context(store: ContextStore, query_text: str, k: int) -> list[Descr
     # without BLAS, identical rows get identical scores, so ties fall to doc_id
     scores = np.einsum("ij,j->i", store.vectors, q)
     order = sorted(range(len(store.items)), key=lambda i: (-scores[i], store.items[i].doc_id))
-    hits = []
-    for i in order[:k]:
-        item = store.items[i]
-        hits.append(
-            DescriptionHit(
-                doc_id=item.doc_id,
-                table=item.table,
-                column=item.column,
-                field_kind=item.field_kind,
-                text=item.text,
-                cosine=float(scores[i]),
-            )
-        )
-    return hits
+    return [DescriptionHit(**vars(store.items[i]), cosine=float(scores[i])) for i in order[:k]]

@@ -40,7 +40,6 @@ from .textutils import estimate_tokens
 
 logger = logging.getLogger(__name__)
 
-_RETRY_SUFFIX = "\n\nRespond with valid JSON only."
 _VERDICT_RE = re.compile(
     r"candidate\s+response\s*#?\s*(\d+)\s*:\s*(passed|failed)", re.IGNORECASE
 )
@@ -378,19 +377,14 @@ def parse_structured(completion: Completion | str, expected_shape: str):
     """Parse a completion into the declared output shape.
 
     json_object -> dict, python_list -> list of str, tagged_answer_block ->
-    list of str from the last <Answer> block, verdict_lines -> list of
-    "Passed"/"Failed" strings. Raises ParseError carrying the raw text.
+    list of str read from `_answer_block`, verdict_lines -> list of
+    "Passed"/"Failed" strings whose entry n-1 is on `Candidate Response #n`.
+    Raises ParseError carrying the raw text.
     """
     text = completion.text if isinstance(completion, Completion) else completion
-    if expected_shape == JSON_OBJECT:
-        return _parse_json_object(text)
-    if expected_shape == PYTHON_LIST:
-        return _parse_python_list(text)
-    if expected_shape == TAGGED_ANSWER_BLOCK:
-        return _parse_tagged_answer(text)
-    if expected_shape == VERDICT_LINES:
-        return _parse_verdicts(text)
-    raise ValueError(f"unknown expected_shape {expected_shape!r}")
+    if expected_shape not in SHAPES:
+        raise ValueError(f"unknown expected_shape {expected_shape!r}")
+    return SHAPES[expected_shape][0](text)
 
 
 def _parse_or_error(completion: Completion, expected_shape: str):
@@ -472,26 +466,49 @@ def _parse_python_list(text: str) -> list[str]:
     raise ParseError("no parseable Python list in response", raw=text)
 
 
-def _parse_tagged_answer(text: str) -> list[str]:
+def _answer_block(text: str, untagged_ok: bool) -> str:
+    """The last nonempty text between two <Answer> tags, or the text after a
+    lone tag, but never the text after the last of several tags. Where
+    `untagged_ok`, a text without tags is its own block."""
     segments = _ANSWER_TAG_RE.split(text)
-    if len(segments) < 2:
+    if len(segments) < 2 and not untagged_ok:
         raise ParseError("no <Answer> block in response", raw=text)
-    # content between consecutive tags, last nonempty one wins
-    for segment in reversed(segments[1:]):
-        if segment.strip():
-            return _parse_python_list(segment)
-    raise ParseError("empty <Answer> block in response", raw=text)
+    blocks = [seg for seg in segments[1:-1] or segments[1:] or segments if seg.strip()]
+    if not blocks:
+        raise ParseError("empty answer in response", raw=text)
+    return blocks[-1]
+
+
+def _parse_tagged_answer(text: str) -> list[str]:
+    return _parse_python_list(_answer_block(text, untagged_ok=False))
 
 
 def _parse_verdicts(text: str) -> list[str]:
-    segments = _ANSWER_TAG_RE.split(text)
-    scope = segments[-2] if len(segments) >= 3 and segments[-2].strip() else text
-    matches = _VERDICT_RE.findall(scope)
-    if not matches:
-        matches = _VERDICT_RE.findall(text)
-    if not matches:
+    """Entry n-1 is the first verdict on candidate n, and a number no line
+    names reads Failed. A number of 0 or past len(text) is dropped before any
+    int conversion, so the list is never longer than the text."""
+    verdicts: dict[int, str] = {}
+    for number, verdict in _VERDICT_RE.findall(_answer_block(text, untagged_ok=True)):
+        number = number.lstrip("0")
+        if number and len(number) <= len(str(len(text))) and int(number) <= len(text):
+            verdicts.setdefault(int(number), verdict.capitalize())
+    if not verdicts:
         raise ParseError("no verdict lines in response", raw=text)
-    return [verdict.capitalize() for _idx, verdict in matches]
+    row = [verdicts.get(n, "Failed") for n in range(1, max(verdicts) + 1)]
+    if len(verdicts) < len(row):
+        logger.warning("%d candidates have no verdict; read as Failed", len(row) - len(verdicts))
+    return row
+
+
+# Each shape's parser, and the instruction a re-ask after a parse failure
+# appends to the prompt.
+SHAPES = {
+    JSON_OBJECT: (_parse_json_object, "Respond with valid JSON only."),
+    PYTHON_LIST: (_parse_python_list, "Respond with a Python list of strings only."),
+    TAGGED_ANSWER_BLOCK: (_parse_tagged_answer, "Respond with a Python list in <Answer> tags."),
+    VERDICT_LINES: (_parse_verdicts, "Respond with `Candidate Response #<n>: Passed` or "
+                    "`Candidate Response #<n>: Failed` lines in <Answer> tags."),
+}
 
 
 @dataclass
@@ -656,8 +673,8 @@ class Gateway:
         """Render, complete, and parse one single-sample call.
 
         On a parse failure and when retries are allowed, the prompt is
-        re-asked once with an appended instruction to emit valid output; the
-        second failure propagates. The re-ask uses scenario key
+        re-asked once with the failed shape's instruction from SHAPES
+        appended; the second failure propagates. The re-ask uses scenario key
         `<key>#retry1` so scripted runs can stage both responses. This is
         the one-request case of `structured_many`.
         """
@@ -687,7 +704,7 @@ class Gateway:
         answer = _parse_or_error(completion[0], shape)
         if isinstance(answer, ParseError) and retry_on_parse_failure:
             retry = self.complete_prompt(
-                template_id, prompt + _RETRY_SUFFIX, params, f"{scenario_key}#retry1"
+                template_id, f"{prompt}\n\n{SHAPES[shape][1]}", params, f"{scenario_key}#retry1"
             )
             answer = _parse_or_error(retry[0], shape)
         return answer

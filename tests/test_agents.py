@@ -174,6 +174,13 @@ class TestSelectTables:
         gw = gw_with({("k+select_tables+0", "select_tables"): ['{"table_names": ["DRIVERS"]}']})
         assert select_tables(_env(gw, sub)) == ["drivers"]
 
+    def test_table_names_not_a_list_keeps_all(self, motorsport_catalog, caplog):
+        sub = full_projection(motorsport_catalog)
+        gw = gw_with({("k+select_tables+0", "select_tables"): ['{"table_names": "drivers"}']})
+        with caplog.at_level(logging.WARNING):
+            assert select_tables(_env(gw, sub)) == sub.table_names()
+        assert "no table list" in caplog.text
+
 
 class TestSelectColumns:
     def test_retention_reapplied(self, motorsport_catalog):
@@ -220,6 +227,22 @@ class TestSelectColumns:
             }
         )
         assert select_columns(_env(gw, sub)) == sub.as_requested()
+
+    def test_unknown_table_dropped(self, motorsport_catalog, caplog):
+        sub = project(motorsport_catalog, {"drivers": ["forename"]})
+        gw = gw_with(
+            {("k+select_columns+0", "select_columns"): ['{"ghost": ["a"], "drivers": []}']}
+        )
+        with caplog.at_level(logging.WARNING):
+            assert select_columns(_env(gw, sub)) == {"drivers": ["driverId"]}
+        assert "unknown table 'ghost'" in caplog.text
+
+    def test_no_known_table_keeps_sub(self, motorsport_catalog, caplog):
+        sub = project(motorsport_catalog, {"drivers": ["forename"]})
+        gw = gw_with({("k+select_columns+0", "select_columns"): ['{"ghost": ["a"]}']})
+        with caplog.at_level(logging.WARNING):
+            assert select_columns(_env(gw, sub)) == sub.as_requested()
+        assert "selected nothing that exists" in caplog.text
 
 
 class TestGenerateCandidate:
@@ -269,6 +292,19 @@ class TestGenerateCandidate:
             out = generate_candidate(_env(gw, sub, qid="q"), SamplingParams(n_samples=2))
         assert len(out) == 1
         assert out[0].generation_index == 1
+
+    def test_empty_sql_dropped(self, motorsport_catalog, caplog):
+        sub = full_projection(motorsport_catalog)
+        gw = gw_with(
+            {
+                ("q+generate_candidate+0", "generate_candidate"): ['{"SQL": "SELECT 1"}'],
+                ("q+generate_candidate+1", "generate_candidate"): ['{"SQL": "  "}'],
+            }
+        )
+        with caplog.at_level(logging.WARNING):
+            out = generate_candidate(_env(gw, sub, qid="q"), SamplingParams(n_samples=2))
+        assert [c.generation_index for c in out] == [0]
+        assert "sample 1 has empty SQL" in caplog.text
 
     def test_all_dropped_raises(self, motorsport_catalog):
         sub = full_projection(motorsport_catalog)
@@ -345,6 +381,16 @@ class TestUnitTests:
         assert len(tests) == 10
         assert [t.index for t in tests] == list(range(10))
 
+    def test_prose_after_closing_tag(self, motorsport_catalog, caplog):
+        sub = full_projection(motorsport_catalog)
+        statements = ["The answer SQL query should use MIN", "The answer SQL query should filter"]
+        answer = f"<Answer>\n{statements!r}\n</Answer>\nThese two tests split the clusters."
+        gw = gw_with({("k+generate_unit_tests+0", "generate_unit_tests"): [answer]})
+        with caplog.at_level(logging.WARNING):
+            tests = generate_unit_tests(_env(gw, sub), self._clusters(), 2)
+        assert [t.statement for t in tests] == statements
+        assert caplog.records == []
+
     def test_overlong_list_truncated(self, motorsport_catalog):
         sub = full_projection(motorsport_catalog)
         statements = [f"test {i}" for i in range(12)]
@@ -410,6 +456,34 @@ class TestEvaluate:
         with caplog.at_level(logging.WARNING):
             (verdicts,) = evaluate_against_test(_env(gw, sub), self.CANDS, [self.TEST])
         assert verdicts == [Verdict.PASSED, Verdict.PASSED, Verdict.FAILED]
+
+    def test_skipped_number_is_failed(self, motorsport_catalog, caplog):
+        sub = full_projection(motorsport_catalog)
+        gw = gw_with(
+            {
+                ("k+evaluate+0", "evaluate_unit_test"): [
+                    "<Answer>\nCandidate Response #1: Failed\n"
+                    "Candidate Response #3: Passed\n</Answer>"
+                ]
+            }
+        )
+        with caplog.at_level(logging.WARNING):
+            (verdicts,) = evaluate_against_test(_env(gw, sub), self.CANDS, [self.TEST])
+        assert verdicts == [Verdict.FAILED, Verdict.FAILED, Verdict.PASSED]
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+
+    def test_reordered_numbers(self, motorsport_catalog):
+        sub = full_projection(motorsport_catalog)
+        gw = gw_with(
+            {
+                ("k+evaluate+0", "evaluate_unit_test"): [
+                    "<Answer>\nCandidate Response #2: Passed\n"
+                    "Candidate Response #1: Failed\n</Answer>"
+                ]
+            }
+        )
+        (verdicts,) = evaluate_against_test(_env(gw, sub), self.CANDS[:2], [self.TEST])
+        assert verdicts == [Verdict.FAILED, Verdict.PASSED]
 
     def test_parse_failure_all_failed(self, motorsport_catalog, caplog):
         sub = full_projection(motorsport_catalog)

@@ -268,6 +268,79 @@ class TestParseStructured:
             assert parsed
 
 
+def _verdict_block(numbered: list[tuple[object, str]]) -> str:
+    lines = "".join(f"Candidate Response #{n}: {verdict}\n" for n, verdict in numbered)
+    return f"<Thinking>check each one</Thinking>\n<Answer>\n{lines}</Answer>"
+
+
+# prose a model may write around its answer: no tag, so no "<"
+PROSE = st.text(alphabet=st.characters(blacklist_characters="<"), max_size=40)
+
+
+class TestAnswerBlockAndVerdictNumbers:
+    """Both tagged shapes read one answer block, and each verdict lands on
+    the candidate its line names."""
+
+    def test_prose_after_closing_tag_is_ignored(self):
+        text = "<Thinking>two</Thinking>\n<Answer>\n['a', 'b']\n</Answer>\nHope this helps!"
+        assert parse_structured(text, TAGGED_ANSWER_BLOCK) == ["a", "b"]
+
+    def test_verdicts_after_closing_tag_are_ignored(self):
+        text = _verdict_block([(1, "Failed")]) + "\nCandidate Response #2: Passed"
+        assert parse_structured(text, VERDICT_LINES) == ["Failed"]
+
+    def test_verdicts_after_a_lone_tag(self):
+        text = "Draft: Candidate Response #1: Failed\n<Answer>\nCandidate Response #1: Passed"
+        assert parse_structured(text, VERDICT_LINES) == ["Passed"]
+
+    def test_skipped_number_reads_failed_with_a_warning(self, caplog):
+        text = _verdict_block([(1, "Failed"), (3, "Passed")])
+        with caplog.at_level("WARNING", logger="querycrew.gateway"):
+            assert parse_structured(text, VERDICT_LINES) == ["Failed", "Failed", "Passed"]
+        assert "1 candidates have no verdict" in caplog.text
+
+    def test_reordered_numbers_land_on_their_candidates(self):
+        text = _verdict_block([(2, "Passed"), (1, "Failed")])
+        assert parse_structured(text, VERDICT_LINES) == ["Failed", "Passed"]
+
+    def test_first_of_two_lines_with_one_number_wins(self):
+        text = _verdict_block([(1, "Passed"), (2, "Failed"), (1, "Failed")])
+        assert parse_structured(text, VERDICT_LINES) == ["Passed", "Failed"]
+
+    @pytest.mark.parametrize(
+        "number", ["9" * 5_000, "1000000000", "0", "000"], ids=["5000-digits", "1e9", "0", "000"]
+    )
+    def test_number_out_of_range_is_ignored(self, number):
+        text = _verdict_block([(number, "Passed")])
+        with pytest.raises(ParseError):
+            parse_structured(text, VERDICT_LINES)
+        text = _verdict_block([(number, "Passed"), ("02", "Passed")])
+        assert parse_structured(text, VERDICT_LINES) == ["Failed", "Passed"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=PROSE,
+        after=PROSE,
+        items=st.lists(st.text(alphabet=st.characters(blacklist_characters="<")), max_size=5),
+    )
+    def test_tagged_list_between_prose(self, before, after, items):
+        text = f"{before}<Answer>{items!r}</Answer>{after}"
+        assert parse_structured(text, TAGGED_ANSWER_BLOCK) == items
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        verdicts=st.lists(st.sampled_from(["Passed", "Failed"]), min_size=1, max_size=8),
+    )
+    def test_each_verdict_names_its_candidate(self, data, verdicts):
+        named = data.draw(st.sets(st.integers(1, len(verdicts)), min_size=1))
+        numbered = data.draw(st.permutations([(n, verdicts[n - 1]) for n in named]))
+        row = parse_structured(_verdict_block(numbered), VERDICT_LINES)
+        assert len(row) == max(named)
+        for n, verdict in enumerate(row, start=1):
+            assert verdict == (verdicts[n - 1] if n in named else "Failed")
+
+
 DEEP_JSON = 'x {"a": ' + "[" * 100_000 + "]" * 100_000 + "}"
 LONG_INT_JSON = '{"a": ' + "7" * 5_000 + "}"  # past Python's int-string limit
 UNHASHABLE_LISTS = ["[{[1]}]", "[{{}: 1}]"]  # literal_eval raises TypeError
@@ -730,6 +803,42 @@ class TestGatewayStructured:
         )
         assert cheap.calls == 1
         assert strong.calls == 0
+
+
+def _reask_prompts(template_id: str, log_path: Path) -> tuple[str, str]:
+    """The first prompt and the re-ask of a call whose two answers do not parse."""
+    junk = {("k", template_id): ["junk"], ("k#retry1", template_id): ["junk"]}
+    backend = MockBackend(responses=junk)
+    bindings = {name: "x" for name in TEMPLATES[template_id].placeholders()}
+    with pytest.raises(ParseError):
+        Gateway.single(backend, log_path).structured(template_id, bindings, SamplingParams(), "k")
+    first, reask = (json.loads(line)["prompt"] for line in _read(log_path).splitlines())
+    assert reask.startswith(first)
+    return first, reask
+
+
+class TestReaskInstruction:
+    """A parse re-ask appends the instruction of the shape that failed."""
+
+    @pytest.mark.parametrize(
+        ("template_id", "asks_for"),
+        [
+            ("extract_keywords", "Python list"),
+            ("generate_unit_tests", "<Answer>"),
+            ("evaluate_unit_test", "Candidate Response #<n>: Passed"),
+        ],
+        ids=[PYTHON_LIST, TAGGED_ANSWER_BLOCK, VERDICT_LINES],
+    )
+    def test_non_json_shapes_ask_for_their_own(self, template_id, asks_for, tmp_path):
+        first, reask = _reask_prompts(template_id, tmp_path / "log.jsonl")
+        instruction = reask[len(first):]
+        assert instruction.startswith("\n\nRespond with ")
+        assert asks_for in instruction
+        assert "JSON" not in instruction
+
+    def test_json_reask_is_unchanged(self, tmp_path):
+        first, reask = _reask_prompts("select_tables", tmp_path / "log.jsonl")
+        assert reask == first + "\n\nRespond with valid JSON only."
 
 
 class TestLedger:

@@ -477,20 +477,22 @@ class TestRunBenchmark:
         ]
 
     @pytest.mark.parametrize(
-        ("team", "kept", "ghost"),
+        ("team", "kept", "ghost", "tail"),
         [
-            pytest.param("IR_CG_UT", 0.5, False, id="0.5"),
-            pytest.param("IR_CG_UT", 1.0, False, id="1.0"),
+            pytest.param("IR_CG_UT", 0.5, False, b"", id="0.5"),
+            pytest.param("IR_CG_UT", 1.0, False, b"", id="1.0"),
             # stage selections of resumed items still count in schema_pr_per_stage
-            pytest.param("IR_SS_CG", 0.5, False, id="IR_SS_CG-0.5"),
-            pytest.param("IR_SS_CG", 1.0, False, id="IR_SS_CG-1.0"),
+            pytest.param("IR_SS_CG", 0.5, False, b"", id="IR_SS_CG-0.5"),
+            pytest.param("IR_SS_CG", 1.0, False, b"", id="IR_SS_CG-1.0"),
             # a row whose database does not exist, among the items that resume
-            pytest.param("IR_CG_UT", 0.5, True, id="ghost-0.5"),
-            pytest.param("IR_SS_CG", 0.5, True, id="ghost-IR_SS_CG-0.5"),
+            pytest.param("IR_CG_UT", 0.5, True, b"", id="ghost-0.5"),
+            pytest.param("IR_SS_CG", 0.5, True, b"", id="ghost-IR_SS_CG-0.5"),
+            # a torn last line that ends in a newline but does not parse
+            pytest.param("IR_CG_UT", 0.5, False, b"\n", id="newline-0.5"),
         ],
     )
     def test_killed_and_resumed_matches_uninterrupted(
-        self, bench_env, tmp_path, team, kept, ghost
+        self, bench_env, tmp_path, team, kept, ghost, tail
     ):
         items = load_dataset(bench_env["dataset"], "bird")
         if ghost:
@@ -500,10 +502,10 @@ class TestRunBenchmark:
         run_benchmark(items, config, whole, bench_env["root"], mock_dir=bench_env["fixtures"])
         run_benchmark(items[:4], config, resumed, bench_env["root"],
                       mock_dir=bench_env["fixtures"])
-        # a kill mid-write leaves part of the fifth line, without its newline
+        # a kill mid-write leaves part of the fifth line, then `tail`
         fifth = (whole / "predictions.jsonl").read_bytes().split(b"\n")[4]
         with open(resumed / "predictions.jsonl", "ab") as fh:
-            fh.write(fifth[: int(len(fifth) * kept)])
+            fh.write(fifth[: int(len(fifth) * kept)] + tail)
         run_benchmark(items, config, resumed, bench_env["root"], mock_dir=bench_env["fixtures"])
         for name in ("predictions.jsonl", "report.json"):
             assert (resumed / name).read_bytes() == (whole / name).read_bytes()

@@ -27,6 +27,7 @@ from mock_runs import (
 
 from querycrew.agents import CandidateQuery, RetrievedContext, Verdict, build_column_profile
 from querycrew.catalog import full_projection, introspect_database, project
+from querycrew.context_store import RemoteEmbedder
 from querycrew.executor import OK, ExecutionResult, execute
 from querycrew.gateway import (
     WINDOW,
@@ -43,6 +44,9 @@ from querycrew.pipeline import (
     PipelineError,
     RunEnv,
     _filter_columns_stage,
+    _revise_in_waves,
+    build_embedder,
+    build_gateway,
     cluster_by_result,
     ensure_artifacts,
     revise_loop,
@@ -262,6 +266,30 @@ class TestRevise_loop:
         out = revise_loop(candidate, self._env(motorsport_artifacts, gw), funnel_config)
         assert out.revision_count == 1
         assert out.exec_result.rows
+
+
+    def test_unparseable_revision_leaves_the_waves(
+        self, motorsport_artifacts, funnel_config, calls
+    ):
+        responses = {
+            ("q+revise+0.1", "revise"): ["not json"],
+            ("q+revise+1.1", "revise"): [revise_response("SELEC still broken")],
+            ("q+revise+1.2", "revise"): [revise_response("SELECT forename FROM drivers")],
+        }
+        gw = Gateway.single(MockBackend(responses=responses))
+        candidates = [CandidateQuery(sql="SELEC 0", generation_index=0),
+                      CandidateQuery(sql="SELEC 1", generation_index=1)]
+        for candidate in candidates:
+            candidate.exec_result = execute(motorsport_artifacts.db_file, candidate.sql)
+        first_result = candidates[0].exec_result
+        out = _revise_in_waves(candidates, self._env(motorsport_artifacts, gw), funnel_config)
+        # the unparseable revision keeps its candidate as it was, not executed again
+        assert out[0] is candidates[0]
+        assert (out[0].sql, out[0].revision_count) == ("SELEC 0", 0)
+        assert out[0].exec_result is first_result
+        # the other candidate of the same wave goes on until it is fixed
+        assert (out[1].revision_count, out[1].exec_result.status) == (2, OK)
+        assert [c.scenario_key for c in calls] == ["q+revise+0.1", "q+revise+1.1", "q+revise+1.2"]
 
 
 class TestRunFunnel:
@@ -563,6 +591,50 @@ class TestPipelineConfig:
         with caplog.at_level(logging.WARNING):
             PipelineConfig(team="IR_CG_UT", n_candidates=1)
         assert any("cannot differentiate" in r.message for r in caplog.records)
+
+
+class TestBuildBackends:
+    def test_models_bind_a_mock_backend_per_tool(self, tmp_path):
+        config = PipelineConfig(models={
+            "filter_column": {"kind": "mock", "fixture_dir": str(tmp_path)},
+            "default": {"kind": "mock"},
+        })
+        gw = build_gateway(config)
+        cheap, default = gw.backends["filter_column"], gw.backends["default"]
+        assert isinstance(cheap, MockBackend) and isinstance(default, MockBackend)
+        assert cheap.fixture_dir == tmp_path and default.fixture_dir is None
+        assert gw.backend_for("filter_column") is cheap
+        assert gw.backend_for("select_tables") is default
+
+    def test_http_spec(self):
+        config = PipelineConfig(models={"default": {
+            "kind": "http", "base_url": "http://llm.local/v1/", "model": "m",
+            "api_key_env": "MY_KEY",
+        }})
+        backend = build_gateway(config).backend_for("revise")
+        assert isinstance(backend, HttpChatBackend)
+        assert (backend.base_url, backend.model, backend.api_key_env) == (
+            "http://llm.local/v1", "m", "MY_KEY"
+        )
+
+    def test_unknown_backend_kind(self):
+        with pytest.raises(ValueError, match="unknown backend kind 'grpc'"):
+            build_gateway(PipelineConfig(models={"default": {"kind": "grpc"}}))
+
+    def test_remote_embedder(self):
+        config = PipelineConfig(embedder={
+            "kind": "remote", "base_url": "http://emb.local/", "model": "e",
+            "dimension": 8, "api_key_env": "EMB_KEY",
+        })
+        embedder = build_embedder(config)
+        assert isinstance(embedder, RemoteEmbedder)
+        assert (embedder.base_url, embedder.model, embedder.dimension, embedder.api_key_env) == (
+            "http://emb.local", "e", 8, "EMB_KEY"
+        )
+
+    def test_unknown_embedder_kind(self):
+        with pytest.raises(ValueError, match="unknown embedder kind 'magic'"):
+            build_embedder(PipelineConfig(embedder={"kind": "magic"}))
 
 
 class TestGenerationFailure:
