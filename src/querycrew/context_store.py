@@ -195,12 +195,17 @@ def retrieve_context(store: ContextStore, query_text: str, k: int) -> list[Descr
     """Top-k description items by cosine to the query text.
 
     Results are sorted by non-increasing cosine with ties broken by doc_id,
-    so retrieval is stable across runs. k=0 or an empty store returns [].
+    so retrieval is stable across runs; a NaN cosine ranks last. k=0 or an
+    empty store returns [].
     """
     if k <= 0 or not store.items:
         return []
     q = store.embedder.embed([query_text])[0]
     # without BLAS, identical rows get identical scores, so ties fall to doc_id
     scores = np.einsum("ij,j->i", store.vectors, q)
-    order = sorted(range(len(store.items)), key=lambda i: (-scores[i], store.items[i].doc_id))
+    rank = np.where(np.isnan(scores), -np.inf, scores)
+    # only items scoring at least the k-th best get sorted; every tie there stays in
+    cut = len(rank) - min(k, len(rank))
+    kept = np.flatnonzero(rank >= np.partition(rank, cut)[cut])
+    order = sorted(kept, key=lambda i: (-rank[i], store.items[i].doc_id))
     return [DescriptionHit(**vars(store.items[i]), cosine=float(scores[i])) for i in order[:k]]

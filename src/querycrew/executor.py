@@ -44,6 +44,9 @@ _WRITING_PRAGMAS = {"optimize"}
 
 @dataclass
 class ExecutionResult:
+    """One statement's outcome. A pipeline run shares one result among all
+    its candidates with the same SQL text, so a result must not be mutated."""
+
     status: str
     rows: list[tuple] | None = None
     error_text: str | None = None

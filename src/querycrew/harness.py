@@ -450,14 +450,18 @@ def run_benchmark(
     return report
 
 
+# `json.dumps` with a keyword argument builds a new encoder per call
+_TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def _write_trace_jsonl(path: Path, trace: RunTrace) -> None:
     """One summary line followed by one line per completion call."""
     summary = trace.to_dict()
     records = summary.pop("records")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "summary", **summary}, ensure_ascii=False) + "\n")
+        fh.write(_TRACE_ENCODER.encode({"kind": "summary", **summary}) + "\n")
         for record in records:
-            fh.write(json.dumps({"kind": "llm_call", **record}, ensure_ascii=False) + "\n")
+            fh.write(_TRACE_ENCODER.encode({"kind": "llm_call", **record}) + "\n")
 
 
 def _load_outcomes(path: Path) -> dict[str, ItemOutcome]:

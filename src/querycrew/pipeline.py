@@ -26,6 +26,15 @@ where the call records are appended. They keep the order of a one-by-one run
 with one exception: revisions are recorded wave by wave (every candidate's
 first revision, then every second revision, and so on), not candidate by
 candidate.
+
+Each distinct SQL text runs once per question. A run keeps one dict from
+SQL text to `ExecutionResult`, and a candidate or revision whose exact text
+already ran in the question shares that result object; first occurrences
+run in candidate order, on the calling thread. A copy of a query that timed
+out shares its TIMEOUT instead of waiting out the budget again, and copies
+of non-deterministic SQL (`random()`, `'now'`) share one result, so they
+land in one cluster. The dict lives for one `run` call, so nothing is
+cached across questions.
 """
 
 from __future__ import annotations
@@ -391,13 +400,11 @@ def run(
         except agents.GenerationError as exc:
             raise PipelineError(str(exc)) from exc
 
+        executed: dict[str, executor.ExecutionResult] = {}
         for candidate in candidates:
-            candidate.exec_result = executor.execute(
-                env.db_file, candidate.sql,
-                timeout=config.execution_timeout_s, row_cap=config.row_cap,
-            )
+            candidate.exec_result = _execute(env, candidate.sql, config, executed)
         if config.tool_enabled("revise"):
-            candidates = _revise_in_waves(candidates, env, config)
+            candidates = _revise_in_waves(candidates, env, config, executed)
         trace.revisions_total = sum(c.revision_count for c in candidates)
 
         clusters = cluster_by_result(candidates, config.compare_mode)
@@ -480,13 +487,18 @@ def revise_loop(
 
     The last version is returned even if still faulty; an ok-and-nonempty
     candidate comes back untouched. This is the one-candidate case of the
-    pipeline's revision waves.
+    pipeline's revision waves, with a memo of its own: a revision whose SQL
+    text was already executed in this call, the candidate's own included,
+    shares that `ExecutionResult` instead of running again.
     """
-    return _revise_in_waves([candidate], env, config)[0]
+    return _revise_in_waves([candidate], env, config, {candidate.sql: candidate.exec_result})[0]
 
 
 def _revise_in_waves(
-    candidates: Sequence[CandidateQuery], env: RunEnv, config: PipelineConfig
+    candidates: Sequence[CandidateQuery],
+    env: RunEnv,
+    config: PipelineConfig,
+    executed: dict[str, executor.ExecutionResult],
 ) -> list[CandidateQuery]:
     """Revise executed candidates wave by wave.
 
@@ -494,7 +506,8 @@ def _revise_in_waves(
     revisable fault and revisions left, as one batch, then executes the
     revised SQL. A candidate leaves the waves once its fault clears, its
     revisions run out, or its revision does not parse (that would only burn
-    budget). Returns the candidates' last versions in their input order.
+    budget). Revised SQL runs through `executed`, the question's memo.
+    Returns the candidates' last versions in their input order.
     """
     current = list(candidates)
     active = range(len(current))
@@ -515,14 +528,24 @@ def _revise_in_waves(
         for (pos, _), new in zip(due, revised):
             if new is current[pos]:
                 continue  # unparseable revision
-            new.exec_result = executor.execute(
-                env.db_file,
-                new.sql,
-                timeout=config.execution_timeout_s,
-                row_cap=config.row_cap,
-            )
+            new.exec_result = _execute(env, new.sql, config, executed)
             current[pos] = new
             active.append(pos)
+
+
+def _execute(
+    env: RunEnv, sql: str, config: PipelineConfig, executed: dict[str, executor.ExecutionResult]
+) -> executor.ExecutionResult:
+    """`sql`'s result, executed only if its exact text is not in `executed`.
+
+    The key is the text as written: case and whitespace are not normalized,
+    since string literals are case-sensitive.
+    """
+    if sql not in executed:
+        executed[sql] = executor.execute(
+            env.db_file, sql, timeout=config.execution_timeout_s, row_cap=config.row_cap
+        )
+    return executed[sql]
 
 
 def cluster_by_result(

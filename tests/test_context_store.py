@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querycrew.catalog import ingest_catalog_descriptions
 from querycrew.context_store import (
@@ -139,6 +141,51 @@ class TestRetrieveContext:
         hits = retrieve_context(store, "loan amount of account", 7)
         assert [h.doc_id for h in hits] == [f"t{i}.amount.column_description" for i in range(7)]
         assert len({h.cosine for h in hits}) == 1
+
+
+class _FixedQuery:
+    """Embeds every text as [1.0], so a store of one-wide vectors scores each
+    item with exactly its own vector entry."""
+
+    kind = "fixed"
+    dimension = 1
+
+    def embed(self, texts):
+        return np.ones((len(texts), 1))
+
+
+def _scored_store(scores) -> ContextStore:
+    items = [
+        StoreItem(f"t.c{i:03d}.column_description", "t", f"c{i:03d}", "column_description", "x")
+        for i in range(len(scores))
+    ]
+    # doc_ids run against store order, so ties must be broken by doc_id, not position
+    return ContextStore(items[::-1], np.array(scores, dtype=float).reshape(-1, 1), _FixedQuery())
+
+
+class TestTopKSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]), max_size=40)
+        | st.lists(st.floats(-1, 1), max_size=40),
+        k=st.integers(0, 45),
+    )
+    def test_matches_full_sort(self, scores, k):
+        store = _scored_store(scores)
+        order = sorted(
+            range(len(scores)), key=lambda i: (-store.vectors[i, 0], store.items[i].doc_id)
+        )
+        expected = [(store.items[i].doc_id, float(store.vectors[i, 0])) for i in order[:k]]
+        hits = retrieve_context(store, "query", k)
+        assert [(h.doc_id, h.cosine) for h in hits] == expected
+
+    def test_nan_scores_rank_last(self):
+        store = _scored_store([0.5, float("nan"), 1.0, float("nan"), 0.5])
+        hits = retrieve_context(store, "query", 5)
+        assert [h.cosine for h in hits][:3] == [1.0, 0.5, 0.5]
+        assert all(np.isnan(h.cosine) for h in hits[3:])
+        assert [h.doc_id for h in hits[3:]] == sorted(h.doc_id for h in hits[3:])
+        assert len(retrieve_context(store, "query", 2)) == 2
 
 
 class TestRemoteEmbedder:

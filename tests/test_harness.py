@@ -26,7 +26,8 @@ from querycrew.harness import (
     subsample_dev,
     synthesize_large_schema,
 )
-from querycrew.pipeline import PipelineConfig
+from querycrew.agents import CandidateQuery
+from querycrew.pipeline import PipelineConfig, RunTrace, StageRecord
 
 
 class TestExecutionAccuracy:
@@ -471,9 +472,10 @@ class TestRunBenchmark:
         assert [o.ex for o in report.outcomes] == [1, 1, 1]
         # the harness runs each item's gold SQL once and no candidate
         assert executed["harness"] == [item.gold_sql for item in items]
-        # the pipeline runs each candidate once; none is revised
+        # the pipeline runs each distinct candidate SQL once; #2 shares #0's
+        # result, and none is revised
         assert executed["pipeline"] == [
-            sql for q in SUITE[:3] for sql in (q.gold_sql, q.wrong_sql, q.gold_sql)
+            sql for q in SUITE[:3] for sql in (q.gold_sql, q.wrong_sql)
         ]
 
     @pytest.mark.parametrize(
@@ -649,3 +651,42 @@ def test_broken_gold_flagged(bench_env, tmp_path):
     assert report.flagged_gold == ["bad_gold"]
     bad = [o for o in report.outcomes if o.question_id == "bad_gold"][0]
     assert bad.ex == 0
+
+
+def test_trace_lines_match_json_dumps(tmp_path):
+    """The shared trace encoder writes what `json.dumps(..., ensure_ascii=False)` writes."""
+    trace = RunTrace(
+        question_id="q_é",
+        selected_sql="SELECT name FROM t WHERE city = 'Zürich'",
+        selected_index=1,
+        llm_calls=2,
+        prompt_tokens=17,
+        completion_tokens=5,
+        stages=[StageRecord("initial", 1, 2, {"t": ["name", "城市"]})],
+        records=[
+            {"template_id": "extract_keywords", "scenario_key": "q_é+extract_keywords+0",
+             "prompt_tokens": 9, "completion_tokens": 3, "text": "naïve \"quoted\"\n\u2028"},
+            {"template_id": "generate_candidate", "scenario_key": "q_é+generate_candidate+0",
+             "prompt_tokens": 8, "completion_tokens": 2, "score": 0.1 + 0.2, "none": None},
+        ],
+        candidates=[
+            CandidateQuery("SELEC 1", generation_index=0,
+                           exec_result=executor.ExecutionResult(executor.SYNTAX_ERROR)),
+            CandidateQuery("SELECT name FROM t WHERE city = 'Zürich'", generation_index=1,
+                           revision_count=1,
+                           exec_result=executor.ExecutionResult(executor.OK, rows=[("a",)])),
+        ],
+        clusters=[{"fingerprint": "ab", "members": [1], "representative": 1}],
+        scores=[0, 2],
+        duration_s=0.25,
+    )
+    path = tmp_path / "trace.jsonl"
+    harness._write_trace_jsonl(path, trace)
+    summary = trace.to_dict()
+    records = summary.pop("records")
+    expected = "".join(
+        json.dumps(line, ensure_ascii=False) + "\n"
+        for line in [{"kind": "summary", **summary}]
+        + [{"kind": "llm_call", **record} for record in records]
+    )
+    assert path.read_bytes() == expected.encode("utf-8")

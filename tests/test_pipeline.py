@@ -25,10 +25,11 @@ from mock_runs import (
     verdicts_response,
 )
 
+from querycrew import executor, pipeline
 from querycrew.agents import CandidateQuery, RetrievedContext, Verdict, build_column_profile
 from querycrew.catalog import full_projection, introspect_database, project
 from querycrew.context_store import RemoteEmbedder
-from querycrew.executor import OK, ExecutionResult, execute
+from querycrew.executor import OK, TIMEOUT, ExecutionResult, execute, fingerprint
 from querycrew.gateway import (
     WINDOW,
     Gateway,
@@ -282,7 +283,7 @@ class TestRevise_loop:
         for candidate in candidates:
             candidate.exec_result = execute(motorsport_artifacts.db_file, candidate.sql)
         first_result = candidates[0].exec_result
-        out = _revise_in_waves(candidates, self._env(motorsport_artifacts, gw), funnel_config)
+        out = _revise_in_waves(candidates, self._env(motorsport_artifacts, gw), funnel_config, {})
         # the unparseable revision keeps its candidate as it was, not executed again
         assert out[0] is candidates[0]
         assert (out[0].sql, out[0].revision_count) == ("SELEC 0", 0)
@@ -509,6 +510,129 @@ class TestRunNonUtSelection:
         sql, trace = run("q", "", motorsport_artifacts, config, gw, qid=qid)
         assert sql == "SELEC broken"
         assert trace.selected_index == 0
+
+
+# SQL texts over the motorsport fixture: ok (two spellings of one query),
+# empty, syntax error and runtime error
+_MEMO_POOL = (
+    "SELECT forename FROM drivers WHERE driverId = 1",
+    "select forename from drivers where driverId = 1",
+    "SELECT MIN(fastestLapTime) FROM results WHERE driverId = 1",
+    "SELECT forename FROM drivers WHERE surname = 'Nobody'",
+    "SELEC 1",
+    "SELECT nosuch FROM drivers",
+)
+
+
+class _CountingExecutor:
+    """Stands in for the `executor` module in `pipeline`, recording each SQL
+    text it is asked to execute."""
+
+    def __init__(self):
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        return getattr(executor, name)
+
+    def execute(self, db_file, sql, **kwargs):
+        self.calls.append(sql)
+        return executor.execute(db_file, sql, **kwargs)
+
+
+def _run_counted(artifacts, config, responses, qid):
+    counter = _CountingExecutor()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "executor", counter)
+        gw = Gateway.single(MockBackend(responses=responses))
+        _, trace = run("q", "", artifacts, config, gw, qid=qid)
+    return counter.calls, trace
+
+
+class TestExecutionMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sqls=st.lists(st.sampled_from(_MEMO_POOL), min_size=1, max_size=6),
+        script=st.lists(
+            st.lists(st.sampled_from(_MEMO_POOL), min_size=3, max_size=3),
+            min_size=6, max_size=6,
+        ),
+    )
+    def test_each_distinct_text_executes_once(self, motorsport_artifacts, sqls, script):
+        """`script[i][r - 1]` is candidate i's revision r."""
+        qid = "memo"
+        config = PipelineConfig(team="CG_only", n_candidates=len(sqls), n_unit_tests=0)
+        responses = {
+            (f"{qid}+generate_candidate+{i}", "generate_candidate"): [candidate_response(sql)]
+            for i, sql in enumerate(sqls)
+        }
+        for i, revisions in enumerate(script):
+            for r, sql in enumerate(revisions, start=1):
+                responses[(f"{qid}+revise+{i}.{r}", "revise")] = [revise_response(sql)]
+        calls, trace = _run_counted(motorsport_artifacts, config, responses, qid)
+
+        # first occurrences run in order: the candidates, then each revision wave
+        revised = []
+        for record in trace.records:
+            if record["template_id"] == "revise":
+                i, r = record["scenario_key"].rsplit("+", 1)[1].split(".")
+                revised.append(script[int(i)][int(r) - 1])
+        assert calls == list(dict.fromkeys(sqls + revised))
+
+        db = motorsport_artifacts.db_file
+        fresh = [
+            CandidateQuery(sql=c.sql, generation_index=c.generation_index,
+                           exec_result=execute(db, c.sql))
+            for c in trace.candidates
+        ]
+        for shared, own in zip(trace.candidates, fresh):
+            assert fingerprint(shared.exec_result) == fingerprint(own.exec_result)
+        assert trace.clusters == [
+            {"fingerprint": c.fingerprint, "members": c.members,
+             "representative": c.representative}
+            for c in cluster_by_result(fresh, config.compare_mode)
+        ]
+
+    def test_copies_of_a_timed_out_query_share_one_timeout(self, motorsport_artifacts):
+        qid = "memo_timeout"
+        endless = (
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) "
+            "SELECT count(*) FROM r"
+        )
+        config = PipelineConfig(
+            team="CG_only", n_candidates=3, n_unit_tests=0, execution_timeout_s=0.2,
+            disabled_tools=frozenset({"revise"}),
+        )
+        responses = {
+            (f"{qid}+generate_candidate+{i}", "generate_candidate"): [candidate_response(endless)]
+            for i in range(3)
+        }
+        calls, trace = _run_counted(motorsport_artifacts, config, responses, qid)
+        assert calls == [endless]
+        assert [c.exec_result.status for c in trace.candidates] == [TIMEOUT] * 3
+        assert len(trace.clusters) == 1
+
+    def test_revise_loop_shares_the_candidate_result(
+        self, motorsport_artifacts, funnel_config, monkeypatch
+    ):
+        """A revision back to the candidate's own text is not executed again."""
+        broken = "SELEC 1"
+        gw = Gateway.single(MockBackend(responses={
+            ("q+revise+0.1", "revise"): [revise_response(broken)],
+            ("q+revise+0.2", "revise"): [revise_response("SELECT nosuch FROM drivers")],
+            ("q+revise+0.3", "revise"): [revise_response(broken)],
+        }))
+        candidate = CandidateQuery(sql=broken, generation_index=0)
+        candidate.exec_result = execute(motorsport_artifacts.db_file, broken)
+        counter = _CountingExecutor()
+        monkeypatch.setattr(pipeline, "executor", counter)
+        env = RunEnv(
+            FUNNEL_QUESTION, FUNNEL_HINT, full_projection(motorsport_artifacts.catalog),
+            RetrievedContext(), motorsport_artifacts.db_file, gw, "q",
+        )
+        out = revise_loop(candidate, env, funnel_config)
+        assert out.revision_count == 3
+        assert out.exec_result is candidate.exec_result
+        assert counter.calls == ["SELECT nosuch FROM drivers"]
 
 
 class TestAblationToggles:
