@@ -163,8 +163,6 @@ def canonicalize(rows: Iterable[Sequence]) -> list[tuple]:
 def _canonical_cell(cell) -> tuple:
     if cell is None:
         return (0, "")
-    if isinstance(cell, bool):
-        return (1, int(cell))
     if isinstance(cell, int):
         return (1, cell * _NUMERIC_SCALE)
     if isinstance(cell, float):
@@ -179,19 +177,14 @@ def _canonical_cell(cell) -> tuple:
 
 
 def results_match(a: ExecutionResult, b: ExecutionResult, mode: str = "set") -> bool:
-    """Compare two ok results; any fault or row-cap overflow compares False.
-
-    `set` compares distinct canonical rows, `multiset` respects multiplicity.
-    """
+    """Compare two ok results by their `fingerprint` in `mode`; any fault or
+    row-cap overflow compares False."""
     _check_mode(mode)
     if not (a.is_ok() and b.is_ok()):
         return False
     if a.truncated or b.truncated:
         return False
-    ca, cb = canonicalize(a.rows or []), canonicalize(b.rows or [])
-    if mode == "set":
-        return set(ca) == set(cb)
-    return ca == cb
+    return fingerprint(a, mode) == fingerprint(b, mode)
 
 
 def _check_mode(mode: str) -> None:
@@ -200,10 +193,10 @@ def _check_mode(mode: str) -> None:
 
 
 def fingerprint(result: ExecutionResult, mode: str = "set") -> ResultFingerprint:
-    """Digest of the canonical rows (ok) or the fault kind (non-ok).
-
-    Rows count as `results_match` counts them in `mode`: `set` hashes the
-    distinct rows, `multiset` every row.
+    """Digest of the canonical rows (ok) or the fault kind (non-ok), the one
+    rule for "same result" that clustering and EX share: `set` hashes the
+    distinct rows, `multiset` every row. An ok digest records truncation, so
+    neither a fault nor a truncated result matches a complete one.
     """
     _check_mode(mode)
     h = hashlib.sha256()

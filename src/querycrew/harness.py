@@ -98,8 +98,8 @@ def validate_gold(
     item: BenchmarkItem, db_root: str | Path, config: PipelineConfig
 ) -> executor.ExecutionResult:
     """The item's gold SQL run on its database under `config.row_cap` and
-    `config.execution_timeout_s`. A failure is logged; a missing database is
-    a runtime_error carrying the DatasetError text."""
+    `config.execution_timeout_s`. A failure or a result over `row_cap` is
+    logged; a missing database is a runtime_error with the DatasetError text."""
     try:
         db_file = resolve_db_file(db_root, item.db_id)
     except DatasetError as exc:
@@ -110,6 +110,8 @@ def validate_gold(
         )
     if not gold.is_ok():
         logger.warning("gold SQL for %s fails: %s", item.question_id, gold.error_text)
+    elif gold.truncated:
+        logger.warning("gold SQL for %s returns over %d rows", item.question_id, config.row_cap)
     return gold
 
 
@@ -368,11 +370,11 @@ def run_benchmark(
     DatasetError text is the error), fails only its own items, and flags
     their gold.
 
-    EX is scored from the results the pipeline already executed: each item,
+    EX is read from the cluster fingerprints of the pipeline's trace: a
+    candidate scores 1 iff its cluster's digest equals the gold's. Each item,
     resumed or not, runs only its gold SQL here, once, in `validate_gold`.
-    `config.row_cap` and `config.execution_timeout_s` bound every execution
-    of the sweep, gold included, and a result longer than `row_cap` scores
-    EX 0.
+    `config.row_cap` and `config.execution_timeout_s` bound every execution,
+    and a gold that fails or exceeds `row_cap` cannot score and is flagged.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -392,7 +394,8 @@ def run_benchmark(
     with open(predictions_path, "a", encoding="utf-8") as pred_fh:
         for item in items:
             gold = validate_gold(item, db_root, config)
-            if not gold.is_ok():
+            scorable = gold.is_ok() and not gold.truncated
+            if not scorable:
                 flagged.append(item.question_id)
             if item.question_id in done:
                 outcomes.append(done[item.question_id])
@@ -417,9 +420,12 @@ def run_benchmark(
                         item.question, item.evidence, artifacts, config, gateway,
                         qid=item.question_id,
                     )
+                    gold_digest = (
+                        executor.fingerprint(gold, config.compare_mode).digest if scorable else None
+                    )
+                    digest_of = {g: c["fingerprint"] for c in trace.clusters for g in c["members"]}
                     candidate_ex = [
-                        int(executor.results_match(c.exec_result, gold, mode=config.compare_mode))
-                        for c in trace.candidates
+                        int(digest_of[c.generation_index] == gold_digest) for c in trace.candidates
                     ]
                     ex, error = candidate_ex[trace.selected_index], ""
                     _collect_stage_pr(stage_prs, trace.stages, item, artifacts.catalog)

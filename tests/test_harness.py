@@ -632,6 +632,87 @@ class TestRunBenchmark:
         )
 
 
+class TestExFromDigests:
+    """A candidate's EX is its cluster's digest compared with the gold's."""
+
+    @pytest.mark.parametrize("mode", ["set", "multiset"])
+    @pytest.mark.parametrize("team", sorted(pipeline.TEAMS))
+    def test_candidate_ex_is_results_match(self, bench_env, tmp_path, monkeypatch, team, mode):
+        traces = {}
+        run = pipeline.run
+
+        def capture(*args, **kwargs):
+            sql, trace = run(*args, **kwargs)
+            traces[trace.question_id] = trace
+            return sql, trace
+
+        monkeypatch.setattr(pipeline, "run", capture)
+        config = PipelineConfig(team=team, n_candidates=3, n_unit_tests=2, compare_mode=mode)
+        items = load_dataset(bench_env["dataset"], "bird")
+        report = run_benchmark(
+            items, config, tmp_path / "out", bench_env["root"], mock_dir=bench_env["fixtures"]
+        )
+        assert len(traces) == len(items)
+        for item, outcome in zip(items, report.outcomes):
+            gold = harness.validate_gold(item, bench_env["root"], config)
+            assert outcome.candidate_ex == [
+                int(executor.results_match(c.exec_result, gold, mode))
+                for c in traces[item.question_id].candidates
+            ]
+
+    @pytest.mark.parametrize(("mode", "expected"), [("set", [1, 1]), ("multiset", [1, 0])])
+    def test_spelling_order_and_duplicates(self, bench_env, tmp_path, mode, expected):
+        gold_sql = "SELECT CustomerID, Currency FROM customers WHERE Gender = 'M'"
+        item = BenchmarkItem("spell", "finance", "q", "", gold_sql)
+        from mock_runs import candidate_response
+
+        candidates = [
+            # the gold's rows in reverse order, with the ids spelled as floats
+            "SELECT CustomerID * 1.0, Currency FROM customers WHERE Gender = 'M' "
+            "ORDER BY CustomerID DESC",
+            # the gold's rows plus a duplicate of one of them
+            f"{gold_sql} UNION ALL SELECT 1, 'EUR'",
+        ]
+        responses = {
+            (f"spell+generate_candidate+{i}", "generate_candidate"): [candidate_response(sql)]
+            for i, sql in enumerate(candidates)
+        }
+        report = run_benchmark(
+            [item], PipelineConfig(team="CG_only", n_candidates=2, compare_mode=mode),
+            tmp_path / "out", bench_env["root"],
+            gateway=Gateway.single(MockBackend(responses=responses)),
+        )
+        assert report.outcomes[0].error == ""
+        assert report.outcomes[0].candidate_ex == expected
+
+    def test_scoring_canonicalizes_only_the_gold(self, bench_env, tmp_path, monkeypatch):
+        counts = {"clustering": 0, "elsewhere": 0}
+        clustering = []
+        canonicalize, cluster_by_result = executor.canonicalize, pipeline.cluster_by_result
+
+        def counting_canonicalize(rows):
+            counts["clustering" if clustering else "elsewhere"] += 1
+            return canonicalize(rows)
+
+        def counting_cluster_by_result(*args, **kwargs):
+            clustering.append(True)
+            try:
+                return cluster_by_result(*args, **kwargs)
+            finally:
+                clustering.pop()
+
+        monkeypatch.setattr(executor, "canonicalize", counting_canonicalize)
+        monkeypatch.setattr(pipeline, "cluster_by_result", counting_cluster_by_result)
+        items = load_dataset(bench_env["dataset"], "bird")
+        report = run_benchmark(
+            items, PipelineConfig(team="IR_CG_UT", n_candidates=3, n_unit_tests=2),
+            tmp_path / "out", bench_env["root"], mock_dir=bench_env["fixtures"],
+        )
+        assert report.ex_overall == 1.0
+        # clustering canonicalizes each ok candidate once; scoring adds the gold
+        assert counts == {"clustering": 3 * len(items), "elsewhere": len(items)}
+
+
 def test_broken_gold_flagged(bench_env, tmp_path):
     items = load_dataset(bench_env["dataset"], "bird")[:1]
     broken = BenchmarkItem(
@@ -651,6 +732,27 @@ def test_broken_gold_flagged(bench_env, tmp_path):
     assert report.flagged_gold == ["bad_gold"]
     bad = [o for o in report.outcomes if o.question_id == "bad_gold"][0]
     assert bad.ex == 0
+
+
+def test_gold_over_row_cap_flagged(bench_env, tmp_path, caplog):
+    gold_sql = "SELECT CustomerID FROM customers"
+    item = BenchmarkItem("cap", "finance", "q", "", gold_sql)
+    from mock_runs import candidate_response
+
+    # the candidate is the gold itself, truncated the same way, and still
+    # cannot score: no result over the cap matches
+    responses = {("cap+generate_candidate+0", "generate_candidate"): [
+        candidate_response(gold_sql)
+    ]}
+    with caplog.at_level(logging.WARNING, logger="querycrew.harness"):
+        report = run_benchmark(
+            [item], PipelineConfig(team="CG_only", n_candidates=1, row_cap=2),
+            tmp_path / "out", bench_env["root"],
+            gateway=Gateway.single(MockBackend(responses=responses)),
+        )
+    assert report.flagged_gold == ["cap"]
+    assert report.outcomes[0].candidate_ex == [0]
+    assert "gold SQL for cap returns over 2 rows" in [r.getMessage() for r in caplog.records]
 
 
 def test_trace_lines_match_json_dumps(tmp_path):
