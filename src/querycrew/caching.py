@@ -1,11 +1,11 @@
 """Binary cache files for preprocessing artifacts.
 
 Each cache is a small envelope: a magic line naming the format version, a
-JSON header with the hashes the payload was built from, and a pickled
-payload. A loader returns None whenever the magic or the expected header
-does not match, and also when the payload does not unpickle (a corrupt file,
-or one that names a class the code no longer has), which makes "rebuild on
-mismatch" the caller's one-liner.
+JSON header with the hashes the payload was built from, and the payload in
+the caller's `Codec` (`PICKLE` by default; the described catalog uses JSON).
+A loader returns None whenever the magic or the expected header does not
+match, and also when the payload does not decode (a corrupt file, a class the
+code no longer has), which makes "rebuild on mismatch" the caller's one-liner.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ import json
 import os
 import pickle
 from pathlib import Path
+from typing import BinaryIO, Callable, NamedTuple
 
 VALUE_INDEX_MAGIC = b"QCWVIDX1"
 CONTEXT_STORE_MAGIC = b"QCWCTXS1"
+CATALOG_MAGIC = b"QCWCATL1"
 _HEADER_LIMIT = 1 << 20
 
 
@@ -29,13 +31,37 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def description_digest(directory: str | Path | None) -> str | None:
+    """SHA-256 over the sorted `*.csv` names and bytes in `directory`, the
+    files description ingestion reads; None when there is no directory."""
+    if directory is None or not Path(directory).is_dir():
+        return None
+    h = hashlib.sha256()
+    for path in sorted(Path(directory).glob("*.csv"), key=lambda p: p.name):  # Path < is slow
+        try:
+            data = path.read_bytes()
+        except OSError:  # ingestion skips an unreadable file, so hash it like an empty one
+            data = b""
+        h.update(f"{path.name}\0{len(data)}\0".encode("utf-8") + data)
+    return h.hexdigest()
+
+
 def config_hash(payload: dict) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()
 
 
-def save_envelope(path: str | Path, magic: bytes, header: dict, payload: object) -> None:
+class Codec(NamedTuple):
+    """How a payload is written to, and read back from, an open binary file."""
+    dump: Callable[[object, BinaryIO], object]
+    load: Callable[[BinaryIO], object]
+
+
+PICKLE = Codec(lambda payload, fh: pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL), pickle.load)
+
+
+def save_envelope(path: str | Path, magic: bytes, header: dict, payload, codec=PICKLE) -> None:
     """Stream the envelope into a temporary sibling, then move it into place,
     so `path` never holds a partly written file."""
     path = Path(path)
@@ -46,14 +72,14 @@ def save_envelope(path: str | Path, magic: bytes, header: dict, payload: object)
             fh.write(magic + b"\n")
             fh.write(len(header_bytes).to_bytes(8, "big"))
             fh.write(header_bytes)
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            codec.dump(payload, fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def load_envelope(path: str | Path, magic: bytes, expected_header: dict) -> object | None:
-    """Payload if the file exists with matching magic and header, else None."""
+def load_envelope(path: str | Path, magic: bytes, expected_header: dict, codec=PICKLE):
+    """Payload if the file exists, its magic and header match and it decodes, else None."""
     p = Path(path)
     if not p.is_file():
         return None
@@ -67,6 +93,6 @@ def load_envelope(path: str | Path, magic: bytes, expected_header: dict) -> obje
             header = json.loads(fh.read(size).decode("utf-8"))
             if header != expected_header:
                 return None
-            return pickle.load(fh)
-    except Exception:  # unreadable, or corrupt in any way unpickling can fail
+            return codec.load(fh)
+    except Exception:  # unreadable, or corrupt in any way decoding can fail
         return None

@@ -21,7 +21,7 @@ import logging
 import re
 import sqlite3
 import string
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -161,13 +161,14 @@ class SchemaCatalog:
     # -- serialization (cache/export format) ------------------------------
 
     def to_json_dict(self) -> dict:
+        names = [f.name for f in fields(ColumnInfo)]  # one level deep, unlike `asdict`
         return {
             "db_id": self.db_id,
             "tables": [
                 {
                     "name": t.name,
                     "primary_key": list(t.primary_key),
-                    "columns": [asdict(c) for c in t.columns],
+                    "columns": [{f: getattr(c, f) for f in names} for c in t.columns],
                 }
                 for t in self.tables
             ],
@@ -318,19 +319,27 @@ def ingest_catalog_descriptions(
     column_name, column_description, data_format, value_description).
     Identifier matching is case-insensitive with whitespace stripped. Rows
     that do not match a column are logged and skipped; a missing directory
-    leaves the catalog unchanged.
+    leaves the catalog unchanged. The result is a copy; `ensure_artifacts`
+    ingests in place, and logs these warnings only when it builds its cache.
     """
+    return _ingest_descriptions(catalog, description_dir, copy=True)
+
+
+def _ingest_descriptions(catalog: SchemaCatalog, description_dir, copy: bool) -> SchemaCatalog:
+    """`ingest_catalog_descriptions`, in place unless `copy`; None ingests nothing."""
+    if description_dir is None:
+        return catalog
     directory = Path(description_dir)
     if not directory.is_dir():
         logger.warning("description directory %s not found; catalog unchanged", directory)
         return catalog
-
-    # New column objects keep the input catalog as it was. Their lists stay
-    # shared, because nothing below changes a list in place.
-    catalog = replace(
-        catalog,
-        tables=[replace(t, columns=[replace(c) for c in t.columns]) for t in catalog.tables],
-    )
+    if copy:
+        # New column objects keep the input catalog as it was. Their lists
+        # stay shared, because nothing below changes a list in place.
+        catalog = replace(
+            catalog,
+            tables=[replace(t, columns=[replace(c) for c in t.columns]) for t in catalog.tables],
+        )
     for csv_path in sorted(directory.glob("*.csv")):
         table = catalog.resolve_table(csv_path.stem)
         if table is None:

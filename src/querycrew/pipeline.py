@@ -46,21 +46,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from . import agents, executor
+from . import agents, caching, executor
 from .agents import CandidateQuery, Cluster, RetrievedContext, RunEnv, Verdict
-from .caching import (
-    CONTEXT_STORE_MAGIC,
-    VALUE_INDEX_MAGIC,
-    config_hash,
-    file_sha256,
-    load_envelope,
-    save_envelope,
-)
 from .catalog import (
     SchemaCatalog,
     SubSchema,
+    _ingest_descriptions,
     full_projection,
-    ingest_catalog_descriptions,
     introspect_database,
     project,
 )
@@ -136,6 +128,7 @@ class PipelineConfig:
         unknown = set(self.disabled_tools) - set(TOGGLEABLE_TOOLS)
         if unknown:
             raise ValueError(f"unknown tool toggles: {sorted(unknown)}")
+        executor._check_mode(self.compare_mode)
         if "UT" in TEAMS[self.team] and self.n_candidates < 2:
             logger.warning(
                 "unit testing with n_candidates=%d cannot differentiate candidates",
@@ -226,6 +219,12 @@ class DbArtifacts:
     context_store: ContextStore | None
 
 
+_CATALOG_JSON = caching.Codec(
+    lambda catalog, fh: fh.write(json.dumps(catalog.to_json_dict(), check_circular=False).encode()),
+    lambda fh: SchemaCatalog.from_json_dict(json.load(fh)),
+)
+
+
 def ensure_artifacts(
     db_file: str | Path,
     config: PipelineConfig,
@@ -235,42 +234,49 @@ def ensure_artifacts(
     """Load cached preprocessing artifacts, rebuilding any that is stale or
     does not load.
 
-    Caches are keyed by the database file hash and the relevant config so a
-    schema, content, or config change invalidates them automatically.
+    Each header holds the database hash plus the description CSVs' digest
+    (described catalog, kept as JSON), the index config (value index), or the
+    embedder config and that digest (context store). A warm call parses no
+    CSV, so ingest warnings are logged only when the catalog is built.
     """
     db_file = Path(db_file)
-    catalog = introspect_database(db_file)
     if description_dir is None:
         default_desc = db_file.parent / "database_description"
         description_dir = default_desc if default_desc.is_dir() else None
-    if description_dir is not None:
-        catalog = ingest_catalog_descriptions(catalog, description_dir)
-
-    embedder = build_embedder(config)
-    db_hash = file_sha256(db_file)
+    db_hash = caching.file_sha256(db_file)
+    descriptions = caching.description_digest(description_dir)
     cache_dir = Path(cache_dir) if cache_dir else db_file.parent
 
-    def load_or_build(kind: str, magic: bytes, config_key: dict, build):
+    def load_or_build(kind: str, magic: bytes, build, codec=caching.PICKLE, **key):
         path = cache_dir / f"{db_file.stem}.{kind}.qcx"
-        header = {"db": db_hash, "config": config_hash(config_key)}
-        artifact = load_envelope(path, magic, header)
+        header = {"db": db_hash, **key}
+        artifact = caching.load_envelope(path, magic, header, codec)
         if artifact is None:
             artifact = build()
             try:
                 cache_dir.mkdir(parents=True, exist_ok=True)
-                save_envelope(path, magic, header, artifact)
+                caching.save_envelope(path, magic, header, artifact, codec)
             except OSError as exc:
                 logger.warning("could not persist %s cache: %s", kind, exc)
         return artifact
 
+    catalog = load_or_build(
+        "catalog", caching.CATALOG_MAGIC,
+        lambda: _ingest_descriptions(introspect_database(db_file), description_dir, copy=False),
+        _CATALOG_JSON, descriptions=descriptions,
+    )
     value_index = load_or_build(
-        "value_index", VALUE_INDEX_MAGIC, config.index.to_dict(),
+        "value_index", caching.VALUE_INDEX_MAGIC,
         lambda: build_value_index(catalog, db_file, config.index),
+        config=caching.config_hash(config.index.to_dict()),
     )
     # embedders may hold live sessions; the store is built and cached without one
+    embedder = build_embedder(config)
     store = load_or_build(
-        "context_store", CONTEXT_STORE_MAGIC, {"embedder": config.embedder, "k": "context"},
+        "context_store", caching.CONTEXT_STORE_MAGIC,
         lambda: replace(build_context_store(catalog, embedder), embedder=None),
+        config=caching.config_hash({"embedder": config.embedder, "k": "context"}),
+        descriptions=descriptions,
     )
     store.embedder = embedder
 

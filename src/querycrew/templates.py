@@ -11,7 +11,7 @@ an upper-case letter.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 JSON_OBJECT = "json_object"
 PYTHON_LIST = "python_list"
@@ -30,13 +30,14 @@ class PromptTemplate:
     template_id: str
     body: str
     expected_shape: str
+    # the body split once at its placeholders: literals at even positions, names at odd
+    parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parts", tuple(_PLACEHOLDER.split(self.body)))
 
     def placeholders(self) -> list[str]:
-        seen: list[str] = []
-        for m in _PLACEHOLDER.finditer(self.body):
-            if m.group(1) not in seen:
-                seen.append(m.group(1))
-        return seen
+        return list(dict.fromkeys(self.parts[1::2]))
 
 
 _EXTRACT_KEYWORDS_BODY = """\
@@ -386,11 +387,9 @@ def render_template(template_id: str, bindings: dict[str, object]) -> str:
     template = TEMPLATES.get(template_id)
     if template is None:
         raise RenderError(f"unknown template {template_id!r}")
-
-    def _sub(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in bindings:
-            raise RenderError(name)
-        return str(bindings[name])
-
-    return _PLACEHOLDER.sub(_sub, template.body)
+    out = list(template.parts)
+    for i in range(1, len(out), 2):
+        if out[i] not in bindings:
+            raise RenderError(out[i])
+        out[i] = str(bindings[out[i]])
+    return "".join(out)

@@ -1,6 +1,7 @@
 import contextvars
 import gc
 import json
+import re
 import sys
 import tempfile
 import threading
@@ -127,6 +128,38 @@ class TestRenderTemplate:
         assert set(TEMPLATES) == set(expected)
         for tid, placeholders in expected.items():
             assert set(TEMPLATES[tid].placeholders()) == placeholders, tid
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tid=st.sampled_from(sorted(TEMPLATES)),
+        values=st.lists(
+            st.one_of(st.text(alphabet="ab{}\\$\n\u00e9QUESTION_0", max_size=12), st.integers()),
+            min_size=8, max_size=8,
+        ),
+        drop=st.sets(st.integers(min_value=0, max_value=7), max_size=2),
+        extra=st.booleans(),
+    )
+    def test_render_matches_substitution_oracle(self, tid, values, drop, extra):
+        """The split-once render gives the bytes, and raises for the same name,
+        as one `re.sub` over the body."""
+        names = TEMPLATES[tid].placeholders()
+        bindings = {n: v for i, (n, v) in enumerate(zip(names, values)) if i not in drop}
+        if extra:
+            bindings["NOT_A_PLACEHOLDER"] = "x"
+
+        def oracle_sub(match):
+            if match.group(1) not in bindings:
+                raise RenderError(match.group(1))
+            return str(bindings[match.group(1)])
+
+        try:
+            want = re.sub(r"\{([A-Z][A-Z0-9_]*)\}", oracle_sub, TEMPLATES[tid].body)
+        except RenderError as exc:
+            with pytest.raises(RenderError) as got:
+                render_template(tid, bindings)
+            assert got.value.args == exc.args
+        else:
+            assert render_template(tid, bindings) == want
 
 
 def _scan_only_json_object(text: str) -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import re
@@ -711,6 +712,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig.from_file(path)
 
+    def test_unknown_compare_mode_rejected(self):
+        with pytest.raises(ValueError, match="bag"):
+            PipelineConfig(compare_mode="bag")
+        with pytest.raises(ValueError, match="bag"):
+            PipelineConfig.from_dict({**PipelineConfig().to_dict(), "compare_mode": "bag"})
+
     def test_ut_with_one_candidate_warns(self, caplog):
         with caplog.at_level(logging.WARNING):
             PipelineConfig(team="IR_CG_UT", n_candidates=1)
@@ -821,7 +828,7 @@ class TestArtifactCaching:
             assert index_cache.read_bytes() == whole, cut
             assert again.value_index.values == built.value_index.values
 
-    @pytest.mark.parametrize("kind", ["value_index", "context_store"])
+    @pytest.mark.parametrize("kind", ["value_index", "context_store", "catalog"])
     def test_payload_that_does_not_unpickle_is_rebuilt(self, tmp_path, kind):
         from fixture_dbs import build_finance_db, build_finance_descriptions
 
@@ -840,14 +847,146 @@ class TestArtifactCaching:
         assert again.value_index.values == built.value_index.values
         assert again.context_store.items == built.context_store.items != []
 
+    def test_catalog_payload_that_does_not_validate_is_rebuilt(self, tmp_path):
+        import json
+
+        from fixture_dbs import build_finance_db
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        built = ensure_artifacts(db, config)
+        cache = tmp_path / "finance.catalog.qcx"
+        whole = cache.read_bytes()
+        size_at = whole.index(b"\n") + 1
+        header_end = size_at + 8 + int.from_bytes(whole[size_at : size_at + 8], "big")
+        payload = json.loads(whole[header_end:])
+        payload["tables"][0]["columns"][0]["is_pk"] = not payload["tables"][0]["columns"][0]["is_pk"]
+        cache.write_bytes(whole[:header_end] + json.dumps(payload).encode())
+        again = ensure_artifacts(db, config)
+        assert cache.read_bytes() == whole
+        assert again.catalog.to_json_dict() == built.catalog.to_json_dict()
+
     def test_save_leaves_no_temporary_file(self, tmp_path):
         from fixture_dbs import build_finance_db
 
         db = build_finance_db(tmp_path / "finance.sqlite")
         ensure_artifacts(db, PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "finance.context_store.qcx", "finance.sqlite", "finance.value_index.qcx",
+            "finance.catalog.qcx", "finance.context_store.qcx", "finance.sqlite",
+            "finance.value_index.qcx",
         ]
+
+    def test_edited_description_reaches_the_context_store(self, tmp_path):
+        from fixture_dbs import build_finance_db, build_finance_descriptions
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        desc = build_finance_descriptions(tmp_path / "database_description")
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        ensure_artifacts(db, config)
+        district = desc / "district.csv"
+        district.write_text(
+            district.read_text(encoding="utf-8").replace("name of the district", "EDITED TEXT"),
+            encoding="utf-8",
+        )
+        again = ensure_artifacts(db, config)
+        assert again.catalog.column("district", "A2").column_description == "EDITED TEXT"
+        texts = [item.text for item in again.context_store.items]
+        assert any("EDITED TEXT" in t for t in texts)
+        assert not any("name of the district" in t for t in texts)
+
+    @pytest.mark.parametrize("change", ["add", "remove"])
+    def test_description_file_set_rebuilds_catalog_and_store_only(self, tmp_path, change):
+        from fixture_dbs import build_finance_db, build_finance_descriptions
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        desc = build_finance_descriptions(tmp_path / "database_description")
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        built = ensure_artifacts(db, config)
+        stamps = {
+            kind: (tmp_path / f"finance.{kind}.qcx").stat().st_mtime_ns
+            for kind in ("catalog", "context_store", "value_index")
+        }
+        if change == "add":
+            (desc / "client.csv").write_text(
+                "original_column_name,column_name,column_description,data_format,"
+                "value_description\nClientID,client id,identifier of the client,integer,\n",
+                encoding="utf-8",
+            )
+        else:
+            (desc / "customers.csv").unlink()
+        time.sleep(0.01)  # a rewrite within the clock's resolution would keep its stamp
+        again = ensure_artifacts(db, config)
+        for kind in ("catalog", "context_store"):
+            assert (tmp_path / f"finance.{kind}.qcx").stat().st_mtime_ns != stamps[kind], kind
+        assert (tmp_path / "finance.value_index.qcx").stat().st_mtime_ns == stamps["value_index"]
+        assert again.value_index.values == built.value_index.values
+        assert again.catalog.to_json_dict() != built.catalog.to_json_dict()
+
+    def test_unreadable_description_file_is_skipped(self, tmp_path, caplog):
+        from fixture_dbs import build_finance_db, build_finance_descriptions
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        desc = build_finance_descriptions(tmp_path / "database_description")
+        (desc / "customers.csv").unlink()
+        (desc / "customers.csv").mkdir()  # matches a table, but cannot be read
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        with caplog.at_level(logging.WARNING):
+            built = ensure_artifacts(db, config)
+        assert any("cannot read" in r.message for r in caplog.records)
+        assert built.catalog.column("district", "A11").expanded_name == "average salary"
+        assert built.catalog.column("customers", "Gender").expanded_name is None
+
+    def test_warm_call_introspects_nothing(self, tmp_path, monkeypatch):
+        from fixture_dbs import build_finance_db, build_finance_descriptions
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        build_finance_descriptions(tmp_path / "database_description")
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        calls = []
+
+        def counting(db_file):
+            calls.append(db_file)
+            return introspect_database(db_file)
+
+        monkeypatch.setattr(pipeline, "introspect_database", counting)
+        built = ensure_artifacts(db, config)
+        assert len(calls) == 1
+        again = ensure_artifacts(db, config)
+        assert len(calls) == 1
+        assert again.catalog.to_json_dict() == built.catalog.to_json_dict()
+        assert again.catalog.column("district", "A11").expanded_name == "average salary"
+
+    def test_store_cache_with_the_old_header_is_rebuilt_once(self, tmp_path):
+        from fixture_dbs import build_finance_db, build_finance_descriptions
+
+        from querycrew.caching import (
+            CONTEXT_STORE_MAGIC, VALUE_INDEX_MAGIC, config_hash, file_sha256, load_envelope,
+            save_envelope,
+        )
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        build_finance_descriptions(tmp_path / "database_description")
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        built = ensure_artifacts(db, config)
+        index_cache = tmp_path / "finance.value_index.qcx"
+        store_cache = tmp_path / "finance.context_store.qcx"
+        # the headers of caches written before descriptions were part of the key
+        db_hash = file_sha256(db)
+        old_index = {"db": db_hash, "config": config_hash(config.index.to_dict())}
+        old_store = {"db": db_hash, "config": config_hash({"embedder": config.embedder,
+                                                           "k": "context"})}
+        assert load_envelope(index_cache, VALUE_INDEX_MAGIC, old_index) is not None
+        stale = dataclasses.replace(built.context_store, embedder=None, items=[])
+        save_envelope(store_cache, CONTEXT_STORE_MAGIC, old_store, stale)
+        index_stamp = index_cache.stat().st_mtime_ns
+
+        again = ensure_artifacts(db, config)
+        assert again.context_store.items == built.context_store.items != []
+        assert load_envelope(store_cache, CONTEXT_STORE_MAGIC, old_store) is None
+        store_stamp = store_cache.stat().st_mtime_ns
+        ensure_artifacts(db, config)
+        assert store_cache.stat().st_mtime_ns == store_stamp  # rebuilt once, then a hit
+        assert index_cache.stat().st_mtime_ns == index_stamp
 
     def test_failed_save_keeps_the_previous_file(self, tmp_path):
         from querycrew.caching import load_envelope, save_envelope
