@@ -5,7 +5,7 @@ A SchemaCatalog is built once per SQLite file, and so are its lookups: tables
 and columns by name, linking columns and outgoing FK edges per table, and the
 case-insensitive name resolution that all callers share. Its structural lists
 (`tables`, each table's `columns` and `primary_key`, `fk_edges`) must not be
-mutated afterwards; column attributes such as `sample_values` and `fk_targets`
+mutated afterwards; column attributes such as the descriptions and `fk_targets`
 may change. SubSchema objects are lightweight views onto it. Foreign-key and
 primary-key columns ("linking columns") are never dropped by projection
 because joins and counts need them even when they are semantically unrelated
@@ -49,7 +49,6 @@ class ColumnInfo:
     value_description: str | None = None
     is_pk: bool = False
     fk_targets: list[str] = field(default_factory=list)  # "table.column" strings
-    sample_values: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -184,7 +183,11 @@ class SchemaCatalog:
             TableInfo(
                 name=t["name"],
                 primary_key=list(t["primary_key"]),
-                columns=[ColumnInfo(**c) for c in t["columns"]],
+                # older files hold `sample_values`, which never had an effect
+                columns=[
+                    ColumnInfo(**{k: v for k, v in c.items() if k != "sample_values"})
+                    for c in t["columns"]
+                ],
             )
             for t in payload["tables"]
         ]

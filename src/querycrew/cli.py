@@ -21,7 +21,6 @@ from pathlib import Path
 from . import harness, pipeline
 from .catalog import introspect_database, save_catalog
 from .pipeline import PipelineConfig
-from .value_index import attach_sample_values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,9 +93,6 @@ def cmd_preprocess(args) -> int:
         return 1
     for db_file in db_files:
         artifacts = pipeline.ensure_artifacts(db_file, config)
-        attach_sample_values(artifacts.catalog, artifacts.value_index)
-        catalog_path = db_file.with_suffix(".catalog.json")
-        save_catalog(artifacts.catalog, catalog_path)
         print(
             f"{db_file.stem}: {len(artifacts.value_index)} indexed values, "
             f"{len(artifacts.context_store or [])} descriptions"

@@ -283,12 +283,14 @@ class MockBackend:
             single = scenario_dir / f"{template_id}.txt"
             if single.is_file():
                 return [single.read_text(encoding="utf-8")]
+            numbered = re.compile(re.escape(template_id) + r"\.([0-9]+)\.txt")
             variants = sorted(
-                scenario_dir.glob(f"{template_id}.*.txt"),
-                key=lambda p: int(p.suffixes[-2].lstrip(".")),
+                (int(m[1]), p)
+                for p in scenario_dir.glob(f"{template_id}.*.txt")
+                if (m := numbered.fullmatch(p.name))
             )
             if variants:
-                return [p.read_text(encoding="utf-8") for p in variants]
+                return [p.read_text(encoding="utf-8") for _, p in variants]
             fallback = self.fixture_dir / "defaults" / f"{template_id}.txt"
             if fallback.is_file():
                 return [fallback.read_text(encoding="utf-8")]

@@ -265,12 +265,7 @@ def synthesize_large_schema(
             kept_names = {c.name for c in kept_cols}
             new_pk = [c for c in tinfo.primary_key if c in kept_names]
             columns = [
-                replace(
-                    col,
-                    is_pk=col.name in new_pk,
-                    fk_targets=[],
-                    sample_values=list(col.sample_values),
-                )
+                replace(col, is_pk=col.name in new_pk, fk_targets=[])
                 for col in kept_cols
             ]
             tables.append(TableInfo(name=prefix, columns=columns, primary_key=new_pk))

@@ -109,7 +109,6 @@ class PipelineConfig:
     n_unit_tests: int = 10
     max_revisions: int = 3
     compare_mode: str = "set"
-    order_sensitive: bool = False
     execution_timeout_s: float = 30.0
     row_cap: int = 10_000
     context_k: int = 10
@@ -129,6 +128,8 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown tool toggles: {sorted(unknown)}")
         executor._check_mode(self.compare_mode)
+        if self.n_candidates < 1:
+            raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
         if "UT" in TEAMS[self.team] and self.n_candidates < 2:
             logger.warning(
                 "unit testing with n_candidates=%d cannot differentiate candidates",
@@ -153,6 +154,7 @@ class PipelineConfig:
         version = payload.pop("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {version}")
+        payload.pop("order_sensitive", None)  # older files hold it; it never had an effect
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -418,7 +420,7 @@ def run(
         # --- selection ---------------------------------------------------
         verdict_matrix: list[list[Verdict]] = []
         tests: list = []
-        if "UT" in roles and len(clusters) > 1:
+        if "UT" in roles and len(clusters) > 1 and config.n_unit_tests > 0:
             tests = agents.generate_unit_tests(env, clusters, config.n_unit_tests)
             verdict_matrix = agents.evaluate_against_test(env, candidates, tests)
             winner = score_and_select(candidates, verdict_matrix, clusters)

@@ -108,9 +108,6 @@ class ValueIndex:
     def __len__(self) -> int:
         return len(self.values)
 
-    def entry_count(self) -> int:
-        return sum(len(locs) for locs in self.value_locs)
-
 
 def _permutations(cfg: IndexConfig) -> np.ndarray:
     """One 64-bit salt per permutation, drawn from the seeded generator."""
@@ -355,10 +352,10 @@ def lsh_query(
     out: list[tuple[str, str, str]] = []
     for value, _score, vid in ranked:
         for loc_id in index.value_locs[vid]:
-            table, column = index.locations[loc_id]
-            out.append((value, table, column))
             if len(out) >= cap:
                 return out
+            table, column = index.locations[loc_id]
+            out.append((value, table, column))
     return out
 
 
@@ -478,17 +475,6 @@ def _cosine_filter(
 def exact_ngram_jaccard(a: str, b: str, n: int = 3) -> float:
     """Exact n-gram Jaccard similarity (reference metric for the estimator)."""
     return jaccard(char_ngrams(normalize_value(a), n), char_ngrams(normalize_value(b), n))
-
-
-def attach_sample_values(catalog: SchemaCatalog, index: ValueIndex, per_column: int = 3) -> None:
-    """Fill ColumnInfo.sample_values with up to `per_column` short values."""
-    by_loc: dict[tuple[str, str], list[str]] = {}
-    for vid, locs in enumerate(index.value_locs):
-        for loc_id in locs:
-            by_loc.setdefault(index.locations[loc_id], []).append(index.values[vid])
-    for (table, column), vals in by_loc.items():
-        vals.sort(key=lambda v: (len(v), v))
-        catalog.column(table, column).sample_values = vals[:per_column]
 
 
 def _is_text_type(declared_type: str) -> bool:

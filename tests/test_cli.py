@@ -27,6 +27,16 @@ def cli_env(tmp_path_factory):
         "config": config_path,
     }
 
+CACHES = [".catalog.qcx", ".context_store.qcx", ".value_index.qcx"]
+
+
+def _written_beside(db_file):
+    """The suffixes of the files named after `db_file` in its directory."""
+    return sorted(
+        p.name[len(db_file.stem):] for p in db_file.parent.glob(f"{db_file.stem}.*")
+        if p != db_file
+    )
+
 
 def test_preprocess(cli_env, capsys):
     rc = main(["preprocess", "--db-root", str(cli_env["root"]),
@@ -34,8 +44,7 @@ def test_preprocess(cli_env, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "motorsport" in out
-    assert (cli_env["root"] / "motorsport" / "motorsport.value_index.qcx").is_file()
-    assert (cli_env["root"] / "motorsport" / "motorsport.catalog.json").is_file()
+    assert _written_beside(cli_env["root"] / "motorsport" / "motorsport.sqlite") == CACHES
 
 
 def test_ask_prints_sql(cli_env, capsys, tmp_path):
@@ -123,8 +132,8 @@ def test_db_root_of_db_files(cli_env, tmp_path, capsys):
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
         "bank", "shop"
     ]
-    assert (root / "shop" / "shop.catalog.json").is_file()
-    assert (root / "bank.catalog.json").is_file()
+    assert _written_beside(root / "shop" / "shop.db") == CACHES
+    assert _written_beside(root / "bank.db") == CACHES
 
     out = tmp_path / "merged.json"
     rc = main([

@@ -478,6 +478,23 @@ class TestMockBackend:
         )
         assert [c.text for c in out] == ["first", "second"]
 
+    def test_unnumbered_files_are_ignored(self, tmp_path):
+        scenario = tmp_path / "q1+revise+0"
+        scenario.mkdir()
+        (scenario / "revise.notes.txt").write_text("not a variant")
+        backend = MockBackend(fixture_dir=tmp_path)
+        with pytest.raises(MockLookupError):
+            backend.complete("p", SamplingParams(), "revise", "q1+revise+0")
+        (scenario / "revise.1.txt").write_text("second")
+        (scenario / "revise.0.txt").write_text("first")
+        out = backend.complete("p", SamplingParams(n_samples=3), "revise", "q1+revise+0")
+        assert [c.text for c in out] == ["first", "second", "second"]
+        (tmp_path / "defaults").mkdir()
+        (tmp_path / "defaults" / "revise.txt").write_text("default")
+        (scenario / "revise.0.txt").unlink()
+        (scenario / "revise.1.txt").unlink()
+        assert backend.complete("p", SamplingParams(), "revise", "q1+revise+0")[0].text == "default"
+
     def test_pure_lookup(self):
         backend = MockBackend(responses={("k", "revise"): ["same"]})
         a = backend.complete("p", SamplingParams(), "revise", "k")

@@ -443,6 +443,25 @@ class TestRunUnitTesterTeam:
         assert [c.revision_count for c in trace.candidates] == [0, 2, 3]
         assert trace.revisions_total == 5
 
+    @pytest.mark.parametrize("n_unit_tests, tests", [(0, None), (2, [])])
+    def test_no_tests_picks_the_largest_cluster(self, motorsport_artifacts, n_unit_tests, tests):
+        """Zero tests asked for, or none returned: the largest cluster's
+        representative wins, and no verdict is asked for."""
+        qid = "ut_0004"
+        responses = self._responses(qid)
+        if tests is not None:
+            responses[(f"{qid}+generate_unit_tests+0", "generate_unit_tests")] = [
+                unit_tests_response(tests)
+            ]
+        config = PipelineConfig(team="IR_CG_UT", n_candidates=3, n_unit_tests=n_unit_tests)
+        gw = Gateway.single(MockBackend(responses=responses))
+        sql, trace = run(FUNNEL_QUESTION, FUNNEL_HINT, motorsport_artifacts, config, gw, qid=qid)
+        assert sql == "SELECT MIN(fastestLapTime) FROM results WHERE driverId = 1"
+        assert trace.selected_index == 0  # clusters {0, 2} and {1}
+        assert trace.n_unit_tests == 0
+        assert trace.scores == [0, 0, 0]
+        assert trace.llm_calls == 1 + 3 + (tests is not None)
+
     def test_degenerate_single_cluster_skips_ut(self, motorsport_artifacts):
         config = PipelineConfig(team="IR_CG_UT", n_candidates=2, n_unit_tests=5)
         qid = "ut_0002"
@@ -718,6 +737,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="bag"):
             PipelineConfig.from_dict({**PipelineConfig().to_dict(), "compare_mode": "bag"})
 
+    def test_no_candidates_rejected(self):
+        with pytest.raises(ValueError, match="n_candidates must be >= 1"):
+            PipelineConfig(n_candidates=0)
+        with pytest.raises(ValueError, match="n_candidates must be >= 1"):
+            PipelineConfig.from_dict({**PipelineConfig().to_dict(), "n_candidates": 0})
+
     def test_ut_with_one_candidate_warns(self, caplog):
         with caplog.at_level(logging.WARNING):
             PipelineConfig(team="IR_CG_UT", n_candidates=1)
@@ -955,6 +980,39 @@ class TestArtifactCaching:
         assert len(calls) == 1
         assert again.catalog.to_json_dict() == built.catalog.to_json_dict()
         assert again.catalog.column("district", "A11").expanded_name == "average salary"
+
+    def test_catalog_cache_with_sample_values_loads(self, tmp_path, monkeypatch):
+        """A catalog cache whose columns still hold `"sample_values": []`, as
+        every one did before that field was removed, is a hit."""
+        import json
+
+        from fixture_dbs import build_finance_db, build_finance_descriptions
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        build_finance_descriptions(tmp_path / "database_description")
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        built = ensure_artifacts(db, config)
+        cache = tmp_path / "finance.catalog.qcx"
+        whole = cache.read_bytes()
+        size_at = whole.index(b"\n") + 1
+        header_end = size_at + 8 + int.from_bytes(whole[size_at : size_at + 8], "big")
+        payload = json.loads(whole[header_end:])
+        for table in payload["tables"]:
+            for column in table["columns"]:
+                column["sample_values"] = []
+        cache.write_bytes(whole[:header_end] + json.dumps(payload).encode())
+        stamp = cache.stat().st_mtime_ns
+        calls = []
+
+        def counting(db_file):
+            calls.append(db_file)
+            return introspect_database(db_file)
+
+        monkeypatch.setattr(pipeline, "introspect_database", counting)
+        again = ensure_artifacts(db, config)
+        assert calls == []
+        assert cache.stat().st_mtime_ns == stamp
+        assert again.catalog == built.catalog
 
     def test_store_cache_with_the_old_header_is_rebuilt_once(self, tmp_path):
         from fixture_dbs import build_finance_db, build_finance_descriptions

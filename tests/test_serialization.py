@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import string
 
+import pytest
 from e2e_fixtures import build_bench_root, build_suite_fixture_dir, suite_dataset
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from querycrew.catalog import (
     SchemaCatalog,
     TableInfo,
     introspect_database,
+    load_catalog,
     save_catalog,
 )
 from querycrew.harness import ItemOutcome, load_dataset, run_benchmark
@@ -28,6 +30,48 @@ from querycrew.pipeline import TEAMS, TOGGLEABLE_TOOLS, PipelineConfig
 from querycrew.value_index import IndexConfig
 
 CONFIG_JSON = """\
+{
+ "version": 1,
+ "team": "IR_SS_CG",
+ "n_candidates": 1,
+ "n_unit_tests": 0,
+ "max_revisions": 3,
+ "compare_mode": "set",
+ "execution_timeout_s": 30.0,
+ "row_cap": 10000,
+ "context_k": 10,
+ "generation_temperature": 1.0,
+ "max_tokens": 2048,
+ "disabled_tools": [
+  "filter_column",
+  "revise"
+ ],
+ "index": {
+  "ngram_size": 3,
+  "num_permutations": 128,
+  "lsh_bands": 32,
+  "lsh_rows": 4,
+  "max_value_length": 100,
+  "permutation_seed": 7,
+  "lsh_candidate_cap": 10,
+  "cosine_threshold": 0.6,
+  "embed_top_k": 10
+ },
+ "embedder": {
+  "kind": "local",
+  "dimension": 256
+ },
+ "models": {
+  "default": {
+   "kind": "mock"
+  }
+ },
+ "db_root": "dbs",
+ "seed": 3
+}"""
+
+# bytes saved before `order_sensitive` was removed; they must still load
+CONFIG_JSON_WITH_ORDER_SENSITIVE = """\
 {
  "version": 1,
  "team": "IR_SS_CG",
@@ -73,6 +117,76 @@ OUTCOME_LINE = """\
 {"candidate_ex": [1, 0], "completion_tokens": 30, "db_id": "café", "difficulty": "simple", "error": "", "ex": 1, "llm_calls": 4, "predicted_sql": "SELECT 'é'", "prompt_tokens": 120, "question_id": "q1"}"""
 
 CATALOG_JSON = """\
+{
+ "db_id": "shop",
+ "tables": [
+  {
+   "name": "customers",
+   "primary_key": [
+    "id"
+   ],
+   "columns": [
+    {
+     "name": "id",
+     "declared_type": "INTEGER",
+     "expanded_name": null,
+     "column_description": null,
+     "value_description": null,
+     "is_pk": true,
+     "fk_targets": []
+    },
+    {
+     "name": "name",
+     "declared_type": "TEXT",
+     "expanded_name": "customer name",
+     "column_description": "full name",
+     "value_description": null,
+     "is_pk": false,
+     "fk_targets": []
+    }
+   ]
+  },
+  {
+   "name": "orders",
+   "primary_key": [
+    "id"
+   ],
+   "columns": [
+    {
+     "name": "id",
+     "declared_type": "INTEGER",
+     "expanded_name": null,
+     "column_description": null,
+     "value_description": null,
+     "is_pk": true,
+     "fk_targets": []
+    },
+    {
+     "name": "customer_id",
+     "declared_type": "INTEGER",
+     "expanded_name": null,
+     "column_description": null,
+     "value_description": "ref",
+     "is_pk": false,
+     "fk_targets": [
+      "customers.id"
+     ]
+    }
+   ]
+  }
+ ],
+ "fk_edges": [
+  [
+   "orders",
+   "customer_id",
+   "customers",
+   "id"
+  ]
+ ]
+}"""
+
+# bytes saved before `sample_values` was removed; they must still load
+CATALOG_JSON_WITH_SAMPLE_VALUES = """\
 {
  "db_id": "shop",
  "tables": [
@@ -235,7 +349,6 @@ pipeline_configs = st.builds(
     n_unit_tests=st.integers(0, 20),
     max_revisions=st.integers(0, 5),
     compare_mode=st.sampled_from(["set", "multiset"]),
-    order_sensitive=st.booleans(),
     execution_timeout_s=st.floats(0.001, 1e4),
     row_cap=st.integers(1, 10**6),
     context_k=st.integers(0, 50),
@@ -282,7 +395,6 @@ def catalogs(draw) -> SchemaCatalog:
                 value_description=draw(optional_text),
                 is_pk=column in pk,
                 fk_targets=draw(st.lists(st.text(max_size=12), max_size=2)),
-                sample_values=draw(st.lists(st.text(max_size=12), max_size=3)),
             )
             for column in column_names
         ]
@@ -363,7 +475,6 @@ class TestPinnedBytes:
                             declared_type="TEXT",
                             expanded_name="customer name",
                             column_description="full name",
-                            sample_values=["Ada", "Grace"],
                         ),
                     ],
                 ),
@@ -385,6 +496,22 @@ class TestPinnedBytes:
         )
         save_catalog(catalog, tmp_path / "catalog.json")
         assert (tmp_path / "catalog.json").read_text(encoding="utf-8") == CATALOG_JSON
+
+    def test_config_json_with_order_sensitive_loads(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(CONFIG_JSON_WITH_ORDER_SENSITIVE, encoding="utf-8")
+        assert PipelineConfig.from_file(path) == PipelineConfig.from_dict(json.loads(CONFIG_JSON))
+        misspelled = CONFIG_JSON_WITH_ORDER_SENSITIVE.replace("order_sensitive", "order_sensitve")
+        with pytest.raises(ValueError, match="order_sensitve"):
+            PipelineConfig.from_dict(json.loads(misspelled))
+
+    def test_catalog_json_with_sample_values_loads(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(CATALOG_JSON_WITH_SAMPLE_VALUES, encoding="utf-8")
+        assert load_catalog(path) == SchemaCatalog.from_json_dict(json.loads(CATALOG_JSON))
+        misspelled = CATALOG_JSON_WITH_SAMPLE_VALUES.replace("sample_values", "sample_value")
+        with pytest.raises(TypeError, match="sample_value"):
+            SchemaCatalog.from_json_dict(json.loads(misspelled))
 
     def test_sweep_predictions_and_report(self, tmp_path):
         root = build_bench_root(tmp_path / "root")

@@ -288,6 +288,12 @@ class TestLshQuery:
     def test_cap_respected(self, currency_index):
         assert len(lsh_query(currency_index, "eur", cap=1)) <= 1
 
+    def test_each_cap_keeps_a_prefix_of_the_ranking(self, currency_index):
+        ranked = lsh_query(currency_index, "2012-08-25", cap=10**6)
+        assert len(ranked) == 3
+        for cap in range(len(ranked) + 2):
+            assert lsh_query(currency_index, "2012-08-25", cap=cap) == ranked[:cap], cap
+
 
 class TestEditDistance:
     def test_identity(self):
@@ -456,14 +462,3 @@ def _mutate(value: str, rng: random.Random, edits: int) -> str:
             del chars[pos]
     return "".join(chars) or value
 
-
-def test_attach_sample_values(finance_db, finance_catalog):
-    from querycrew.catalog import SchemaCatalog
-    from querycrew.value_index import attach_sample_values
-
-    catalog = SchemaCatalog.from_json_dict(finance_catalog.to_json_dict())
-    index = build_value_index(catalog, finance_db, IndexConfig())
-    attach_sample_values(catalog, index, per_column=2)
-    samples = catalog.table("customers").column("Currency").sample_values
-    assert samples == ["czk", "eur"]
-    assert catalog.table("customers").column("CustomerID").sample_values == []
