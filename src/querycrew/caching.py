@@ -1,25 +1,49 @@
-"""Binary cache files for preprocessing artifacts.
+"""Cache files for preprocessing artifacts, opened by mapping, never decoded
+as objects.
 
-Each cache is a small envelope: a magic line naming the format version, a
-JSON header with the hashes the payload was built from, and the payload in
-the caller's `Codec` (`PICKLE` by default; the described catalog uses JSON).
-A loader returns None whenever the magic or the expected header does not
-match, and also when the payload does not decode (a corrupt file, a class the
-code no longer has), which makes "rebuild on mismatch" the caller's one-liner.
+Each cache is one envelope file:
+
+    magic line | 8-byte big-endian header size | JSON header | document | arrays
+
+The header is `{"key": ..., "arrays": [[name, dtype, shape, offset], ...]}`:
+the hashes the artifact was built from, and a table of named raw arrays,
+each with its numpy dtype string, its shape and its byte offset from the end
+of the header. The document is the artifact's small fields as UTF-8 JSON; it
+runs to the first array, or to the end of the file when there is none. The
+header and the document are padded with spaces so that every array starts at
+a multiple of ALIGN bytes in the file, and the file ends where its last array
+ends. The loader maps the file read-only and views each array in place
+(`np.frombuffer` over an `ACCESS_READ` map), so the arrays are not writeable
+and nothing is read whole; only the header and the document are parsed.
+Nothing in a cache is executed.
+
+A loader returns None whenever the magic or the key does not match, the
+table does not fit the file, or `decode` raises, which makes "rebuild on
+mismatch" the caller's one-liner. A truncated or extended file is a miss.
+Residual risk: the loader does not read the arrays whole, so a flipped bit
+inside them (the value index's band keys, say) still loads, as a different
+artifact.
+
+A cache is written to a temporary sibling and moved into place by rename,
+never written in place: a reader may still map the previous file, and a
+mapped file truncated under its reader faults on the next access.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
-import pickle
 from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple
+from typing import Callable, Mapping
 
-VALUE_INDEX_MAGIC = b"QCWVIDX1"
-CONTEXT_STORE_MAGIC = b"QCWCTXS1"
-CATALOG_MAGIC = b"QCWCATL1"
+import numpy as np
+
+VALUE_INDEX_MAGIC = b"QCWVIDX2"
+CONTEXT_STORE_MAGIC = b"QCWCTXS2"
+CATALOG_MAGIC = b"QCWCATL2"
+ALIGN = 64
 _HEADER_LIMIT = 1 << 20
 
 
@@ -52,47 +76,83 @@ def config_hash(payload: dict) -> str:
     ).hexdigest()
 
 
-class Codec(NamedTuple):
-    """How a payload is written to, and read back from, an open binary file."""
-    dump: Callable[[object, BinaryIO], object]
-    load: Callable[[BinaryIO], object]
-
-
-PICKLE = Codec(lambda payload, fh: pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL), pickle.load)
-
-
-def save_envelope(path: str | Path, magic: bytes, header: dict, payload, codec=PICKLE) -> None:
-    """Stream the envelope into a temporary sibling, then move it into place,
-    so `path` never holds a partly written file."""
+def save_envelope(
+    path: str | Path,
+    magic: bytes,
+    header: dict,
+    document,
+    arrays: Mapping[str, np.ndarray] | None = None,
+) -> None:
+    """Write `document` (JSON) and `arrays` (raw, as they are in memory) into
+    a temporary sibling, then move it into place, so `path` never holds a
+    partly written file."""
     path = Path(path)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    arrays = arrays or {}
+    doc = json.dumps(
+        document, ensure_ascii=False, check_circular=False, separators=(",", ":")
+    ).encode("utf-8")
+    table, end = [], len(doc)
+    for name, array in arrays.items():
+        offset = end + -end % ALIGN
+        table.append([name, array.dtype.str, list(array.shape), offset])
+        end = offset + array.nbytes
+    head = json.dumps({"key": header, "arrays": table}, sort_keys=True).encode("utf-8")
+    head += b" " * (-(len(magic) + 9 + len(head)) % ALIGN)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(magic + b"\n")
-            fh.write(len(header_bytes).to_bytes(8, "big"))
-            fh.write(header_bytes)
-            codec.dump(payload, fh)
+            fh.write(magic + b"\n" + len(head).to_bytes(8, "big") + head)
+            fh.write(doc)
+            end = len(doc)
+            for (_name, _dtype, _shape, offset), array in zip(table, arrays.values()):
+                fh.write(b" " * (offset - end))
+                fh.write(np.ascontiguousarray(array).data)
+                end = offset + array.nbytes
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def load_envelope(path: str | Path, magic: bytes, expected_header: dict, codec=PICKLE):
-    """Payload if the file exists, its magic and header match and it decodes, else None."""
-    p = Path(path)
-    if not p.is_file():
-        return None
+def _parts(document, arrays: dict[str, np.ndarray]):
+    return document, arrays
+
+
+def load_envelope(
+    path: str | Path,
+    magic: bytes,
+    expected_header: dict,
+    decode: Callable[[object, dict[str, np.ndarray]], object] = _parts,
+):
+    """`decode(document, arrays)` if the file exists, its magic and key match,
+    its array table fits the file exactly and `decode` does not raise, else
+    None. The header and the document are read; the arrays are read-only
+    views of the mapped file, which stays mapped while any of them lives."""
     try:
-        with open(p, "rb") as fh:
+        with open(path, "rb") as fh:
             if fh.read(len(magic) + 1) != magic + b"\n":
                 return None
             size = int.from_bytes(fh.read(8), "big")
             if size > _HEADER_LIMIT:
                 return None
-            header = json.loads(fh.read(size).decode("utf-8"))
-            if header != expected_header:
+            header = json.loads(fh.read(size))
+            if header["key"] != expected_header:
                 return None
-            return codec.load(fh)
-    except Exception:  # unreadable, or corrupt in any way decoding can fail
+            start, file_size = len(magic) + 9 + size, os.fstat(fh.fileno()).st_size
+            table = header["arrays"]
+            document = json.loads(fh.read(table[0][3] if table else file_size - start))
+            arrays, end = {}, 0
+            if table:
+                mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            for name, dtype, shape, offset in table:
+                dtype = np.dtype(dtype)
+                count = int(np.prod(shape, dtype=np.int64))
+                if (min(shape, default=0) < 0 or offset < end
+                        or start + offset + count * dtype.itemsize > file_size):
+                    return None
+                arrays[name] = np.frombuffer(mapped, dtype, count, start + offset).reshape(shape)
+                end = offset + count * dtype.itemsize
+            if table and start + end != file_size:
+                return None
+        return decode(document, arrays)
+    except Exception:  # unreadable, or corrupt in any way parsing or decoding can fail
         return None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 import re
@@ -250,6 +251,9 @@ class SubSchema:
         return {t: list(cols) for t, cols in self.selection.items()}
 
 
+_TABLES = "m.type = 'table' AND m.name NOT LIKE 'sqlite_%'"
+
+
 def introspect_database(db_file: str | Path) -> SchemaCatalog:
     """Read table/column/PK/FK structure from a SQLite file.
 
@@ -262,28 +266,27 @@ def introspect_database(db_file: str | Path) -> SchemaCatalog:
     except sqlite3.Error as exc:
         raise CatalogError(f"cannot open database {path}: {exc}") from exc
     try:
-        try:
-            rows = conn.execute(
-                "SELECT name FROM sqlite_master"
-                " WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+        try:  # one join per kind of row: a PRAGMA statement per table costs more
+            column_rows = conn.execute(
+                "SELECT m.name, p.name, p.type, p.pk FROM sqlite_master AS m"
+                f" JOIN pragma_table_info(m.name) AS p WHERE {_TABLES}"
+                " ORDER BY m.rowid, p.cid"
+            ).fetchall()
+            fk_rows = conn.execute(
+                'SELECT m.name, f."table", f."from", f."to" FROM sqlite_master AS m'
+                f" JOIN pragma_foreign_key_list(m.name) AS f WHERE {_TABLES}"
+                " ORDER BY m.rowid, f.id, f.seq"
             ).fetchall()
         except sqlite3.Error as exc:
             raise CatalogError(f"cannot read schema of {path}: {exc}") from exc
 
         tables: list[TableInfo] = []
-        for (table_name,) in rows:
-            info = conn.execute(f'PRAGMA table_info("{_tick(table_name)}")').fetchall()
-            pk_cols = sorted(
-                ((r[5], r[1]) for r in info if r[5] > 0), key=lambda x: x[0]
-            )
+        for table_name, rows in itertools.groupby(column_rows, key=lambda r: r[0]):
+            info = list(rows)
+            pk_cols = sorted(((r[3], r[1]) for r in info if r[3] > 0), key=lambda x: x[0])
             primary_key = [name for _, name in pk_cols]
             columns = [
-                ColumnInfo(
-                    name=r[1],
-                    declared_type=(r[2] or ""),
-                    is_pk=r[5] > 0,
-                )
-                for r in info
+                ColumnInfo(name=r[1], declared_type=(r[2] or ""), is_pk=r[3] > 0) for r in info
             ]
             tables.append(TableInfo(table_name, columns, primary_key))
 
@@ -291,23 +294,20 @@ def introspect_database(db_file: str | Path) -> SchemaCatalog:
         # matches identifiers ignoring ASCII case, and edges keep the defined names
         by_name = {_ascii_fold(t.name): t for t in tables}
         edges: list[FkEdge] = []
-        for t in tables:
-            fks = conn.execute(f'PRAGMA foreign_key_list("{_tick(t.name)}")').fetchall()
-            for fk in fks:
-                target = by_name.get(_ascii_fold(fk[2]))
-                if target is None:
+        for table_name, target_name, src_col, dst_col in fk_rows:
+            t, target = by_name[_ascii_fold(table_name)], by_name.get(_ascii_fold(target_name))
+            if target is None:
+                continue
+            if dst_col is None:
+                # implicit reference: points at the target's primary key
+                if len(target.primary_key) != 1:
                     continue
-                dst_col = fk[4]
-                if dst_col is None:
-                    # implicit reference: points at the target's primary key
-                    if len(target.primary_key) != 1:
-                        continue
-                    dst_col = target.primary_key[0]
-                src_col, dst_col = _defined_column(t, fk[3]), _defined_column(target, dst_col)
-                if src_col is None or dst_col is None:
-                    continue
-                edges.append(FkEdge(t.name, src_col, target.name, dst_col))
-                t.column(src_col).fk_targets.append(f"{target.name}.{dst_col}")
+                dst_col = target.primary_key[0]
+            src_col, dst_col = _defined_column(t, src_col), _defined_column(target, dst_col)
+            if src_col is None or dst_col is None:
+                continue
+            edges.append(FkEdge(t.name, src_col, target.name, dst_col))
+            t.column(src_col).fk_targets.append(f"{target.name}.{dst_col}")
     finally:
         conn.close()
     return SchemaCatalog(db_id=path.stem, tables=tables, fk_edges=edges)

@@ -13,7 +13,7 @@ character 3-grams) that keeps tests and air-gapped deployments offline.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -152,6 +152,24 @@ class ContextStore:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    def to_parts(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The cache's JSON document (the items, one list per field) and
+        arrays (see `caching`); the embedder is not cached, since it may hold
+        a live session."""
+        document = {f.name: [getattr(item, f.name) for item in self.items]
+                    for f in fields(StoreItem)}
+        return document, {"vectors": self.vectors}
+
+    @classmethod
+    def from_parts(cls, document: dict, arrays: dict[str, np.ndarray]) -> "ContextStore":
+        """Inverse of `to_parts`, without an embedder; raises ValueError on
+        vectors that do not fit the items."""
+        columns = [document[f.name] for f in fields(StoreItem)]
+        items, vectors = [StoreItem(*row) for row in zip(*columns)], arrays["vectors"]
+        if vectors.ndim != 2 or {len(c) for c in columns} - {len(vectors)}:
+            raise ValueError("context store vectors do not fit its items")
+        return cls(items=items, vectors=vectors)
 
 
 def build_context_store(catalog: SchemaCatalog, embedder: EmbeddingProvider) -> ContextStore:

@@ -409,32 +409,77 @@ def _strip_fences(text: str) -> str:
 
 
 def _balanced_block(text: str, open_ch: str, close_ch: str) -> str | None:
-    """First balanced open..close block, string-literal aware."""
+    """First balanced open..close block, string-literal aware: the block of
+    the first opener whose scan returns to depth 0, where a quote opens a
+    string that only its own quote closes and a backslash in a string escapes
+    the next character.
+
+    Linear in len(text). When the first opener's scan runs off the end, one
+    backward pass finds the first opener whose scan closes, and only that
+    one is scanned again.
+    """
     start = text.find(open_ch)
-    while start != -1:
-        depth = 0
-        in_string: str | None = None
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == in_string:
-                    in_string = None
-                continue
-            if ch in "\"'":
-                in_string = ch
-            elif ch == open_ch:
-                depth += 1
-            elif ch == close_ch:
-                depth -= 1
-                if depth == 0:
-                    return text[start : i + 1]
-        start = text.find(open_ch, start + 1)
+    if start == -1:
+        return None
+    end = _block_end(text, start, open_ch, close_ch)
+    if end is None:
+        start = _first_closing_opener(text, start, open_ch, close_ch)
+        if start is None:
+            return None
+        end = _block_end(text, start, open_ch, close_ch)
+    return text[start : end + 1]
+
+
+def _block_end(text: str, start: int, open_ch: str, close_ch: str) -> int | None:
+    """Where the scan from the opener at `start` returns to depth 0, if it does."""
+    depth = 0
+    in_string: str | None = None
+    escaped = False
+    for i in range(start, len(text)):
+        ch = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == in_string:
+                in_string = None
+            continue
+        if ch in "\"'":
+            in_string = ch
+        elif ch == open_ch:
+            depth += 1
+        elif ch == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i
     return None
+
+
+def _first_closing_opener(text: str, first: int, open_ch: str, close_ch: str) -> int | None:
+    """The first opener at or after `first` whose scan returns to depth 0.
+
+    Scans from different openers that reach one position in the same string
+    state go on alike, up to their depth. So a pass from the end keeps, for
+    each of the five string states (outside; inside either quote, escaped or
+    not), how far the depth falls at most from here to the end; the scan from
+    an opener at i closes iff that fall outside strings from i + 1 is >= 1.
+    """
+    out = dq = dq_esc = sq = sq_esc = 0
+    found = None
+    for i in range(len(text) - 1, first - 1, -1):
+        ch = text[i]
+        if ch == open_ch and out >= 1:
+            found = i
+        out, dq, dq_esc, sq, sq_esc = (
+            max(out - 1, 0) if ch == open_ch else out + 1 if ch == close_ch
+            else dq if ch == '"' else sq if ch == "'" else out,
+            dq_esc if ch == "\\" else out if ch == '"' else dq,
+            dq,
+            sq_esc if ch == "\\" else out if ch == "'" else sq,
+            sq,
+        )
+    return found
 
 
 def _parse_json_object(text: str) -> dict:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import executor, pipeline
-from .catalog import FkEdge, SchemaCatalog, SubSchema, TableInfo, introspect_database, project
+from .catalog import FkEdge, SchemaCatalog, SubSchema, TableInfo, project
 from .gateway import Gateway, ledger, tally
 from .pipeline import DbArtifacts, PipelineConfig, RunTrace, StageRecord
 from .sql_items import extract_sql_items
@@ -359,8 +359,9 @@ def run_benchmark(
     """Run the pipeline over a dataset and write report artifacts.
 
     Resumable: question ids already present in predictions.jsonl are loaded,
-    not re-run; a torn last line left by a killed sweep is dropped and its
-    item runs again. Per-item failures are recorded as EX=0 with an error
+    not re-run, and their schema PRs read the catalog from the same
+    per-database `ensure_artifacts` entry as fresh items; a torn last line
+    left by a killed sweep is dropped and its item runs again. Per-item failures are recorded as EX=0 with an error
     note and never abort the sweep: a broken database, or a missing one (its
     DatasetError text is the error), fails only its own items, and flags
     their gold.
@@ -382,7 +383,13 @@ def run_benchmark(
     gateway = gateway or pipeline.build_gateway(config, mock_dir=mock_dir)
 
     artifacts_cache: dict[str, DbArtifacts] = {}
-    catalogs: dict[str, SchemaCatalog] = {}
+
+    def artifacts_of(db_id: str) -> DbArtifacts:
+        if db_id not in artifacts_cache:
+            db_file = resolve_db_file(db_root, db_id)
+            artifacts_cache[db_id] = pipeline.ensure_artifacts(db_file, config)
+        return artifacts_cache[db_id]
+
     outcomes: list[ItemOutcome] = []
     flagged: list[str] = []
     stage_prs: dict[str, list[SchemaPR]] = {}
@@ -397,20 +404,14 @@ def run_benchmark(
                 try:  # an unreadable trace or database costs only the stage PR
                     stages = _resumed_stages(traces_dir / f"{item.question_id}.jsonl")
                     if len(stages) >= 2:
-                        if item.db_id not in catalogs:
-                            db_file = resolve_db_file(db_root, item.db_id)
-                            catalogs[item.db_id] = introspect_database(db_file)
-                        _collect_stage_pr(stage_prs, stages, item, catalogs[item.db_id])
+                        catalog = artifacts_of(item.db_id).catalog
+                        _collect_stage_pr(stage_prs, stages, item, catalog)
                 except Exception as exc:
                     logger.warning("schema PR skipped for %s: %s", item.question_id, exc)
                 continue
             with ledger() as spent:
                 try:
-                    if item.db_id not in artifacts_cache:
-                        db_file = resolve_db_file(db_root, item.db_id)
-                        artifacts_cache[item.db_id] = pipeline.ensure_artifacts(db_file, config)
-                    artifacts = artifacts_cache[item.db_id]
-                    catalogs[item.db_id] = artifacts.catalog
+                    artifacts = artifacts_of(item.db_id)
                     sql, trace = pipeline.run(
                         item.question, item.evidence, artifacts, config, gateway,
                         qid=item.question_id,

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -221,12 +221,6 @@ class DbArtifacts:
     context_store: ContextStore | None
 
 
-_CATALOG_JSON = caching.Codec(
-    lambda catalog, fh: fh.write(json.dumps(catalog.to_json_dict(), check_circular=False).encode()),
-    lambda fh: SchemaCatalog.from_json_dict(json.load(fh)),
-)
-
-
 def ensure_artifacts(
     db_file: str | Path,
     config: PipelineConfig,
@@ -237,9 +231,10 @@ def ensure_artifacts(
     does not load.
 
     Each header holds the database hash plus the description CSVs' digest
-    (described catalog, kept as JSON), the index config (value index), or the
-    embedder config and that digest (context store). A warm call parses no
-    CSV, so ingest warnings are logged only when the catalog is built.
+    (described catalog), the index config (value index), or the embedder
+    config and that digest (context store). A warm call parses no CSV and
+    maps the index's and the store's arrays in place (see `caching`), so
+    ingest warnings are logged only when the catalog is built.
     """
     db_file = Path(db_file)
     if description_dir is None:
@@ -249,15 +244,15 @@ def ensure_artifacts(
     descriptions = caching.description_digest(description_dir)
     cache_dir = Path(cache_dir) if cache_dir else db_file.parent
 
-    def load_or_build(kind: str, magic: bytes, build, codec=caching.PICKLE, **key):
+    def load_or_build(kind: str, magic: bytes, build, to_parts, from_parts, **key):
         path = cache_dir / f"{db_file.stem}.{kind}.qcx"
         header = {"db": db_hash, **key}
-        artifact = caching.load_envelope(path, magic, header, codec)
+        artifact = caching.load_envelope(path, magic, header, from_parts)
         if artifact is None:
             artifact = build()
             try:
                 cache_dir.mkdir(parents=True, exist_ok=True)
-                caching.save_envelope(path, magic, header, artifact, codec)
+                caching.save_envelope(path, magic, header, *to_parts(artifact))
             except OSError as exc:
                 logger.warning("could not persist %s cache: %s", kind, exc)
         return artifact
@@ -265,18 +260,21 @@ def ensure_artifacts(
     catalog = load_or_build(
         "catalog", caching.CATALOG_MAGIC,
         lambda: _ingest_descriptions(introspect_database(db_file), description_dir, copy=False),
-        _CATALOG_JSON, descriptions=descriptions,
+        lambda catalog: (catalog.to_json_dict(), None),
+        lambda document, _arrays: SchemaCatalog.from_json_dict(document),
+        descriptions=descriptions,
     )
     value_index = load_or_build(
         "value_index", caching.VALUE_INDEX_MAGIC,
         lambda: build_value_index(catalog, db_file, config.index),
+        ValueIndex.to_parts, ValueIndex.from_parts,
         config=caching.config_hash(config.index.to_dict()),
     )
-    # embedders may hold live sessions; the store is built and cached without one
     embedder = build_embedder(config)
     store = load_or_build(
         "context_store", caching.CONTEXT_STORE_MAGIC,
-        lambda: replace(build_context_store(catalog, embedder), embedder=None),
+        lambda: build_context_store(catalog, embedder),
+        ContextStore.to_parts, ContextStore.from_parts,
         config=caching.config_hash({"embedder": config.embedder, "k": "context"}),
         descriptions=descriptions,
     )

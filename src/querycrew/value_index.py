@@ -15,12 +15,13 @@ millions of values stay indexable in memory.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 import sqlite3
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,25 +89,74 @@ class EntityMatch:
     cosine: float
 
 
-@dataclass
-class _Band:
+class _Band(NamedTuple):
     sorted_keys: np.ndarray  # uint64, ascending
-    sorted_ids: np.ndarray  # int64, value ids in key order
+    sorted_ids: np.ndarray  # int32, value ids in key order
 
 
 @dataclass
 class ValueIndex:
-    """Immutable LSH index over the distinct values of one database."""
+    """Immutable LSH index over the distinct values of one database.
+
+    Its arrays are what the cache maps in place: value i's locations are
+    loc_ids[loc_offsets[i] : loc_offsets[i + 1]], and row b of band_keys
+    holds band b's keys in ascending order, row b of band_ids the ids of
+    their values.
+    """
 
     config: IndexConfig
-    values: list[str]  # distinct normalized values
+    values: list[str]  # distinct normalized values, sorted
     locations: list[tuple[str, str]]  # distinct (table, column) pairs
-    value_locs: list[tuple[int, ...]]  # per value: indices into `locations`
-    bands: list[_Band] = field(repr=False, default_factory=list)
+    loc_offsets: np.ndarray = field(repr=False)  # int64, len(values) + 1
+    loc_ids: np.ndarray = field(repr=False)  # int32 indices into `locations`
+    band_keys: np.ndarray = field(repr=False)  # uint64, (lsh_bands, len(values))
+    band_ids: np.ndarray = field(repr=False)  # int32, (lsh_bands, len(values))
     _salts: np.ndarray = field(repr=False, default=None)
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @property
+    def bands(self) -> list[_Band]:
+        return list(map(_Band, self.band_keys, self.band_ids))
+
+    def to_parts(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The cache's JSON document and arrays (see `caching`). The values
+        go as one UTF-8 blob, joined by a code point that none of them holds."""
+        text = "".join(self.values)
+        code_points = itertools.chain(range(0xD800), range(0xE000, 0x110000))  # no surrogates
+        sep = next(ch for ch in map(chr, code_points) if ch not in text)
+        blob = np.frombuffer(sep.join(self.values).encode("utf-8"), dtype=np.uint8)
+        document = {"config": self.config.to_dict(), "locations": self.locations, "sep": sep}
+        return document, {
+            "values": blob, "loc_offsets": self.loc_offsets, "loc_ids": self.loc_ids,
+            "band_keys": self.band_keys, "band_ids": self.band_ids,
+        }
+
+    @classmethod
+    def from_parts(cls, document: dict, arrays: dict[str, np.ndarray]) -> "ValueIndex":
+        """Inverse of `to_parts`; raises ValueError on arrays that do not fit."""
+        cfg = IndexConfig(**document["config"])
+        keys, ids, offsets = arrays["band_keys"], arrays["band_ids"], arrays["loc_offsets"]
+        n = keys.shape[-1]
+        values = str(arrays["values"], "utf-8").split(document["sep"]) if n else []
+        if (
+            (keys.dtype, ids.dtype, offsets.dtype, arrays["loc_ids"].dtype)
+            != (np.uint64, np.int32, np.int64, np.int32)
+            or keys.shape != (cfg.lsh_bands, len(values)) or ids.shape != keys.shape
+            or offsets.shape != (n + 1,)
+        ):
+            raise ValueError("value index arrays do not fit together")
+        return cls(
+            config=cfg,
+            values=values,
+            locations=[tuple(loc) for loc in document["locations"]],
+            loc_offsets=offsets,
+            loc_ids=arrays["loc_ids"],
+            band_keys=keys,
+            band_ids=ids,
+            _salts=_permutations(cfg),
+        )
 
 
 def _permutations(cfg: IndexConfig) -> np.ndarray:
@@ -286,21 +336,26 @@ def build_value_index(
         conn.close()
 
     values = sorted(value_to_locs)
-    value_locs = [tuple(sorted(value_to_locs[v])) for v in values]
+    loc_offsets = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum([len(value_to_locs[v]) for v in values], out=loc_offsets[1:])
+    loc_ids = np.fromiter(
+        itertools.chain.from_iterable(sorted(value_to_locs[v]) for v in values),
+        dtype=np.int32, count=int(loc_offsets[-1]),
+    )
     salts = _permutations(cfg)
 
-    all_keys = np.empty((cfg.lsh_bands, len(values)), dtype=np.uint64)
+    band_keys = np.empty((cfg.lsh_bands, len(values)), dtype=np.uint64)
     for start in range(0, len(values), _BUILD_BLOCK):
         block = values[start : start + _BUILD_BLOCK]
         groups = _signature_groups(block, cfg, salts)
-        all_keys[:, start : start + len(block)] = _band_keys(groups, len(block), cfg)
+        band_keys[:, start : start + len(block)] = _band_keys(groups, len(block), cfg)
 
     # ids within a bucket may come in any order: lsh_query unions them
-    bands: list[_Band] = []
-    for keys in all_keys:
+    band_ids = np.empty(band_keys.shape, dtype=np.int32)
+    for keys, ids in zip(band_keys, band_ids):
         order = np.argsort(keys)
         keys[:] = keys[order]
-        bands.append(_Band(sorted_keys=keys, sorted_ids=order.astype(np.int64, copy=False)))
+        ids[:] = order
 
     logger.info(
         "value index built: %d distinct values over %d columns", len(values), len(locations)
@@ -309,8 +364,10 @@ def build_value_index(
         config=cfg,
         values=values,
         locations=locations,
-        value_locs=value_locs,
-        bands=bands,
+        loc_offsets=loc_offsets,
+        loc_ids=loc_ids,
+        band_keys=band_keys,
+        band_ids=band_ids,
         _salts=salts,
     )
 
@@ -350,8 +407,9 @@ def lsh_query(
     )
 
     out: list[tuple[str, str, str]] = []
+    offsets, loc_ids = index.loc_offsets, index.loc_ids
     for value, _score, vid in ranked:
-        for loc_id in index.value_locs[vid]:
+        for loc_id in loc_ids[offsets[vid] : offsets[vid + 1]].tolist():
             if len(out) >= cap:
                 return out
             table, column = index.locations[loc_id]

@@ -1,0 +1,220 @@
+"""The cache envelope: artifacts round-trip through it, every damaged or
+old-format file is a miss that the next set-up rebuilds, and a load maps
+read-only arrays without keeping anything open once they are dropped."""
+
+import json
+import os
+import pickle
+import sqlite3
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from querycrew import caching
+from querycrew.caching import (
+    CATALOG_MAGIC, CONTEXT_STORE_MAGIC, VALUE_INDEX_MAGIC, config_hash, description_digest,
+    file_sha256, load_envelope, save_envelope,
+)
+from querycrew.catalog import ColumnInfo, SchemaCatalog, TableInfo, introspect_database
+from querycrew.context_store import (
+    ContextStore, HashingEmbedder, build_context_store, retrieve_context,
+)
+from querycrew.pipeline import PipelineConfig, ensure_artifacts
+from querycrew.value_index import IndexConfig, ValueIndex, build_value_index, lsh_query
+
+KINDS = {
+    "catalog": (CATALOG_MAGIC, lambda document, _arrays: SchemaCatalog.from_json_dict(document)),
+    "value_index": (VALUE_INDEX_MAGIC, ValueIndex.from_parts),
+    "context_store": (CONTEXT_STORE_MAGIC, ContextStore.from_parts),
+}
+CONFIG = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+
+
+def _small_db(root: Path) -> Path:
+    """A database with a few text values and one description file."""
+    db = root / "small.sqlite"
+    conn = sqlite3.connect(db)
+    conn.execute("CREATE TABLE district (id INTEGER PRIMARY KEY, A2 TEXT, A3 TEXT)")
+    conn.executemany("INSERT INTO district VALUES (?, ?, ?)",
+                     [(1, "Praha", "north"), (2, "Brno", "south"), (3, "Kladno", None)])
+    conn.commit()
+    conn.close()
+    (root / "database_description").mkdir()
+    (root / "database_description" / "district.csv").write_text(
+        "original_column_name,column_name,column_description,data_format,value_description\n"
+        "A2,district name,name of the district,text,\n", encoding="utf-8",
+    )
+    return db
+
+
+def _keys(db: Path) -> dict[str, dict]:
+    """The key each kind of cache of `db` is saved under by `ensure_artifacts`."""
+    db_hash, descriptions = file_sha256(db), description_digest(db.parent / "database_description")
+    return {
+        "catalog": {"db": db_hash, "descriptions": descriptions},
+        "value_index": {"db": db_hash, "config": config_hash(CONFIG.index.to_dict())},
+        "context_store": {"db": db_hash, "descriptions": descriptions,
+                          "config": config_hash({"embedder": CONFIG.embedder, "k": "context"})},
+    }
+
+
+class TestRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=30),
+        keywords=st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=5),
+    )
+    @example(values=["a\0b", "\x01c\0", "\U0001F600 d\n"], keywords=["a\0b"])
+    def test_value_index(self, values, keywords):
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "values.sqlite"
+            conn = sqlite3.connect(db)
+            conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a TEXT, b TEXT)")
+            conn.executemany("INSERT INTO t VALUES (?, ?, ?)",
+                             [(i, v, values[-1 - i] if i % 2 else None)
+                              for i, v in enumerate(values)])
+            conn.commit()
+            conn.close()
+            built = build_value_index(introspect_database(db), db, IndexConfig())
+            path = Path(tmp) / "values.qcx"
+            save_envelope(path, VALUE_INDEX_MAGIC, {"k": 1}, *built.to_parts())
+            loaded = load_envelope(path, VALUE_INDEX_MAGIC, {"k": 1}, ValueIndex.from_parts)
+
+            assert loaded is not None
+            assert loaded.values == built.values
+            assert loaded.locations == built.locations
+            for name in ("loc_offsets", "loc_ids", "band_keys", "band_ids"):
+                assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
+            for keyword in keywords + built.values[:3]:
+                assert lsh_query(loaded, keyword, cap=20) == lsh_query(built, keyword, cap=20)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        texts=st.lists(st.text(min_size=1, max_size=30), max_size=12),
+        queries=st.lists(st.text(max_size=20), min_size=1, max_size=4),
+        k=st.integers(0, 15),
+    )
+    def test_context_store(self, texts, queries, k):
+        columns = [ColumnInfo(name=f"c{i}\0{text[:2]}", column_description=text)
+                   for i, text in enumerate(texts)]
+        catalog = SchemaCatalog(db_id="d", tables=[TableInfo("t\0é", columns)])
+        embedder = HashingEmbedder()
+        built = build_context_store(catalog, embedder)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.qcx"
+            save_envelope(path, CONTEXT_STORE_MAGIC, {"k": 1}, *built.to_parts())
+            loaded = load_envelope(path, CONTEXT_STORE_MAGIC, {"k": 1}, ContextStore.from_parts)
+        assert loaded is not None and loaded.embedder is None
+        loaded.embedder = embedder
+        assert loaded.items == built.items
+        assert loaded.vectors.tobytes() == built.vectors.tobytes()
+        for query in queries:
+            assert retrieve_context(loaded, query, k) == retrieve_context(built, query, k)
+
+
+class TestDamagedFiles:
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_every_truncation_is_a_miss_and_is_rebuilt(self, tmp_path, kind):
+        db = _small_db(tmp_path)
+        built = ensure_artifacts(db, CONFIG)
+        magic, decode = KINDS[kind]
+        key = _keys(db)[kind]
+        cache = tmp_path / f"small.{kind}.qcx"
+        whole = cache.read_bytes()
+        assert load_envelope(cache, magic, key, decode) is not None
+        for cut in range(len(whole)):
+            cache.write_bytes(whole[:cut])
+            assert load_envelope(cache, magic, key, decode) is None, cut
+        for cut in sorted({0, 1, len(whole) // 3, len(whole) // 2, len(whole) - 1}):
+            cache.write_bytes(whole[:cut])
+            again = ensure_artifacts(db, CONFIG)
+            assert cache.read_bytes() == whole, cut
+            assert again.catalog == built.catalog
+            assert again.value_index.values == built.value_index.values
+            assert again.context_store.items == built.context_store.items != []
+
+    def test_an_extended_file_is_a_miss(self, tmp_path):
+        db = _small_db(tmp_path)
+        ensure_artifacts(db, CONFIG)
+        cache = tmp_path / "small.value_index.qcx"
+        with open(cache, "ab") as fh:
+            fh.write(b"\0" * 8)
+        assert load_envelope(cache, VALUE_INDEX_MAGIC, _keys(db)["value_index"]) is None
+
+    @pytest.mark.parametrize("kind", ["value_index", "context_store"])
+    def test_old_pickle_file_is_rebuilt_without_being_unpickled(self, tmp_path, kind):
+        db = _small_db(tmp_path)
+        ensure_artifacts(db, CONFIG)
+        cache = tmp_path / f"small.{kind}.qcx"
+        fresh = cache.read_bytes()
+        old_magic = {"value_index": b"QCWVIDX1", "context_store": b"QCWCTXS1"}[kind]
+        header = json.dumps(_keys(db)[kind], sort_keys=True).encode("utf-8")
+        cache.write_bytes(old_magic + b"\n" + len(header).to_bytes(8, "big") + header
+                          + pickle.dumps(_RecordsUnpickling(), pickle.HIGHEST_PROTOCOL))
+        UNPICKLED.clear()
+
+        ensure_artifacts(db, CONFIG)
+        assert UNPICKLED == []
+        assert cache.read_bytes() == fresh
+
+    def test_caching_imports_no_pickle(self):
+        assert "pickle" not in vars(caching)
+
+
+UNPICKLED: list[str] = []
+
+
+def _record_unpickling() -> None:
+    UNPICKLED.append("unpickled")
+
+
+class _RecordsUnpickling:
+    def __reduce__(self):
+        return (_record_unpickling, ())
+
+
+class TestMappedArrays:
+    def test_mapped_arrays_are_not_writeable(self, tmp_path):
+        db = _small_db(tmp_path)
+        ensure_artifacts(db, CONFIG)
+        loaded = ensure_artifacts(db, CONFIG)
+        index, store = loaded.value_index, loaded.context_store
+        for array in (index.loc_offsets, index.loc_ids, index.band_keys, index.band_ids,
+                      store.vectors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+
+    def test_arrays_sit_at_aligned_offsets_after_the_header(self, tmp_path):
+        path = tmp_path / "x.qcx"
+        arrays = {"a": np.arange(3, dtype=np.uint8), "b": np.ones((2, 3))}
+        save_envelope(path, b"MAGIC", {"v": 1}, ["doc"], arrays)
+        document, loaded = load_envelope(path, b"MAGIC", {"v": 1})
+        assert document == ["doc"]
+        assert {name: a.tolist() for name, a in loaded.items()} == {
+            name: a.tolist() for name, a in arrays.items()
+        }
+        data = path.read_bytes()
+        header_end = 14 + int.from_bytes(data[6:14], "big")
+        assert header_end % caching.ALIGN == 0
+        for name, _dtype, _shape, offset in json.loads(data[14:header_end])["arrays"]:
+            assert offset % caching.ALIGN == 0
+            assert data[header_end + offset :][: arrays[name].nbytes] == arrays[name].tobytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_loads_leave_no_descriptor_open(self, tmp_path):
+        db = _small_db(tmp_path)
+        ensure_artifacts(db, CONFIG)
+        cache = tmp_path / "small.value_index.qcx"
+        key = _keys(db)["value_index"]
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(100):
+            index = load_envelope(cache, VALUE_INDEX_MAGIC, key, ValueIndex.from_parts)
+            assert len(index) == 5
+            del index
+        assert len(os.listdir("/proc/self/fd")) == before
+

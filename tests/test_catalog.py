@@ -1,10 +1,19 @@
 import logging
 import sqlite3
+import tempfile
+from pathlib import Path
 
 import pytest
+from fixture_dbs import (
+    build_empty_db, build_finance_db, build_motorsport_db, build_two_table_db,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querycrew.catalog import (
     CatalogError,
+    ColumnInfo,
+    FkEdge,
     ProjectionError,
     SchemaCatalog,
     full_projection,
@@ -16,6 +25,7 @@ from querycrew.catalog import (
     render_schema_prompt,
     save_catalog,
 )
+from querycrew.catalog import TableInfo, _ascii_fold, _defined_column, _tick
 from querycrew.context_store import DescriptionHit
 from querycrew.value_index import EntityMatch
 
@@ -100,6 +110,113 @@ class TestIntrospection:
         save_catalog(motorsport_catalog, path)
         loaded = load_catalog(path)
         assert loaded.to_json_dict() == motorsport_catalog.to_json_dict()
+
+
+def per_table_pragma_introspection(db_file) -> SchemaCatalog:
+    """The introspection that ran one PRAGMA table_info and one PRAGMA
+    foreign_key_list statement per table, kept as the oracle of the join."""
+    path = Path(db_file)
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    try:
+        rows = conn.execute(
+            "SELECT name FROM sqlite_master"
+            " WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+        ).fetchall()
+        tables: list[TableInfo] = []
+        for (table_name,) in rows:
+            info = conn.execute(f'PRAGMA table_info("{_tick(table_name)}")').fetchall()
+            pk_cols = sorted(((r[5], r[1]) for r in info if r[5] > 0), key=lambda x: x[0])
+            columns = [
+                ColumnInfo(name=r[1], declared_type=(r[2] or ""), is_pk=r[5] > 0) for r in info
+            ]
+            tables.append(TableInfo(table_name, columns, [name for _, name in pk_cols]))
+        by_name = {_ascii_fold(t.name): t for t in tables}
+        edges: list[FkEdge] = []
+        for t in tables:
+            for fk in conn.execute(f'PRAGMA foreign_key_list("{_tick(t.name)}")').fetchall():
+                target = by_name.get(_ascii_fold(fk[2]))
+                if target is None:
+                    continue
+                dst_col = fk[4]
+                if dst_col is None:
+                    if len(target.primary_key) != 1:
+                        continue
+                    dst_col = target.primary_key[0]
+                src_col, dst_col = _defined_column(t, fk[3]), _defined_column(target, dst_col)
+                if src_col is None or dst_col is None:
+                    continue
+                edges.append(FkEdge(t.name, src_col, target.name, dst_col))
+                t.column(src_col).fk_targets.append(f"{target.name}.{dst_col}")
+    finally:
+        conn.close()
+    return SchemaCatalog(db_id=path.stem, tables=tables, fk_edges=edges)
+
+
+# identifiers with mixed case, quotes, spaces and non-ASCII letters
+NAMES = st.text(alphabet="aAbBzZ_ \"'éÉ", min_size=1, max_size=4)
+
+
+def _respell(draw, name: str) -> str:
+    """`name` with the ASCII case of each letter drawn anew, as SQLite matches it."""
+    return "".join(draw(st.sampled_from([c.lower(), c.upper()])) if c.isascii() else c
+                   for c in name)
+
+
+@st.composite
+def schemas(draw) -> list[str]:
+    """CREATE TABLE statements: composite primary keys in any order, foreign
+    keys by explicit or implicit target, spelled in any ASCII case, and some
+    that dangle (an unknown table or column)."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique_by=_ascii_fold))
+    columns = {
+        t: draw(st.lists(NAMES, min_size=1, max_size=4, unique_by=_ascii_fold)) for t in names
+    }
+    q = lambda name: f'"{_tick(name)}"'  # noqa: E731
+    statements = []
+    for t in names:
+        parts = [
+            f"{q(c)} {draw(st.sampled_from(['INTEGER', 'TEXT', 'varchar(8)', 'REAL', '']))}"
+            for c in columns[t]
+        ]
+        pk = draw(st.lists(st.sampled_from(columns[t]), unique=True, max_size=3))
+        if pk:
+            parts.append(f"PRIMARY KEY ({', '.join(map(q, draw(st.permutations(pk))))})")
+        for _ in range(draw(st.integers(0, 3))):
+            target = draw(st.sampled_from(names + ["nowhere"]))
+            src = draw(st.lists(st.sampled_from(columns[t]), min_size=1, max_size=2))
+            dst = ""
+            if draw(st.booleans()):  # explicit columns; else the target's primary key
+                pool = columns.get(target, []) + ["missing"]
+                dst = "(" + ", ".join(q(_respell(draw, draw(st.sampled_from(pool))))
+                                      for _ in src) + ")"
+            parts.append(f"FOREIGN KEY ({', '.join(map(q, src))}) "
+                         f"REFERENCES {q(_respell(draw, target))}{dst}")
+        statements.append(f"CREATE TABLE {q(t)} ({', '.join(parts)})")
+    return statements
+
+
+class TestIntrospectionMatchesPerTablePragmas:
+    @pytest.mark.parametrize("build", [
+        build_motorsport_db, build_finance_db, build_two_table_db, build_empty_db,
+    ])
+    def test_fixture_databases(self, tmp_path, build):
+        db = build(tmp_path / "fixture.sqlite")
+        assert introspect_database(db).to_json_dict() == (
+            per_table_pragma_introspection(db).to_json_dict()
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(schemas())
+    def test_drawn_schemas(self, statements):
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "drawn.sqlite"
+            conn = sqlite3.connect(db)
+            for statement in statements:
+                conn.execute(statement)
+            conn.close()
+            assert introspect_database(db).to_json_dict() == (
+                per_table_pragma_introspection(db).to_json_dict()
+            )
 
 
 class TestDescriptionIngestion:

@@ -225,6 +225,98 @@ class TestParseJsonFastPath:
         )
 
 
+def quadratic_balanced_block(text: str, open_ch: str, close_ch: str) -> str | None:
+    """The scan that restarted at every opener, kept as the oracle."""
+    start = text.find(open_ch)
+    while start != -1:
+        depth = 0
+        in_string: str | None = None
+        escaped = False
+        for i in range(start, len(text)):
+            ch = text[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == in_string:
+                    in_string = None
+                continue
+            if ch in "\"'":
+                in_string = ch
+            elif ch == open_ch:
+                depth += 1
+            elif ch == close_ch:
+                depth -= 1
+                if depth == 0:
+                    return text[start : i + 1]
+        start = text.find(open_ch, start + 1)
+    return None
+
+
+class CountingText(str):
+    """A str that counts the characters read from it by index or iteration."""
+
+    visits = 0
+
+    def __getitem__(self, key):
+        CountingText.visits += 1
+        return str.__getitem__(self, key)
+
+    def __iter__(self):
+        for ch in str.__iter__(self):
+            CountingText.visits += 1
+            yield ch
+
+
+def _visits(text: str, open_ch: str, close_ch: str) -> tuple[str | None, int]:
+    CountingText.visits = 0
+    block = _balanced_block(CountingText(text), open_ch, close_ch)
+    return block, CountingText.visits
+
+
+# texts for the scan: characters of the TRICKY alphabet that steer it, also
+# in runs that open and close strings, behind an opener that may never close
+SCAN_TEXTS = st.builds(
+    lambda head, body: head + "".join(body),
+    st.sampled_from(["", "{ ", "[ ", "{[ "]),
+    st.lists(
+        st.sampled_from(list("ab \"\\'{}[]") + ['{"', '"}', "['", "']", '\\"', "\\\\"]),
+        max_size=40,
+    ),
+)
+
+
+class TestBalancedBlockIsLinear:
+    """The scan finds the block the restarting scan found, reading each
+    character a bounded number of times."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(text=SCAN_TEXTS | st.text(alphabet="ab \"\\'{}[]", max_size=80),
+           brackets=st.sampled_from(["{}", "[]"]))
+    @example(text='{"}{" {}', brackets="{}")
+    @example(text="{'\\'}' {} }", brackets="{}")
+    @example(text='{ {"\\a"}', brackets="{}")
+    @example(text="[ ['\\]'] ", brackets="[]")
+    def test_matches_the_restarting_scan(self, text, brackets):
+        block, visits = _visits(text, *brackets)
+        assert block == quadratic_balanced_block(text, *brackets)
+        assert visits <= 3 * len(text) + 1
+
+    @pytest.mark.parametrize("text", [
+        "{" * 4000,
+        "{" * 4000 + "}",
+        '{"' * 2000,
+        "{" * 2000 + '"' + "}" * 1999,
+        "{\\\"" * 1000 + "}",
+        ("{ '" + "}" * 3) * 1000,
+    ], ids=["openers", "one_closer", "quoted", "closers_in_a_string", "escapes", "mixed"])
+    def test_unbalanced_openers_cost_linear_visits(self, text):
+        block, visits = _visits(text, "{", "}")
+        assert block == quadratic_balanced_block(text, "{", "}")
+        assert visits <= 3 * len(text) + 1
+
+
 class TestParseStructured:
     def test_json_object(self):
         payload = parse_structured(

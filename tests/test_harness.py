@@ -513,18 +513,25 @@ class TestRunBenchmark:
             assert (resumed / name).read_bytes() == (whole / name).read_bytes()
 
     def test_resume_introspects_each_database_once(self, bench_env, tmp_path, monkeypatch):
+        """At most once, by the set-up that builds its catalog cache: a
+        resumed sweep over warm caches introspects no database."""
         items = load_dataset(bench_env["dataset"], "bird")
         config, out = self._config("IR_SS_CG"), tmp_path / "out"
-        run_benchmark(items, config, out, bench_env["root"], mock_dir=bench_env["fixtures"])
+        first = run_benchmark(
+            items, config, out, bench_env["root"], mock_dir=bench_env["fixtures"]
+        )
         introspected: list[str] = []
 
         def counting_introspect(db_file):
             introspected.append(db_file.stem)
             return introspect_database(db_file)
 
-        monkeypatch.setattr(harness, "introspect_database", counting_introspect)
-        run_benchmark(items, config, out, bench_env["root"], mock_dir=bench_env["fixtures"])
-        assert sorted(introspected) == ["finance", "motorsport"]
+        monkeypatch.setattr(pipeline, "introspect_database", counting_introspect)
+        resumed = run_benchmark(
+            items, config, out, bench_env["root"], mock_dir=bench_env["fixtures"]
+        )
+        assert introspected == []
+        assert resumed.schema_pr_per_stage == first.schema_pr_per_stage != {}
 
     def test_corrupt_line_before_the_last_raises(self, bench_env, tmp_path):
         items = load_dataset(bench_env["dataset"], "bird")[:2]

@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -843,7 +844,7 @@ class TestArtifactCaching:
         whole = index_cache.read_bytes()
         size_at = len(VALUE_INDEX_MAGIC) + 1  # magic line, then an 8-byte header size
         header_end = size_at + 8 + int.from_bytes(whole[size_at : size_at + 8], "big")
-        header = json.loads(whole[size_at + 8 : header_end])
+        header = json.loads(whole[size_at + 8 : header_end])["key"]
         cuts = [0, 4, size_at, size_at + 3, header_end - 3, header_end, header_end + 1,
                 (header_end + len(whole)) // 2, len(whole) - 1]
         for cut in cuts:
@@ -854,7 +855,7 @@ class TestArtifactCaching:
             assert again.value_index.values == built.value_index.values
 
     @pytest.mark.parametrize("kind", ["value_index", "context_store", "catalog"])
-    def test_payload_that_does_not_unpickle_is_rebuilt(self, tmp_path, kind):
+    def test_payload_that_does_not_decode_is_rebuilt(self, tmp_path, kind):
         from fixture_dbs import build_finance_db, build_finance_descriptions
 
         db = build_finance_db(tmp_path / "finance.sqlite")
@@ -865,7 +866,7 @@ class TestArtifactCaching:
         whole = cache.read_bytes()
         size_at = whole.index(b"\n") + 1
         header_end = size_at + 8 + int.from_bytes(whole[size_at : size_at + 8], "big")
-        # a payload whose header still matches, naming a class the code does not have
+        # a payload whose header still matches, but that is neither JSON nor the arrays
         cache.write_bytes(whole[:header_end] + b"cquerycrew.value_index\nNoSuchClass\n.")
         again = ensure_artifacts(db, config)
         assert cache.read_bytes() == whole
@@ -1034,8 +1035,9 @@ class TestArtifactCaching:
         old_store = {"db": db_hash, "config": config_hash({"embedder": config.embedder,
                                                            "k": "context"})}
         assert load_envelope(index_cache, VALUE_INDEX_MAGIC, old_index) is not None
-        stale = dataclasses.replace(built.context_store, embedder=None, items=[])
-        save_envelope(store_cache, CONTEXT_STORE_MAGIC, old_store, stale)
+        stale = dataclasses.replace(built.context_store, items=[],
+                                    vectors=built.context_store.vectors[:0])
+        save_envelope(store_cache, CONTEXT_STORE_MAGIC, old_store, *stale.to_parts())
         index_stamp = index_cache.stat().st_mtime_ns
 
         again = ensure_artifacts(db, config)
@@ -1051,14 +1053,17 @@ class TestArtifactCaching:
 
         path = tmp_path / "x.qcx"
         save_envelope(path, b"MAGIC", {"v": 1}, [1, 2, 3])
-        with pytest.raises(RuntimeError, match="refused"):
-            save_envelope(path, b"MAGIC", {"v": 2}, _Unpicklable())
-        assert load_envelope(path, b"MAGIC", {"v": 1}) == [1, 2, 3]
+        with pytest.raises(RuntimeError, match="refused"):  # after the header is written
+            save_envelope(path, b"MAGIC", {"v": 2}, [4], {"a": _Unwritable()})
+        assert load_envelope(path, b"MAGIC", {"v": 1}) == ([1, 2, 3], {})
         assert [p.name for p in tmp_path.iterdir()] == ["x.qcx"]
 
 
-class _Unpicklable:
-    def __reduce__(self):
+class _Unwritable:
+    """Looks like an array to the table of contents, but refuses to be written."""
+    dtype, shape, nbytes = np.dtype(np.uint8), (4,), 4
+
+    def __array__(self, dtype=None, copy=None):
         raise RuntimeError("refused")
 
 

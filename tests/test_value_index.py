@@ -213,11 +213,13 @@ def currency_index(finance_db, finance_catalog):
 
 class TestBuildIndex:
     def test_distinct_values_only(self, currency_index):
+        offsets = currency_index.loc_offsets
         currencies = [
             v
-            for v, locs in zip(currency_index.values, currency_index.value_locs)
+            for vid, v in enumerate(currency_index.values)
             if any(
-                currency_index.locations[i] == ("customers", "Currency") for i in locs
+                currency_index.locations[i] == ("customers", "Currency")
+                for i in currency_index.loc_ids[offsets[vid] : offsets[vid + 1]]
             )
         ]
         assert sorted(currencies) == ["czk", "eur"]
@@ -247,7 +249,8 @@ class TestBuildIndex:
         a = build_value_index(finance_catalog, finance_db, IndexConfig())
         b = build_value_index(finance_catalog, finance_db, IndexConfig())
         assert a.values == b.values
-        assert a.value_locs == b.value_locs
+        assert np.array_equal(a.loc_offsets, b.loc_offsets)
+        assert np.array_equal(a.loc_ids, b.loc_ids)
         for band_a, band_b in zip(a.bands, b.bands):
             assert np.array_equal(band_a.sorted_keys, band_b.sorted_keys)
             assert np.array_equal(band_a.sorted_ids, band_b.sorted_ids)
