@@ -8,14 +8,14 @@ Each cache is one envelope file:
 The header is `{"key": ..., "arrays": [[name, dtype, shape, offset], ...]}`:
 the hashes the artifact was built from, and a table of named raw arrays,
 each with its numpy dtype string, its shape and its byte offset from the end
-of the header. The document is the artifact's small fields as UTF-8 JSON; it
-runs to the first array, or to the end of the file when there is none. The
-header and the document are padded with spaces so that every array starts at
-a multiple of ALIGN bytes in the file, and the file ends where its last array
-ends. The loader maps the file read-only and views each array in place
-(`np.frombuffer` over an `ACCESS_READ` map), so the arrays are not writeable
-and nothing is read whole; only the header and the document are parsed.
-Nothing in a cache is executed.
+of the header. The document is UTF-8 JSON with no fact that the catalog or
+the key fixes (the catalog itself, the index's separator, the store's `{}`);
+it runs to the first array, or to the end of the file. Header and document
+are padded with spaces so that every array starts at a multiple of ALIGN
+bytes and the file ends where its last array ends. The loader maps the file
+read-only and views each array in place (`np.frombuffer` over an
+`ACCESS_READ` map), so the arrays are not writeable and nothing is read
+whole; only the header and the document are parsed. Nothing is executed.
 
 A loader returns None whenever the magic or the key does not match, the
 table does not fit the file, or `decode` raises, which makes "rebuild on
@@ -40,8 +40,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-VALUE_INDEX_MAGIC = b"QCWVIDX2"
-CONTEXT_STORE_MAGIC = b"QCWCTXS2"
+VALUE_INDEX_MAGIC = b"QCWVIDX3"
+CONTEXT_STORE_MAGIC = b"QCWCTXS3"
 CATALOG_MAGIC = b"QCWCATL2"
 ALIGN = 64
 _HEADER_LIMIT = 1 << 20

@@ -13,7 +13,7 @@ character 3-grams) that keeps tests and air-gapped deployments offline.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -46,6 +46,11 @@ class EmbeddingProvider(Protocol):
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
+def _check_dimension(dimension: int) -> None:
+    if not dimension >= 1:  # written so that NaN fails too
+        raise ValueError(f"embedding dimension must be >= 1, got {dimension!r}")
+
+
 class HashingEmbedder:
     """Deterministic local embedder: hashed character n-gram features (sizes
     1 through 3), L2-normalized.
@@ -60,6 +65,7 @@ class HashingEmbedder:
     kind = "deterministic-local"
 
     def __init__(self, dimension: int = 256):
+        _check_dimension(dimension)
         self.dimension = dimension
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -97,6 +103,7 @@ class RemoteEmbedder:
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
+        _check_dimension(dimension)
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.dimension = dimension
@@ -146,6 +153,8 @@ class DescriptionHit(StoreItem):
 
 @dataclass
 class ContextStore:
+    """`_store_items` of a catalog and their vectors, row i embedding item i."""
+
     items: list[StoreItem]
     vectors: np.ndarray = field(repr=False, default=None)  # (len(items), dim), unit rows
     embedder: EmbeddingProvider = None
@@ -154,45 +163,34 @@ class ContextStore:
         return len(self.items)
 
     def to_parts(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """The cache's JSON document (the items, one list per field) and
-        arrays (see `caching`); the embedder is not cached, since it may hold
-        a live session."""
-        document = {f.name: [getattr(item, f.name) for item in self.items]
-                    for f in fields(StoreItem)}
-        return document, {"vectors": self.vectors}
+        """The cache's JSON document (empty) and arrays (see `caching`); the
+        embedder is not cached, since it may hold a live session."""
+        return {}, {"vectors": self.vectors}
 
     @classmethod
-    def from_parts(cls, document: dict, arrays: dict[str, np.ndarray]) -> "ContextStore":
+    def from_parts(cls, catalog: SchemaCatalog, arrays: dict[str, np.ndarray]) -> "ContextStore":
         """Inverse of `to_parts`, without an embedder; raises ValueError on
-        vectors that do not fit the items."""
-        columns = [document[f.name] for f in fields(StoreItem)]
-        items, vectors = [StoreItem(*row) for row in zip(*columns)], arrays["vectors"]
-        if vectors.ndim != 2 or {len(c) for c in columns} - {len(vectors)}:
+        vectors that do not fit the catalog's items."""
+        items, vectors = _store_items(catalog), arrays["vectors"]
+        if vectors.ndim != 2 or len(vectors) != len(items):
             raise ValueError("context store vectors do not fit its items")
         return cls(items=items, vectors=vectors)
 
 
+def _store_items(catalog: SchemaCatalog) -> list[StoreItem]:
+    """One item per nonempty description field per column, in catalog order."""
+    return [StoreItem(f"{tinfo.name}.{col.name}.{kind}", tinfo.name, col.name, kind, text)
+            for tinfo in catalog.tables for col in tinfo.columns for kind in FIELD_KINDS
+            if (text := getattr(col, kind))]
+
+
 def build_context_store(catalog: SchemaCatalog, embedder: EmbeddingProvider) -> ContextStore:
-    """One store item per nonempty description field per column.
+    """Embed every `_store_items` item of the catalog.
 
     Embedding failures propagate as ContextStoreError: the store is built at
     preprocessing time where a hard failure is the right behavior.
     """
-    items: list[StoreItem] = []
-    for tinfo in catalog.tables:
-        for col in tinfo.columns:
-            for kind in FIELD_KINDS:
-                text = getattr(col, kind)
-                if text:
-                    items.append(
-                        StoreItem(
-                            doc_id=f"{tinfo.name}.{col.name}.{kind}",
-                            table=tinfo.name,
-                            column=col.name,
-                            field_kind=kind,
-                            text=text,
-                        )
-                    )
+    items = _store_items(catalog)
     if not items:
         return ContextStore(items=[], vectors=np.zeros((0, embedder.dimension)), embedder=embedder)
     try:

@@ -241,7 +241,13 @@ class MockLookupError(GatewayError):
 
 
 class MockBackend:
-    """Deterministic scripted backend for offline tests and benchmarks."""
+    """Deterministic scripted backend for offline tests and benchmarks.
+
+    `responses` maps `(scenario_key, template_id)` pairs of strings to
+    nonempty sequences of variants; any other key could never match and a
+    string would be split into one-character variants, so both raise
+    TypeError.
+    """
 
     backend_id = "mock"
 
@@ -251,7 +257,16 @@ class MockBackend:
         responses: Mapping[tuple[str, str], Sequence[str]] | None = None,
     ):
         self.fixture_dir = Path(fixture_dir) if fixture_dir else None
-        self.responses = {k: list(v) for k, v in (responses or {}).items()}
+        self.responses = {}
+        for key, variants in (responses or {}).items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(part, str) for part in key)):
+                raise TypeError(f"mock response key {key!r} is not a "
+                                "(scenario_key, template_id) pair of strings")
+            if isinstance(variants, str) or not variants:
+                raise TypeError(f"mock responses for {key!r} are not a nonempty "
+                                f"sequence of variants: {variants!r}")
+            self.responses[key] = list(variants)
         self.calls = 0
         self._lock = threading.Lock()
 

@@ -39,6 +39,7 @@ cached across questions.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import time
@@ -128,8 +129,15 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown tool toggles: {sorted(unknown)}")
         executor._check_mode(self.compare_mode)
-        if self.n_candidates < 1:
-            raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
+        for name, low in (
+            ("n_candidates", 1), ("row_cap", 1), ("max_tokens", 1), ("n_unit_tests", 0),
+            ("max_revisions", 0), ("context_k", 0), ("generation_temperature", 0),
+        ):
+            value = getattr(self, name)
+            if not value >= low:  # written so that NaN fails too
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        if not self.execution_timeout_s > 0:
+            raise ValueError(f"execution_timeout_s must be > 0, got {self.execution_timeout_s!r}")
         if "UT" in TEAMS[self.team] and self.n_candidates < 2:
             logger.warning(
                 "unit testing with n_candidates=%d cannot differentiate candidates",
@@ -267,14 +275,14 @@ def ensure_artifacts(
     value_index = load_or_build(
         "value_index", caching.VALUE_INDEX_MAGIC,
         lambda: build_value_index(catalog, db_file, config.index),
-        ValueIndex.to_parts, ValueIndex.from_parts,
+        ValueIndex.to_parts, functools.partial(ValueIndex.from_parts, catalog, config.index),
         config=caching.config_hash(config.index.to_dict()),
     )
     embedder = build_embedder(config)
     store = load_or_build(
         "context_store", caching.CONTEXT_STORE_MAGIC,
         lambda: build_context_store(catalog, embedder),
-        ContextStore.to_parts, ContextStore.from_parts,
+        ContextStore.to_parts, lambda _document, arrays: ContextStore.from_parts(catalog, arrays),
         config=caching.config_hash({"embedder": config.embedder, "k": "context"}),
         descriptions=descriptions,
     )

@@ -65,8 +65,13 @@ class IndexConfig:
     embed_top_k: int = 10
 
     def __post_init__(self) -> None:
-        if self.ngram_size < 1:
-            raise ValueError("ngram_size must be >= 1")
+        for name, low in (
+            ("ngram_size", 1), ("lsh_bands", 1), ("lsh_rows", 1), ("max_value_length", 1),
+            ("lsh_candidate_cap", 0), ("embed_top_k", 0),
+        ):
+            value = getattr(self, name)
+            if not value >= low:  # written so that NaN fails too
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
         if self.lsh_bands * self.lsh_rows != self.num_permutations:
             raise ValueError(
                 f"lsh_bands * lsh_rows must equal num_permutations "
@@ -101,12 +106,12 @@ class ValueIndex:
     Its arrays are what the cache maps in place: value i's locations are
     loc_ids[loc_offsets[i] : loc_offsets[i + 1]], and row b of band_keys
     holds band b's keys in ascending order, row b of band_ids the ids of
-    their values.
+    their values. Neither the config nor the locations are cached.
     """
 
     config: IndexConfig
     values: list[str]  # distinct normalized values, sorted
-    locations: list[tuple[str, str]]  # distinct (table, column) pairs
+    locations: list[tuple[str, str]]  # _indexed_columns of the catalog
     loc_offsets: np.ndarray = field(repr=False)  # int64, len(values) + 1
     loc_ids: np.ndarray = field(repr=False)  # int32 indices into `locations`
     band_keys: np.ndarray = field(repr=False)  # uint64, (lsh_bands, len(values))
@@ -127,16 +132,14 @@ class ValueIndex:
         code_points = itertools.chain(range(0xD800), range(0xE000, 0x110000))  # no surrogates
         sep = next(ch for ch in map(chr, code_points) if ch not in text)
         blob = np.frombuffer(sep.join(self.values).encode("utf-8"), dtype=np.uint8)
-        document = {"config": self.config.to_dict(), "locations": self.locations, "sep": sep}
-        return document, {
+        return {"sep": sep}, {
             "values": blob, "loc_offsets": self.loc_offsets, "loc_ids": self.loc_ids,
             "band_keys": self.band_keys, "band_ids": self.band_ids,
         }
 
     @classmethod
-    def from_parts(cls, document: dict, arrays: dict[str, np.ndarray]) -> "ValueIndex":
+    def from_parts(cls, catalog: SchemaCatalog, cfg: IndexConfig, document: dict, arrays: dict):
         """Inverse of `to_parts`; raises ValueError on arrays that do not fit."""
-        cfg = IndexConfig(**document["config"])
         keys, ids, offsets = arrays["band_keys"], arrays["band_ids"], arrays["loc_offsets"]
         n = keys.shape[-1]
         values = str(arrays["values"], "utf-8").split(document["sep"]) if n else []
@@ -150,13 +153,19 @@ class ValueIndex:
         return cls(
             config=cfg,
             values=values,
-            locations=[tuple(loc) for loc in document["locations"]],
+            locations=_indexed_columns(catalog),
             loc_offsets=offsets,
             loc_ids=arrays["loc_ids"],
             band_keys=keys,
             band_ids=ids,
             _salts=_permutations(cfg),
         )
+
+
+def _indexed_columns(catalog: SchemaCatalog) -> list[tuple[str, str]]:
+    """The (table, column) of each non-PK text column, in catalog order."""
+    return [(tinfo.name, col.name) for tinfo in catalog.tables for col in tinfo.columns
+            if not col.is_pk and _is_text_type(col.declared_type)]
 
 
 def _permutations(cfg: IndexConfig) -> np.ndarray:
@@ -296,7 +305,7 @@ _BUILD_BLOCK = 65_536
 def build_value_index(
     catalog: SchemaCatalog, db_file: str | Path, cfg: IndexConfig | None = None
 ) -> ValueIndex:
-    """Index every distinct text value of the non-PK text columns.
+    """Index every distinct text value of the catalog's `_indexed_columns`.
 
     Values are lowercased and stripped; values longer than
     cfg.max_value_length or empty after normalization are skipped.
@@ -309,29 +318,24 @@ def build_value_index(
         raise ValueIndexError(f"cannot open database {path}: {exc}") from exc
 
     value_to_locs: dict[str, set[int]] = {}
-    locations: list[tuple[str, str]] = []
+    locations = _indexed_columns(catalog)
     try:
-        for tinfo in catalog.tables:
-            for col in tinfo.columns:
-                if col.is_pk or not _is_text_type(col.declared_type):
+        for loc_id, (table, column) in enumerate(locations):
+            q = (
+                f'SELECT DISTINCT "{_tick(column)}" FROM "{_tick(table)}"'
+                f' WHERE "{_tick(column)}" IS NOT NULL'
+            )
+            try:
+                rows = conn.execute(q).fetchall()
+            except sqlite3.Error as exc:
+                raise ValueIndexError(f"cannot read {table}.{column}: {exc}") from exc
+            for (raw,) in rows:
+                if not isinstance(raw, str):
                     continue
-                loc_id = len(locations)
-                locations.append((tinfo.name, col.name))
-                q = (
-                    f'SELECT DISTINCT "{_tick(col.name)}" FROM "{_tick(tinfo.name)}"'
-                    f' WHERE "{_tick(col.name)}" IS NOT NULL'
-                )
-                try:
-                    rows = conn.execute(q).fetchall()
-                except sqlite3.Error as exc:
-                    raise ValueIndexError(f"cannot read {tinfo.name}.{col.name}: {exc}") from exc
-                for (raw,) in rows:
-                    if not isinstance(raw, str):
-                        continue
-                    norm = normalize_value(raw)
-                    if not norm or len(norm) > cfg.max_value_length:
-                        continue
-                    value_to_locs.setdefault(norm, set()).add(loc_id)
+                norm = normalize_value(raw)
+                if not norm or len(norm) > cfg.max_value_length:
+                    continue
+                value_to_locs.setdefault(norm, set()).add(loc_id)
     finally:
         conn.close()
 

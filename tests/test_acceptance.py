@@ -419,6 +419,7 @@ class TestCriterion5ScoringOracle:
             for i in range(n)
         ]
 
+    @pytest.mark.slow
     def test_exhaustive_matrices(self):
         total = 0
         for n_cands in range(1, 6):

@@ -2,6 +2,8 @@
 old-format file is a miss that the next set-up rebuilds, and a load maps
 read-only arrays without keeping anything open once they are dropped."""
 
+import dataclasses
+import functools
 import json
 import os
 import pickle
@@ -14,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fixture_dbs import build_finance_db, build_finance_descriptions
+
 from querycrew import caching
 from querycrew.caching import (
     CATALOG_MAGIC, CONTEXT_STORE_MAGIC, VALUE_INDEX_MAGIC, config_hash, description_digest,
@@ -21,17 +25,34 @@ from querycrew.caching import (
 )
 from querycrew.catalog import ColumnInfo, SchemaCatalog, TableInfo, introspect_database
 from querycrew.context_store import (
-    ContextStore, HashingEmbedder, build_context_store, retrieve_context,
+    ContextStore, HashingEmbedder, StoreItem, build_context_store, retrieve_context,
 )
 from querycrew.pipeline import PipelineConfig, ensure_artifacts
 from querycrew.value_index import IndexConfig, ValueIndex, build_value_index, lsh_query
 
-KINDS = {
-    "catalog": (CATALOG_MAGIC, lambda document, _arrays: SchemaCatalog.from_json_dict(document)),
-    "value_index": (VALUE_INDEX_MAGIC, ValueIndex.from_parts),
-    "context_store": (CONTEXT_STORE_MAGIC, ContextStore.from_parts),
-}
 CONFIG = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+
+
+def _catalog_decoder(_catalog: SchemaCatalog):
+    """What `ensure_artifacts` loads a catalog with."""
+    return lambda document, _arrays: SchemaCatalog.from_json_dict(document)
+
+
+def _index_decoder(catalog: SchemaCatalog):
+    """What `ensure_artifacts` loads a value index of `catalog` with."""
+    return functools.partial(ValueIndex.from_parts, catalog, IndexConfig())
+
+
+def _store_decoder(catalog: SchemaCatalog):
+    """What `ensure_artifacts` loads a context store of `catalog` with."""
+    return lambda _document, arrays: ContextStore.from_parts(catalog, arrays)
+
+
+KINDS = {
+    "catalog": (CATALOG_MAGIC, _catalog_decoder),
+    "value_index": (VALUE_INDEX_MAGIC, _index_decoder),
+    "context_store": (CONTEXT_STORE_MAGIC, _store_decoder),
+}
 
 
 def _small_db(root: Path) -> Path:
@@ -79,10 +100,11 @@ class TestRoundTrip:
                               for i, v in enumerate(values)])
             conn.commit()
             conn.close()
-            built = build_value_index(introspect_database(db), db, IndexConfig())
+            catalog = introspect_database(db)
+            built = build_value_index(catalog, db, IndexConfig())
             path = Path(tmp) / "values.qcx"
             save_envelope(path, VALUE_INDEX_MAGIC, {"k": 1}, *built.to_parts())
-            loaded = load_envelope(path, VALUE_INDEX_MAGIC, {"k": 1}, ValueIndex.from_parts)
+            loaded = load_envelope(path, VALUE_INDEX_MAGIC, {"k": 1}, _index_decoder(catalog))
 
             assert loaded is not None
             assert loaded.values == built.values
@@ -107,7 +129,7 @@ class TestRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "store.qcx"
             save_envelope(path, CONTEXT_STORE_MAGIC, {"k": 1}, *built.to_parts())
-            loaded = load_envelope(path, CONTEXT_STORE_MAGIC, {"k": 1}, ContextStore.from_parts)
+            loaded = load_envelope(path, CONTEXT_STORE_MAGIC, {"k": 1}, _store_decoder(catalog))
         assert loaded is not None and loaded.embedder is None
         loaded.embedder = embedder
         assert loaded.items == built.items
@@ -121,7 +143,8 @@ class TestDamagedFiles:
     def test_every_truncation_is_a_miss_and_is_rebuilt(self, tmp_path, kind):
         db = _small_db(tmp_path)
         built = ensure_artifacts(db, CONFIG)
-        magic, decode = KINDS[kind]
+        magic, decoder = KINDS[kind]
+        decode = decoder(built.catalog)
         key = _keys(db)[kind]
         cache = tmp_path / f"small.{kind}.qcx"
         whole = cache.read_bytes()
@@ -161,8 +184,78 @@ class TestDamagedFiles:
         assert UNPICKLED == []
         assert cache.read_bytes() == fresh
 
+    @pytest.mark.parametrize("kind", ["value_index", "context_store"])
+    def test_format_2_file_is_rebuilt_once(self, tmp_path, kind):
+        """A cache in the format before this one, whose document repeated the
+        index's config and located columns or the store's items, is a miss."""
+        db = _small_db(tmp_path)
+        built = ensure_artifacts(db, CONFIG)
+        cache = tmp_path / f"small.{kind}.qcx"
+        fresh = cache.read_bytes()
+        if kind == "value_index":
+            document, arrays = built.value_index.to_parts()
+            document = {**document, "config": CONFIG.index.to_dict(),
+                        "locations": built.value_index.locations}
+            old_magic = b"QCWVIDX2"
+        else:
+            _document, arrays = built.context_store.to_parts()
+            document = {f.name: [getattr(item, f.name) for item in built.context_store.items]
+                        for f in dataclasses.fields(StoreItem)}
+            old_magic = b"QCWCTXS2"
+        save_envelope(cache, old_magic, _keys(db)[kind], document, arrays)
+        os.utime(cache, ns=(0, 0))
+
+        again = ensure_artifacts(db, CONFIG)
+        stamp = cache.stat().st_mtime_ns
+        assert stamp != 0
+        assert cache.read_bytes() == fresh
+        ensure_artifacts(db, CONFIG)
+        assert cache.stat().st_mtime_ns == stamp
+        assert again.value_index.values == built.value_index.values
+        assert again.context_store.items == built.context_store.items != []
+
+    def test_store_whose_vectors_do_not_fit_the_catalog_is_rebuilt(self, tmp_path):
+        db = _small_db(tmp_path)
+        built = ensure_artifacts(db, CONFIG)
+        cache = tmp_path / "small.context_store.qcx"
+        fresh, key = cache.read_bytes(), _keys(db)["context_store"]
+        vectors = built.context_store.vectors
+        assert len(vectors) == 2
+        for wrong in (vectors[:1], np.vstack([vectors, vectors[:1]]), vectors[0]):
+            save_envelope(cache, CONTEXT_STORE_MAGIC, key, {}, {"vectors": wrong})
+            assert load_envelope(cache, CONTEXT_STORE_MAGIC, key,
+                                 _store_decoder(built.catalog)) is None
+            again = ensure_artifacts(db, CONFIG)
+            assert cache.read_bytes() == fresh
+            assert again.context_store.items == built.context_store.items
+
     def test_caching_imports_no_pickle(self):
         assert "pickle" not in vars(caching)
+
+
+class TestCatalogIsTheOneCopy:
+    def test_warm_load_takes_items_and_locations_from_the_catalog(self, tmp_path):
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        build_finance_descriptions(tmp_path / "database_description")
+        ensure_artifacts(db, CONFIG)
+        warm = ensure_artifacts(db, CONFIG)
+        items = warm.context_store.items
+        assert len(items) > 10
+        for item in items:
+            assert item.text is getattr(warm.catalog.column(item.table, item.column),
+                                        item.field_kind)
+        fresh = build_value_index(introspect_database(db), db, IndexConfig())
+        assert len(fresh.locations) > 1
+        assert warm.value_index.locations == fresh.locations
+        assert warm.value_index.config is CONFIG.index
+
+    def test_documents_hold_only_the_values_separator(self, tmp_path):
+        db = _small_db(tmp_path)
+        ensure_artifacts(db, CONFIG)
+        for kind, fields in (("value_index", ["sep"]), ("context_store", [])):
+            document, _arrays = load_envelope(
+                tmp_path / f"small.{kind}.qcx", KINDS[kind][0], _keys(db)[kind])
+            assert sorted(document) == fields, kind
 
 
 UNPICKLED: list[str] = []
@@ -208,12 +301,12 @@ class TestMappedArrays:
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
     def test_loads_leave_no_descriptor_open(self, tmp_path):
         db = _small_db(tmp_path)
-        ensure_artifacts(db, CONFIG)
+        decode = _index_decoder(ensure_artifacts(db, CONFIG).catalog)
         cache = tmp_path / "small.value_index.qcx"
         key = _keys(db)["value_index"]
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(100):
-            index = load_envelope(cache, VALUE_INDEX_MAGIC, key, ValueIndex.from_parts)
+            index = load_envelope(cache, VALUE_INDEX_MAGIC, key, decode)
             assert len(index) == 5
             del index
         assert len(os.listdir("/proc/self/fd")) == before

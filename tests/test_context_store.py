@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querycrew.catalog import ingest_catalog_descriptions
+from querycrew.pipeline import PipelineConfig, build_embedder
 from querycrew.context_store import (
     EMBED_BACKOFF_S,
     EMBED_CHUNK,
@@ -47,6 +48,18 @@ class TestHashingEmbedder:
     def test_dimension(self):
         assert HashingEmbedder().embed(["x"]).shape == (1, 256)
         assert HashingEmbedder(dimension=64).embed(["x"]).shape == (1, 64)
+
+    @pytest.mark.parametrize("dimension", [0, -3, float("nan")])
+    @pytest.mark.parametrize("kind", ["local", "remote"])
+    def test_dimension_below_one_rejected(self, kind, dimension):
+        embedder = {"local": HashingEmbedder, "remote": RemoteEmbedder}[kind]
+        args = {"local": (), "remote": ("http://x", "m")}[kind]
+        with pytest.raises(ValueError, match="dimension"):
+            embedder(*args, dimension=dimension)
+        spec = {"kind": kind, "base_url": "http://x", "dimension": dimension}
+        config = PipelineConfig.from_dict({**PipelineConfig().to_dict(), "embedder": spec})
+        with pytest.raises(ValueError, match="dimension"):
+            build_embedder(config)
 
     def test_empty_text_zero_vector(self):
         vec = HashingEmbedder().embed([""])[0]

@@ -539,6 +539,18 @@ class TestMockBackend:
         )
         assert [c.text for c in out] == ["v0", "v1", "v2"]
 
+    @pytest.mark.parametrize("responses", [
+        {("k", "t"): "hello"},
+        {("k", "t"): []},
+        {"k": ["x"]},
+        {("k",): ["x"]},
+        {("k", "t", "u"): ["x"]},
+        {("k", 1): ["x"]},
+    ])
+    def test_responses_it_cannot_answer_from_are_refused(self, responses):
+        with pytest.raises(TypeError):
+            MockBackend(responses=responses)
+
     def test_missing_fixture_raises(self):
         backend = MockBackend(responses={})
         with pytest.raises(MockLookupError):

@@ -744,6 +744,19 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="n_candidates must be >= 1"):
             PipelineConfig.from_dict({**PipelineConfig().to_dict(), "n_candidates": 0})
 
+    @pytest.mark.parametrize("name, value", [
+        ("row_cap", 0), ("row_cap", -1), ("execution_timeout_s", 0.0),
+        ("execution_timeout_s", -1.0), ("execution_timeout_s", float("nan")),
+        ("generation_temperature", -0.5), ("generation_temperature", float("nan")),
+        ("max_tokens", 0), ("n_unit_tests", -1), ("max_revisions", -1), ("context_k", -1),
+        ("context_k", float("nan")),
+    ])
+    def test_values_that_cannot_run_are_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig.from_dict({**PipelineConfig().to_dict(), name: value})
+
     def test_ut_with_one_candidate_warns(self, caplog):
         with caplog.at_level(logging.WARNING):
             PipelineConfig(team="IR_CG_UT", n_candidates=1)
@@ -751,6 +764,13 @@ class TestPipelineConfig:
 
 
 class TestBuildBackends:
+    def test_mock_responses_read_from_a_config_file_are_refused(self, tmp_path):
+        models = {"default": {"kind": "mock", "responses": {"k": ["x"]}}}
+        PipelineConfig(models=models).save(tmp_path / "config.json")
+        config = PipelineConfig.from_file(tmp_path / "config.json")
+        with pytest.raises(TypeError, match="pair of strings"):
+            build_gateway(config)
+
     def test_models_bind_a_mock_backend_per_tool(self, tmp_path):
         config = PipelineConfig(models={
             "filter_column": {"kind": "mock", "fixture_dir": str(tmp_path)},

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from querycrew import value_index
 from querycrew.catalog import introspect_database
 from querycrew.context_store import HashingEmbedder
+from querycrew.pipeline import PipelineConfig
 from querycrew.textutils import char_ngrams, ngram_hash, normalize_value
 from querycrew.value_index import (
     EntityMatch,
@@ -63,6 +64,22 @@ class TestIndexConfig:
     def test_bad_ngram(self):
         with pytest.raises(ValueError):
             IndexConfig(ngram_size=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"lsh_bands": -4, "lsh_rows": -32},
+        {"lsh_bands": 0, "num_permutations": 0},
+        {"lsh_rows": 0, "num_permutations": 0},
+        {"max_value_length": 0},
+        {"lsh_candidate_cap": -1},
+        {"lsh_candidate_cap": float("nan")},
+        {"embed_top_k": -1},
+    ])
+    def test_values_that_cannot_run_are_rejected(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            IndexConfig(**bad)
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig.from_dict({**PipelineConfig().to_dict(), "index": bad})
 
 
 class TestMinhashSignature:
