@@ -36,27 +36,6 @@ class Keyword:
 
 
 @dataclass
-class ColumnProfile:
-    table: str
-    column: str
-    declared_type: str
-    descriptions: list[str] = field(default_factory=list)
-    matched_values: list[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        lines = [
-            f"Table name: {self.table}",
-            f"Original column name: {self.column}",
-            f"Data type: {self.declared_type or 'unknown'}",
-        ]
-        for desc in self.descriptions:
-            lines.append(f"Description: {desc}")
-        if self.matched_values:
-            lines.append("Value examples: " + ", ".join(self.matched_values))
-        return "\n".join(lines)
-
-
-@dataclass
 class CandidateQuery:
     sql: str
     reasoning: str = ""
@@ -168,27 +147,28 @@ def extract_keywords(env: RunEnv) -> list[Keyword]:
     return keywords
 
 
-def filter_column(env: RunEnv, profiles: Sequence[ColumnProfile]) -> list[bool]:
-    """Relevance votes for a window of columns, in the order of `profiles`:
-    one call per column, all sent as one batch, with attempt
-    `<table>.<column>` in `RunEnv.key`. A vote that does not parse keeps its
-    column."""
+def filter_column(env: RunEnv, columns: Sequence[tuple[str, str]]) -> list[bool]:
+    """Relevance votes for `(table, column)` pairs of `env.sub`, in their
+    order: one call per column, all sent as one batch, with attempt
+    `<table>.<column>` in `RunEnv.key`. A column's profile is built when the
+    gateway reads its window, so the batch holds one window of profiles at a
+    time. A vote that does not parse keeps its column."""
     base = env.bindings(FEWSHOT_EXAMPLES=DEFAULT_FEWSHOTS["filter_column"])
+    catalog = env.sub.parent
+    requests = (
+        (
+            env.key("filter_column", f"{t}.{c}"),
+            {**base, "COLUMN_PROFILE": build_column_profile(catalog, t, c, env.context)},
+        )
+        for t, c in columns
+    )
     payloads = env.gateway.structured_many(
-        "filter_column",
-        [{**base, "COLUMN_PROFILE": profile.render()} for profile in profiles],
-        SamplingParams(temperature=0.0),
-        [env.key("filter_column", f"{p.table}.{p.column}") for p in profiles],
-        retry_on_parse_failure=False,
+        "filter_column", requests, SamplingParams(temperature=0.0), retry_on_parse_failure=False
     )
     votes = []
-    for profile, payload in zip(profiles, payloads):
+    for (table, column), payload in zip(columns, payloads):
         if isinstance(payload, ParseError):
-            logger.warning(
-                "filter_column unparseable for %s.%s; keeping column",
-                profile.table,
-                profile.column,
-            )
+            logger.warning("filter_column unparseable for %s.%s; keeping column", table, column)
             votes.append(True)
             continue
         answer = str(payload.get("is_column_information_relevant", "Yes")).strip().lower()
@@ -279,11 +259,11 @@ def generate_candidate(env: RunEnv, params: SamplingParams) -> list[CandidateQue
     Samples whose JSON cannot be parsed are dropped; their generation index
     is not reused. If every sample drops, GenerationError is raised.
     """
+    bindings = env.bindings(DATABASE_SCHEMA=env.schema())
     payloads = env.gateway.structured_many(
         "generate_candidate",
-        [env.bindings(DATABASE_SCHEMA=env.schema())] * params.n_samples,
+        [(env.key("generate_candidate", i), bindings) for i in range(params.n_samples)],
         replace(params, n_samples=1),
-        [env.key("generate_candidate", i) for i in range(params.n_samples)],
         retry_on_parse_failure=False,
     )
     candidates: list[CandidateQuery] = []
@@ -330,14 +310,13 @@ def revise(
     payloads = env.gateway.structured_many(
         "revise",
         [
-            {**base, "SQL": candidate.sql, "QUERY_RESULT": issue.detail}
-            for candidate, issue in zip(candidates, issues)
+            (
+                env.key("revise", f"{c.generation_index}.{c.revision_count + 1}"),
+                {**base, "SQL": c.sql, "QUERY_RESULT": issue.detail},
+            )
+            for c, issue in zip(candidates, issues)
         ],
         SamplingParams(temperature=0.0),
-        [
-            env.key("revise", f"{c.generation_index}.{c.revision_count + 1}")
-            for c in candidates
-        ],
         retry_on_parse_failure=False,
     )
     revised = []
@@ -406,9 +385,8 @@ def evaluate_against_test(
     )
     answers = env.gateway.structured_many(
         "evaluate_unit_test",
-        [{**base, "UNIT_TEST": test.statement} for test in tests],
+        [(env.key("evaluate", t.index), {**base, "UNIT_TEST": t.statement}) for t in tests],
         SamplingParams(temperature=0.0),
-        [env.key("evaluate", test.index) for test in tests],
     )
     return [_verdict_row(words, test, len(candidates)) for words, test in zip(answers, tests)]
 
@@ -436,22 +414,24 @@ def build_column_profile(
     table: str,
     column: str,
     context: RetrievedContext,
-) -> ColumnProfile:
+) -> str:
+    """The column's profile for the filter prompt: its table, name and type,
+    one line per description, and the values IR matched in it, sorted."""
     col = catalog.column(table, column)
-    descriptions = []
+    lines = [
+        f"Table name: {table}",
+        f"Original column name: {column}",
+        f"Data type: {col.declared_type or 'unknown'}",
+    ]
     if col.expanded_name:
-        descriptions.append(f"expanded column name: {col.expanded_name}")
+        lines.append(f"Description: expanded column name: {col.expanded_name}")
     if col.column_description:
-        descriptions.append(col.column_description)
+        lines.append(f"Description: {col.column_description}")
     if col.value_description:
-        descriptions.append(f"value description: {col.value_description}")
+        lines.append(f"Description: value description: {col.value_description}")
     matched = sorted(
         {e.value for e in context.entities if e.table == table and e.column == column}
     )
-    return ColumnProfile(
-        table=table,
-        column=column,
-        declared_type=col.declared_type,
-        descriptions=descriptions,
-        matched_values=matched,
-    )
+    if matched:
+        lines.append("Value examples: " + ", ".join(matched))
+    return "\n".join(lines)

@@ -70,7 +70,7 @@ def description_digest(directory: str | Path | None) -> str | None:
     return h.hexdigest()
 
 
-def config_hash(payload: dict) -> str:
+def config_hash(payload: object) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()

@@ -47,8 +47,8 @@ class EmbeddingProvider(Protocol):
 
 
 def _check_dimension(dimension: int) -> None:
-    if not dimension >= 1:  # written so that NaN fails too
-        raise ValueError(f"embedding dimension must be >= 1, got {dimension!r}")
+    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
+        raise ValueError(f"embedding dimension must be >= 1 and an int, got {dimension!r}")
 
 
 class HashingEmbedder:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import contextvars
+import itertools
 import json
 import logging
 import os
@@ -24,7 +25,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ContextManager, Iterator, Mapping, Protocol, Sequence
+from typing import ContextManager, Iterable, Iterator, Mapping, Protocol, Sequence
 
 import requests
 
@@ -341,12 +342,13 @@ def complete(
 # HttpChatBackend's default max_in_flight. The pool's threads start only when
 # a batch of two or more requests first needs them.
 POOL_WIDTH = 8
-# How many requests of a batch `structured_many` renders, sends and reads at a
-# time, which bounds the prompts a batch holds. On the bench's 4,337-column
-# schema (2,893 filter calls a question, 0.1 ms each; 2-core Linux host) the
-# median question took about 190, 180 and 170 ms with windows of 64, 128 and
-# 256, against 490 ms one call at a time; peak RSS rose 0.4%, 0.5% and 1%,
-# and one 256 run rose 11%. 128 keeps most of the gain at a steady memory cost.
+# How many requests of a batch `structured_many` reads, renders and sends at a
+# time, which bounds the requests and prompts a batch holds. On the bench's
+# 4,337-column schema (2,893 filter calls a question, 0.1 ms each; 2-core
+# Linux host) the median question took about 190, 180 and 170 ms with windows
+# of 64, 128 and 256, against 490 ms one call at a time; peak RSS rose 0.4%,
+# 0.5% and 1%, and one 256 run rose 11%. 128 keeps most of the gain at a
+# steady memory cost.
 WINDOW = 128
 _POOL = ThreadPoolExecutor(max_workers=POOL_WIDTH, thread_name_prefix="querycrew-backend")
 
@@ -657,17 +659,18 @@ class Gateway:
     def structured_many(
         self,
         template_id: str,
-        bindings_list: Sequence[dict[str, object]],
+        requests: Iterable[tuple[str, dict[str, object]]],
         params: SamplingParams,
-        scenario_keys: Sequence[str],
         retry_on_parse_failure: bool = True,
     ) -> Iterator:
-        """Render, complete, and parse a batch of independent calls; the
-        answers come back as an iterator, in request order.
+        """Render, complete, and parse a batch of independent calls, each
+        request a `(scenario_key, bindings)` pair; the answers come back as
+        an iterator, in request order.
 
-        The batch goes through in windows of WINDOW requests, so it never
-        holds more than one window's prompts. A window's prompts are
-        rendered on the calling thread and split into at most POOL_WIDTH
+        `requests` is read WINDOW pairs at a time, so the batch never holds
+        more than one window's requests and prompts, and a generator of
+        requests is advanced only when its window is due. A window's prompts
+        are rendered on the calling thread and split into at most POOL_WIDTH
         chunks of consecutive requests. Each chunk is one pool task, run in a
         copy of the caller's context, whose worker makes the chunk's backend
         calls one after another; a one-request window calls the backend
@@ -683,28 +686,15 @@ class Gateway:
         chunks are waited for, and the error is raised in place of its
         request's answer.
         """
-        if len(bindings_list) != len(scenario_keys):
-            raise ValueError(
-                f"{len(bindings_list)} bindings but {len(scenario_keys)} scenario keys"
-            )
-        return self._answers(
-            template_id, bindings_list, params, scenario_keys, retry_on_parse_failure
-        )
-
-    def _answers(
-        self,
-        template_id: str,
-        bindings_list: Sequence[dict[str, object]],
-        params: SamplingParams,
-        scenario_keys: Sequence[str],
-        retry: bool,
-    ) -> Iterator:
-        for start in range(0, len(scenario_keys), WINDOW):
-            keys = scenario_keys[start : start + WINDOW]
-            prompts = [
-                render_template(template_id, bindings)
-                for bindings in bindings_list[start : start + WINDOW]
-            ]
+        retry = retry_on_parse_failure
+        requests = iter(requests)
+        while True:
+            keys, prompts = [], []  # the last window's prompts go before the next is read
+            for key, bindings in itertools.islice(requests, WINDOW):
+                keys.append(key)
+                prompts.append(render_template(template_id, bindings))
+            if not prompts:
+                return
             if len(prompts) == 1:
                 yield self._answer(template_id, prompts[0], params, keys[0], None, retry)
                 continue
@@ -740,8 +730,8 @@ class Gateway:
         `<key>#retry1` so scripted runs can stage both responses. This is
         the one-request case of `structured_many`.
         """
-        (answer,) = self._answers(
-            template_id, [bindings], params, [scenario_key], retry_on_parse_failure
+        (answer,) = self.structured_many(
+            template_id, [(scenario_key, bindings)], params, retry_on_parse_failure
         )
         try:
             if isinstance(answer, ParseError):

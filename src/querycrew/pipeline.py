@@ -17,15 +17,16 @@ index for generation, `<table>.<column>` for column filtering,
 otherwise.
 
 Independent model calls go to the backend together (`Gateway.structured_many`):
-the column-filter votes of each window of columns form one batch, a
-question's candidate samples another, each revision wave another, and its
-unit-test verdicts one more. A batch is split into at most `POOL_WIDTH`
-chunks of consecutive calls, one pool task each. Everything else, rendering,
-parsing and SQL execution included, runs on the calling thread, which is
-where the call records are appended. They keep the order of a one-by-one run
-with one exception: revisions are recorded wave by wave (every candidate's
-first revision, then every second revision, and so on), not candidate by
-candidate.
+a question's column-filter votes form one batch, its candidate samples
+another, each revision wave another, and its unit-test verdicts one more.
+The gateway reads a batch 128 requests at a time and splits each window into
+at most `POOL_WIDTH` chunks of consecutive calls, one pool task each; the
+filter's column profiles are built as their window is read. Everything else,
+rendering, parsing and SQL execution included, runs on the calling thread,
+which is where the call records are appended. They keep the order of a
+one-by-one run with one exception: revisions are recorded wave by wave
+(every candidate's first revision, then every second revision, and so on),
+not candidate by candidate.
 
 Each distinct SQL text runs once per question. A run keeps one dict from
 SQL text to `ExecutionResult`, and a candidate or revision whose exact text
@@ -64,9 +65,10 @@ from .context_store import (
     build_context_store,
     retrieve_context,
 )
-from .gateway import WINDOW, CallRecord, Gateway, HttpChatBackend, MockBackend, SamplingParams
+from .gateway import CallRecord, Gateway, HttpChatBackend, MockBackend, SamplingParams
 from .gateway import ledger, tally
-from .value_index import IndexConfig, ValueIndex, build_value_index, retrieve_entities
+from .value_index import IndexConfig, ValueIndex, _indexed_columns, build_value_index
+from .value_index import retrieve_entities
 
 logger = logging.getLogger(__name__)
 
@@ -131,11 +133,15 @@ class PipelineConfig:
         executor._check_mode(self.compare_mode)
         for name, low in (
             ("n_candidates", 1), ("row_cap", 1), ("max_tokens", 1), ("n_unit_tests", 0),
-            ("max_revisions", 0), ("context_k", 0), ("generation_temperature", 0),
+            ("max_revisions", 0), ("context_k", 0),
         ):
             value = getattr(self, name)
-            if not value >= low:  # written so that NaN fails too
-                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be >= {low} and an int, got {value!r}")
+        if not self.generation_temperature >= 0:  # written so that NaN fails too
+            raise ValueError(
+                f"generation_temperature must be >= 0, got {self.generation_temperature!r}"
+            )
         if not self.execution_timeout_s > 0:
             raise ValueError(f"execution_timeout_s must be > 0, got {self.execution_timeout_s!r}")
         if "UT" in TEAMS[self.team] and self.n_candidates < 2:
@@ -239,10 +245,11 @@ def ensure_artifacts(
     does not load.
 
     Each header holds the database hash plus the description CSVs' digest
-    (described catalog), the index config (value index), or the embedder
-    config and that digest (context store). A warm call parses no CSV and
-    maps the index's and the store's arrays in place (see `caching`), so
-    ingest warnings are logged only when the catalog is built.
+    (described catalog), the index config and the indexed column list (value
+    index), or the embedder config and that digest (context store). A warm
+    call parses no CSV and maps the index's and the store's arrays in place
+    (see `caching`), so ingest warnings are logged only when the catalog is
+    built.
     """
     db_file = Path(db_file)
     if description_dir is None:
@@ -272,11 +279,13 @@ def ensure_artifacts(
         lambda document, _arrays: SchemaCatalog.from_json_dict(document),
         descriptions=descriptions,
     )
+    locations = _indexed_columns(catalog)
     value_index = load_or_build(
         "value_index", caching.VALUE_INDEX_MAGIC,
         lambda: build_value_index(catalog, db_file, config.index),
-        ValueIndex.to_parts, functools.partial(ValueIndex.from_parts, catalog, config.index),
+        ValueIndex.to_parts, functools.partial(ValueIndex.from_parts, locations, config.index),
         config=caching.config_hash(config.index.to_dict()),
+        columns=caching.config_hash(locations),
     )
     embedder = build_embedder(config)
     store = load_or_build(
@@ -469,11 +478,10 @@ def _stage_record(stage: str, sub: SubSchema) -> StageRecord:
 def _filter_columns_stage(env: RunEnv) -> dict[str, list[str]]:
     """Per-column relevance votes; linking columns bypass the model call.
 
-    The non-linking columns go to the filter a window at a time, so a
-    question holds no more than one window of profiles and prompts. Returns
-    only the Yes-voted non-linking columns per table (projection re-adds the
-    linking columns). Every table keeps an entry so no table leaves the
-    schema at this stage.
+    The non-linking columns go to the filter as one batch. Returns only the
+    Yes-voted non-linking columns per table (projection re-adds the linking
+    columns). Every table keeps an entry so no table leaves the schema at
+    this stage.
     """
     catalog = env.sub.parent
     requested: dict[str, list[str]] = {table: [] for table in env.sub.table_names()}
@@ -481,16 +489,9 @@ def _filter_columns_stage(env: RunEnv) -> dict[str, list[str]]:
     for table in requested:
         linking = catalog.linking_columns(table)
         columns += [(table, c) for c in env.sub.selection[table] if c not in linking]
-    for start in range(0, len(columns), WINDOW):
-        window = columns[start : start + WINDOW]
-        profiles = [
-            agents.build_column_profile(catalog, table, column, env.context)
-            for table, column in window
-        ]
-        votes = agents.filter_column(env, profiles)
-        for (table, column), relevant in zip(window, votes):
-            if relevant:
-                requested[table].append(column)
+    for (table, column), relevant in zip(columns, agents.filter_column(env, columns)):
+        if relevant:
+            requested[table].append(column)
     return requested
 
 

@@ -67,11 +67,11 @@ class IndexConfig:
     def __post_init__(self) -> None:
         for name, low in (
             ("ngram_size", 1), ("lsh_bands", 1), ("lsh_rows", 1), ("max_value_length", 1),
-            ("lsh_candidate_cap", 0), ("embed_top_k", 0),
+            ("lsh_candidate_cap", 0), ("embed_top_k", 0), ("num_permutations", 1),
         ):
             value = getattr(self, name)
-            if not value >= low:  # written so that NaN fails too
-                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be >= {low} and an int, got {value!r}")
         if self.lsh_bands * self.lsh_rows != self.num_permutations:
             raise ValueError(
                 f"lsh_bands * lsh_rows must equal num_permutations "
@@ -138,8 +138,11 @@ class ValueIndex:
         }
 
     @classmethod
-    def from_parts(cls, catalog: SchemaCatalog, cfg: IndexConfig, document: dict, arrays: dict):
-        """Inverse of `to_parts`; raises ValueError on arrays that do not fit."""
+    def from_parts(
+        cls, locations: list[tuple[str, str]], cfg: IndexConfig, document: dict, arrays: dict
+    ):
+        """Inverse of `to_parts`, given the `_indexed_columns` the arrays
+        were built over; raises ValueError on arrays that do not fit."""
         keys, ids, offsets = arrays["band_keys"], arrays["band_ids"], arrays["loc_offsets"]
         n = keys.shape[-1]
         values = str(arrays["values"], "utf-8").split(document["sep"]) if n else []
@@ -153,7 +156,7 @@ class ValueIndex:
         return cls(
             config=cfg,
             values=values,
-            locations=_indexed_columns(catalog),
+            locations=locations,
             loc_offsets=offsets,
             loc_ids=arrays["loc_ids"],
             band_keys=keys,
@@ -400,7 +403,9 @@ def lsh_query(
             hits.append(band.sorted_ids[lo:hi])
     if not hits:
         return []
-    candidate_ids = np.unique(np.concatenate(hits))
+    candidate_ids = np.unique(np.concatenate(hits))  # sorted, so its ends bound it
+    if candidate_ids[0] < 0 or candidate_ids[-1] >= len(index.values):
+        raise ValueIndexError(f"band ids outside [0, {len(index.values)}) in the value index")
 
     cand_values = [index.values[i] for i in candidate_ids]
     cand_sigs = _signatures(cand_values, cfg, index._salts)
@@ -416,6 +421,8 @@ def lsh_query(
         for loc_id in loc_ids[offsets[vid] : offsets[vid + 1]].tolist():
             if len(out) >= cap:
                 return out
+            if not 0 <= loc_id < len(index.locations):
+                raise ValueIndexError(f"location id {loc_id} outside the value index's columns")
             table, column = index.locations[loc_id]
             out.append((value, table, column))
     return out

@@ -1,3 +1,4 @@
+import json
 import logging
 from pathlib import Path
 
@@ -6,7 +7,6 @@ import pytest
 from querycrew.agents import (
     CandidateQuery,
     Cluster,
-    ColumnProfile,
     GenerationError,
     RetrievedContext,
     RunEnv,
@@ -79,60 +79,72 @@ class TestExtractKeywords:
 
 
 class TestFilterColumn:
-    PROFILE = ColumnProfile("results", "fastestLapTime", "TEXT")
+    COLUMN = ("results", "fastestLapTime")
     KEY = "k+filter_column+results.fastestLapTime"
 
-    def test_yes(self):
+    @pytest.fixture
+    def env_of(self, motorsport_catalog):
+        return lambda gw, **kw: _env(gw, full_projection(motorsport_catalog), **kw)
+
+    def test_yes(self, env_of):
         gw = gw_with(
             {(self.KEY, "filter_column"): ['{"chain_of_thought_reasoning": "r", "is_column_information_relevant": "Yes"}']}
         )
-        assert filter_column(_env(gw), [self.PROFILE]) == [True]
+        assert filter_column(env_of(gw), [self.COLUMN]) == [True]
 
-    def test_no(self):
+    def test_no(self, env_of):
         gw = gw_with(
             {(self.KEY, "filter_column"): ['{"is_column_information_relevant": "No"}']}
         )
-        assert filter_column(_env(gw), [self.PROFILE]) == [False]
+        assert filter_column(env_of(gw), [self.COLUMN]) == [False]
 
-    def test_too_deep_answer_keeps_column(self, caplog):
+    def test_too_deep_answer_keeps_column(self, env_of, caplog):
         deep = '{"is_column_information_relevant": ' + "[" * 100_000 + "]" * 100_000 + "}"
         gw = gw_with({(self.KEY, "filter_column"): [deep]})
         with caplog.at_level(logging.WARNING):
-            assert filter_column(_env(gw), [self.PROFILE]) == [True]
+            assert filter_column(env_of(gw), [self.COLUMN]) == [True]
         assert any("keeping column" in r.message for r in caplog.records)
 
-    def test_parse_failure_keeps_column(self, caplog, calls):
+    def test_parse_failure_keeps_column(self, env_of, caplog, calls):
         gw = gw_with({(self.KEY, "filter_column"): ["garbled"]})
         with caplog.at_level(logging.WARNING):
-            assert filter_column(_env(gw), [self.PROFILE]) == [True]
+            assert filter_column(env_of(gw), [self.COLUMN]) == [True]
         assert len(calls) == 1  # no retry for this tool
 
-    def test_profile_rendered_into_prompt(self, calls):
+    def test_profile_rendered_into_prompt(self, finance_db, finance_catalog, tmp_path, calls):
+        from querycrew.catalog import ingest_catalog_descriptions
+
+        catalog = ingest_catalog_descriptions(
+            finance_catalog, finance_db.parent / "database_description"
+        )
         backend = MockBackend(
             responses={("k+filter_column+district.A11", "filter_column"): ['{"is_column_information_relevant": "Yes"}']}
         )
-        gw = Gateway.single(backend)
-        profile = ColumnProfile(
-            "district", "A11", "INTEGER",
-            descriptions=["expanded column name: average salary"],
-            matched_values=["8968"],
-        )
-        filter_column(_env(gw, question="q", hint="h"), [profile])
+        gw = Gateway.single(backend, log_path=tmp_path / "calls.jsonl")
+        env = _env(gw, full_projection(catalog), question="q", hint="h")
+        env.context.entities = [EntityMatch("average salary", "8968", "district", "A11", 0, 0.9)]
+        assert filter_column(env, [("district", "A11")]) == [True]
         # prompt token count reflects the profile text making it in
         assert calls[0].prompt_tokens > 0
+        (logged,) = (tmp_path / "calls.jsonl").read_text(encoding="utf-8").splitlines()
+        prompt = json.loads(logged)["prompt"]
+        assert build_column_profile(catalog, "district", "A11", env.context) in prompt
+        assert "Description: expanded column name: average salary" in prompt
+        assert "Value examples: 8968" in prompt
 
-    def test_votes_in_profile_order(self, calls):
-        answers = {"a": "Yes", "b": "No", "c": "garbled", "d": "No"}
+    def test_votes_in_profile_order(self, env_of, calls):
+        answers = {"time": "Yes", "positionText": "No", "fastestLapTime": "garbled",
+                   "fastestLapSpeed": "No"}
         gw = gw_with({
-            (f"k+filter_column+t.{c}", "filter_column"): [
+            (f"k+filter_column+results.{c}", "filter_column"): [
                 a if a == "garbled" else f'{{"is_column_information_relevant": "{a}"}}'
             ]
             for c, a in answers.items()
         })
-        profiles = [ColumnProfile("t", c, "TEXT") for c in answers]
-        assert filter_column(_env(gw), profiles) == [True, False, True, False]
+        columns = [("results", c) for c in answers]
+        assert filter_column(env_of(gw), columns) == [True, False, True, False]
         assert [r.scenario_key for r in calls] == [
-            f"k+filter_column+t.{c}" for c in answers
+            f"k+filter_column+results.{c}" for c in answers
         ]
 
 
@@ -511,8 +523,15 @@ class TestColumnProfile:
             ]
         )
         profile = build_column_profile(catalog, "district", "A11", context)
-        assert profile.matched_values == ["8968"]
-        assert any("average salary" in d for d in profile.descriptions)
-        rendered = profile.render()
-        assert "Table name: district" in rendered
-        assert "A11" in rendered
+        assert profile == (
+            "Table name: district\n"
+            "Original column name: A11\n"
+            "Data type: INTEGER\n"
+            "Description: expanded column name: average salary\n"
+            "Description: average salary in the district\n"
+            "Value examples: 8968"
+        )
+
+    def test_without_descriptions_or_matches(self, finance_catalog):
+        profile = build_column_profile(finance_catalog, "district", "A2", RetrievedContext())
+        assert profile == "Table name: district\nOriginal column name: A2\nData type: TEXT"

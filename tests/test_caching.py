@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fixture_dbs import build_finance_db, build_finance_descriptions
 
-from querycrew import caching
+from querycrew import caching, value_index
 from querycrew.caching import (
     CATALOG_MAGIC, CONTEXT_STORE_MAGIC, VALUE_INDEX_MAGIC, config_hash, description_digest,
     file_sha256, load_envelope, save_envelope,
@@ -28,7 +28,9 @@ from querycrew.context_store import (
     ContextStore, HashingEmbedder, StoreItem, build_context_store, retrieve_context,
 )
 from querycrew.pipeline import PipelineConfig, ensure_artifacts
-from querycrew.value_index import IndexConfig, ValueIndex, build_value_index, lsh_query
+from querycrew.value_index import (
+    IndexConfig, ValueIndex, _indexed_columns, build_value_index, lsh_query,
+)
 
 CONFIG = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
 
@@ -40,7 +42,7 @@ def _catalog_decoder(_catalog: SchemaCatalog):
 
 def _index_decoder(catalog: SchemaCatalog):
     """What `ensure_artifacts` loads a value index of `catalog` with."""
-    return functools.partial(ValueIndex.from_parts, catalog, IndexConfig())
+    return functools.partial(ValueIndex.from_parts, _indexed_columns(catalog), IndexConfig())
 
 
 def _store_decoder(catalog: SchemaCatalog):
@@ -77,7 +79,8 @@ def _keys(db: Path) -> dict[str, dict]:
     db_hash, descriptions = file_sha256(db), description_digest(db.parent / "database_description")
     return {
         "catalog": {"db": db_hash, "descriptions": descriptions},
-        "value_index": {"db": db_hash, "config": config_hash(CONFIG.index.to_dict())},
+        "value_index": {"db": db_hash, "config": config_hash(CONFIG.index.to_dict()),
+                        "columns": config_hash(_indexed_columns(introspect_database(db)))},
         "context_store": {"db": db_hash, "descriptions": descriptions,
                           "config": config_hash({"embedder": CONFIG.embedder, "k": "context"})},
     }
@@ -248,6 +251,27 @@ class TestCatalogIsTheOneCopy:
         assert len(fresh.locations) > 1
         assert warm.value_index.locations == fresh.locations
         assert warm.value_index.config is CONFIG.index
+
+    def test_a_changed_column_list_rebuilds_the_index(self, tmp_path, monkeypatch):
+        """The value index's key holds its column list, so a change to which
+        columns are indexed is a miss even though the database is the same."""
+        db = tmp_path / "coded.sqlite"
+        conn = sqlite3.connect(db)
+        conn.execute("CREATE TABLE fx (id INTEGER PRIMARY KEY, name TEXT, code VARCHAR(3))")
+        conn.executemany("INSERT INTO fx VALUES (?, ?, ?)",
+                         [(1, "euro", "EUR"), (2, "koruna", "CZK")])
+        conn.commit()
+        conn.close()
+        assert ensure_artifacts(db, CONFIG).value_index.locations == [
+            ("fx", "name"), ("fx", "code")]
+        monkeypatch.setattr(value_index, "_is_text_type", lambda declared: declared == "TEXT")
+
+        warm = ensure_artifacts(db, CONFIG).value_index
+        fresh = build_value_index(introspect_database(db), db, IndexConfig())
+        assert warm.locations == fresh.locations == [("fx", "name")]
+        assert warm.values == fresh.values == ["euro", "koruna"]
+        for name in ("loc_offsets", "loc_ids", "band_keys", "band_ids"):
+            assert np.array_equal(getattr(warm, name), getattr(fresh, name)), name
 
     def test_documents_hold_only_the_values_separator(self, tmp_path):
         db = _small_db(tmp_path)

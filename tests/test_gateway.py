@@ -1136,8 +1136,8 @@ class TestStructuredMany:
             with ledger() as batch_calls:
                 try:
                     answers = list(batch.structured_many(
-                        "select_tables", [SELECT_BINDINGS] * len(keys), SamplingParams(), keys,
-                        retry,
+                        "select_tables", [(key, SELECT_BINDINGS) for key in keys],
+                        SamplingParams(), retry,
                     ))
                 except GatewayError as exc:
                     assert str(exc) == expected_error
@@ -1170,17 +1170,30 @@ class TestStructuredMany:
 
 
 class TestStructuredManyWindows:
-    def test_mismatched_keys_rejected(self, calls):
-        backend = MockBackend(responses={("k0", "select_tables"): ['{"ok": 1}']})
-        gw = Gateway.single(backend)
-        with pytest.raises(ValueError):
-            gw.structured_many(
-                "select_tables", [SELECT_BINDINGS] * 3, SamplingParams(), ["k0", "k1"]
-            )
-        with pytest.raises(ValueError):
-            gw.structured_many("select_tables", [SELECT_BINDINGS], SamplingParams(), ["k0", "k1"])
-        assert backend.calls == 0
-        assert calls == []
+    def test_requests_are_read_a_window_at_a_time(self, calls):
+        """A generator of requests is advanced one window ahead of the
+        answers: the first answer comes after exactly WINDOW pulls."""
+        n = 2 * WINDOW + 5
+        backend = MockBackend(
+            responses={(f"k{i}", "select_tables"): [f'{{"i": {i}}}'] for i in range(n)}
+        )
+        pulled = []
+
+        def requests():
+            for i in range(n):
+                pulled.append(i)
+                yield f"k{i}", SELECT_BINDINGS
+
+        answers = Gateway.single(backend).structured_many(
+            "select_tables", requests(), SamplingParams()
+        )
+        assert pulled == []
+        assert next(answers) == {"i": 0}
+        assert len(pulled) == WINDOW
+        assert backend.calls <= WINDOW  # no call of the next window is out
+        assert list(answers) == [{"i": i} for i in range(1, n)]
+        assert len(pulled) == n
+        assert [r.scenario_key for r in calls] == [f"k{i}" for i in range(n)]
 
     def test_at_most_pool_width_tasks_per_window(self, monkeypatch, calls):
         n = 2 * WINDOW + 5
@@ -1196,7 +1209,9 @@ class TestStructuredManyWindows:
         monkeypatch.setattr(gateway._POOL, "submit", counting_submit)
         gw = Gateway.single(backend)
         answers = list(
-            gw.structured_many("select_tables", [SELECT_BINDINGS] * n, SamplingParams(), keys)
+            gw.structured_many(
+                "select_tables", [(key, SELECT_BINDINGS) for key in keys], SamplingParams()
+            )
         )
         assert answers == [{"i": i} for i in range(n)]
         assert [r.scenario_key for r in calls] == keys
@@ -1218,7 +1233,8 @@ class TestStructuredManyWindows:
         no caller's locals into a reference cycle."""
         gw = Gateway.single(_scripted(["bad_then_bad", "ok"]))
         answers = list(gw.structured_many(
-            "select_tables", [SELECT_BINDINGS] * 2, SamplingParams(), ["k0", "k1"], False
+            "select_tables", [("k0", SELECT_BINDINGS), ("k1", SELECT_BINDINGS)],
+            SamplingParams(), False,
         ))
         assert isinstance(answers[0], ParseError)
         assert answers[0].__traceback__ is None

@@ -27,13 +27,14 @@ from mock_runs import (
     verdicts_response,
 )
 
-from querycrew import executor, pipeline
+from querycrew import agents, executor, pipeline
 from querycrew.agents import CandidateQuery, RetrievedContext, Verdict, build_column_profile
 from querycrew.catalog import full_projection, introspect_database, project
-from querycrew.context_store import RemoteEmbedder
+from querycrew.context_store import HashingEmbedder, RemoteEmbedder
 from querycrew.executor import OK, TIMEOUT, ExecutionResult, execute, fingerprint
 from querycrew.gateway import (
     WINDOW,
+    Completion,
     Gateway,
     GatewayError,
     HttpChatBackend,
@@ -57,6 +58,7 @@ from querycrew.pipeline import (
     score_and_select,
 )
 from querycrew.templates import DEFAULT_FEWSHOTS
+from querycrew.value_index import IndexConfig, _indexed_columns
 
 
 def executed(sql: str, rows, index: int = 0) -> CandidateQuery:
@@ -757,6 +759,25 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=name):
             PipelineConfig.from_dict({**PipelineConfig().to_dict(), name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    @pytest.mark.parametrize("section, name", [
+        (None, "n_candidates"), (None, "row_cap"), ("index", "embed_top_k"),
+        ("index", "ngram_size"), ("embedder", "dimension"),
+    ])
+    def test_integer_fields_take_only_ints(self, section, name, value):
+        """3.0 and True pass every bound, but `fetchmany`, `range` and
+        `np.zeros` would refuse them later, inside every query or build."""
+        build = {None: PipelineConfig, "index": IndexConfig, "embedder": HashingEmbedder}[section]
+        with pytest.raises(ValueError, match=name):
+            build(**{name: value})
+        payload = PipelineConfig().to_dict()
+        if section is None:
+            payload[name] = value
+        else:
+            payload[section] = {**payload[section], name: value}
+        with pytest.raises(ValueError, match=name):
+            build_embedder(PipelineConfig.from_dict(payload))
+
     def test_ut_with_one_candidate_warns(self, caplog):
         with caplog.at_level(logging.WARNING):
             PipelineConfig(team="IR_CG_UT", n_candidates=1)
@@ -1049,12 +1070,14 @@ class TestArtifactCaching:
         built = ensure_artifacts(db, config)
         index_cache = tmp_path / "finance.value_index.qcx"
         store_cache = tmp_path / "finance.context_store.qcx"
-        # the headers of caches written before descriptions were part of the key
+        # the index's key, and the store's header from before descriptions
+        # were part of its key
         db_hash = file_sha256(db)
-        old_index = {"db": db_hash, "config": config_hash(config.index.to_dict())}
+        index_key = {"db": db_hash, "config": config_hash(config.index.to_dict()),
+                     "columns": config_hash(_indexed_columns(built.catalog))}
         old_store = {"db": db_hash, "config": config_hash({"embedder": config.embedder,
                                                            "k": "context"})}
-        assert load_envelope(index_cache, VALUE_INDEX_MAGIC, old_index) is not None
+        assert load_envelope(index_cache, VALUE_INDEX_MAGIC, index_key) is not None
         stale = dataclasses.replace(built.context_store, items=[],
                                     vectors=built.context_store.vectors[:0])
         save_envelope(store_cache, CONTEXT_STORE_MAGIC, old_store, *stale.to_parts())
@@ -1276,6 +1299,36 @@ class TestFilterFanOut:
         assert (trace.stages[1].n_tables, trace.stages[1].n_columns) == (13, 36)
 
 
+    def test_profiles_are_built_a_window_ahead_of_the_calls(self, wide_catalog, monkeypatch):
+        """The stage sends its columns as one batch, and a column's profile is
+        built only when the gateway reads its window."""
+        built = []
+
+        def counting_profile(*args):
+            built.append(args[1:3])
+            return build_column_profile(*args)
+
+        class SeesProfiles:
+            backend_id = "sees-profiles"
+
+            def __init__(self):
+                self.seen = []
+
+            def complete(self, prompt, params, template_id, scenario_key):
+                self.seen.append(len(built))
+                return [Completion('{"is_column_information_relevant": "No"}', 1, 1, "x")]
+
+        monkeypatch.setattr(agents, "build_column_profile", counting_profile)
+        backend = SeesProfiles()
+        sub = full_projection(wide_catalog)
+        env = RunEnv("q", "h", sub, RetrievedContext(), Path(), Gateway.single(backend), "w")
+        assert _filter_columns_stage(env) == {t: [] for t in sub.table_names()}
+        n = len(_non_linking(wide_catalog, sub))
+        assert n > 2 * WINDOW
+        assert built == _non_linking(wide_catalog, sub)
+        assert backend.seen == [WINDOW] * WINDOW + [2 * WINDOW] * WINDOW + [n] * (n - 2 * WINDOW)
+
+
 WIDE_TABLES, WIDE_COLUMNS = 3, 100
 FILTER_ANSWERS = {
     "Yes": '{"chain_of_thought_reasoning": "r", "is_column_information_relevant": "Yes"}',
@@ -1314,10 +1367,9 @@ def _filter_one_by_one(catalog, sub, gw, qid):
         for column in sub.selection[table]:
             if column in catalog.linking_columns(table):
                 continue
-            profile = build_column_profile(catalog, table, column, RetrievedContext())
             bindings = {
                 "FEWSHOT_EXAMPLES": DEFAULT_FEWSHOTS["filter_column"],
-                "COLUMN_PROFILE": profile.render(),
+                "COLUMN_PROFILE": build_column_profile(catalog, table, column, RetrievedContext()),
                 "QUESTION": FUNNEL_QUESTION,
                 "HINT": FUNNEL_HINT,
             }

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -18,6 +19,7 @@ from querycrew.textutils import char_ngrams, ngram_hash, normalize_value
 from querycrew.value_index import (
     EntityMatch,
     IndexConfig,
+    ValueIndexError,
     build_value_index,
     edit_distance,
     estimated_jaccard,
@@ -313,6 +315,23 @@ class TestLshQuery:
         assert len(ranked) == 3
         for cap in range(len(ranked) + 2):
             assert lsh_query(currency_index, "2012-08-25", cap=cap) == ranked[:cap], cap
+
+
+    @pytest.mark.parametrize("array, bad", [
+        ("band_ids", -1), ("band_ids", 10**6), ("loc_ids", -1), ("loc_ids", 10**6),
+    ])
+    def test_ids_outside_the_index_raise(self, currency_index, array, bad):
+        """A negative id would index the values or the locations from their
+        end, and a mapped cache holding one would load silently."""
+        vid = currency_index.values.index("eur")
+        ids = getattr(currency_index, array).copy()
+        if array == "band_ids":
+            ids[0, ids[0].tolist().index(vid)] = bad
+        else:
+            ids[currency_index.loc_offsets[vid]] = bad
+        damaged = dataclasses.replace(currency_index, **{array: ids})
+        with pytest.raises(ValueIndexError):
+            lsh_query(damaged, "eur", cap=10)
 
 
 class TestEditDistance:
