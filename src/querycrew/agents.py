@@ -24,6 +24,7 @@ from .context_store import DescriptionHit
 from .executor import ExecutionResult, FaultReport
 from .gateway import Gateway, ParseError, SamplingParams
 from .templates import DEFAULT_FEWSHOTS
+from .textutils import check_int
 from .value_index import EntityMatch
 
 logger = logging.getLogger(__name__)
@@ -341,8 +342,7 @@ def generate_unit_tests(env: RunEnv, clusters: Sequence[Cluster], k: int) -> lis
     """Up to k natural-language unit tests that tell the clusters apart."""
     if not clusters:
         raise ValueError("generate_unit_tests requires at least one cluster")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int("k", k, 1)
     bindings = env.bindings(
         UNIT_TEST_CAP=k,
         DATABASE_SCHEMA=render_schema_prompt(env.sub),

@@ -21,18 +21,14 @@ import requests
 
 from .catalog import SchemaCatalog
 from .gateway import post_json
-from .textutils import char_ngrams, ngram_hash, normalize_value
+from .textutils import char_ngrams, check_int, ngram_hash, normalize_value
 
 logger = logging.getLogger(__name__)
 
 FIELD_KINDS = ("expanded_name", "column_description", "value_description")
 
-# Most texts one embeddings request carries, and how a request that fails in
-# transport is retried: up to EMBED_RETRIES times, the waits doubling from
-# EMBED_BACKOFF_S seconds.
+# Most texts one embeddings request carries.
 EMBED_CHUNK = 256
-EMBED_RETRIES = 3
-EMBED_BACKOFF_S = 0.5
 
 
 class ContextStoreError(Exception):
@@ -44,11 +40,6 @@ class EmbeddingProvider(Protocol):
     dimension: int
 
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
-
-
-def _check_dimension(dimension: int) -> None:
-    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
-        raise ValueError(f"embedding dimension must be >= 1 and an int, got {dimension!r}")
 
 
 class HashingEmbedder:
@@ -65,7 +56,7 @@ class HashingEmbedder:
     kind = "deterministic-local"
 
     def __init__(self, dimension: int = 256):
-        _check_dimension(dimension)
+        check_int("embedding dimension", dimension, 1)
         self.dimension = dimension
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -103,7 +94,7 @@ class RemoteEmbedder:
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
-        _check_dimension(dimension)
+        check_int("embedding dimension", dimension, 1)
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.dimension = dimension
@@ -118,8 +109,7 @@ class RemoteEmbedder:
             chunk = list(texts[start : start + EMBED_CHUNK])
             body = post_json(
                 self.session, url, {"model": self.model, "input": chunk},
-                self.api_key_env, self.timeout, EMBED_RETRIES, EMBED_BACKOFF_S,
-                ContextStoreError,
+                self.api_key_env, self.timeout, ContextStoreError,
             )
             try:
                 rows = np.array([d["embedding"] for d in body["data"]], dtype=np.float64)

@@ -25,7 +25,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ContextManager, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import requests
 
@@ -37,7 +37,7 @@ from .templates import (
     VERDICT_LINES,
     render_template,
 )
-from .textutils import estimate_tokens
+from .textutils import check_int, estimate_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -67,10 +67,10 @@ class SamplingParams:
     n_samples: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        check_int("max_tokens", self.max_tokens, 1)
+        check_int("n_samples", self.n_samples, 1)
+        if not self.temperature >= 0:  # written so that NaN fails too
+            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
 
 
 @dataclass
@@ -128,12 +128,17 @@ class Backend(Protocol):
     ) -> list[Completion]: ...
 
 
+# The transport retries of every HTTP client (`post_json`): up to RETRIES, the
+# waits doubling from BACKOFF_S seconds.
+RETRIES = 3
+BACKOFF_S = 0.5
+
+
 class HttpChatBackend:
     """Client for a chat-completions-compatible HTTP endpoint.
 
     Requests go through `post_json`, with `max_retries` and `backoff_s`; its
-    failures, and a body of the wrong shape, raise GatewayError. At most
-    `max_in_flight` requests run concurrently against one backend.
+    failures, and a body of the wrong shape, raise GatewayError.
     """
 
     def __init__(
@@ -142,9 +147,8 @@ class HttpChatBackend:
         model: str,
         api_key_env: str = "LLM_API_KEY",
         timeout: float = 120.0,
-        max_retries: int = 3,
-        backoff_s: float = 0.5,
-        max_in_flight: int = 8,
+        max_retries: int = RETRIES,
+        backoff_s: float = BACKOFF_S,
         session: requests.Session | None = None,
     ):
         self.base_url = base_url.rstrip("/")
@@ -155,7 +159,6 @@ class HttpChatBackend:
         self.backoff_s = backoff_s
         self.backend_id = f"http:{model}"
         self.session = session or requests.Session()
-        self._gate = threading.BoundedSemaphore(max_in_flight)
 
     def complete(
         self, prompt: str, params: SamplingParams, template_id: str, scenario_key: str
@@ -169,8 +172,8 @@ class HttpChatBackend:
         }
         url = f"{self.base_url}/chat/completions"
         body = post_json(
-            self.session, url, payload, self.api_key_env,
-            self.timeout, self.max_retries, self.backoff_s, GatewayError, gate=self._gate,
+            self.session, url, payload, self.api_key_env, self.timeout,
+            GatewayError, self.max_retries, self.backoff_s,
         )
         try:
             usage = body.get("usage", {})
@@ -204,26 +207,24 @@ def post_json(
     payload: object,
     api_key_env: str,
     timeout: float,
-    max_retries: int,
-    backoff_s: float,
     error: type[Exception],
-    gate: ContextManager = contextlib.nullcontext(),
+    max_retries: int = RETRIES,
+    backoff_s: float = BACKOFF_S,
 ):
     """POST `payload` as JSON and return the decoded body of the response.
 
     This is the one HTTP client of the package. The bearer header comes from
     the environment variable `api_key_env` when it is set. A transport
     failure is retried up to `max_retries` times, the waits doubling from
-    `backoff_s`; each attempt holds `gate` while the request is out, never
-    while it waits. Exhausted retries, a non-200 response (with a body
-    excerpt) and a body that is not JSON each raise `error`.
+    `backoff_s`, by default RETRIES and BACKOFF_S. Exhausted retries, a
+    non-200 response (with a body excerpt) and a body that is not JSON each
+    raise `error`.
     """
     api_key = os.environ.get(api_key_env, "")
     headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
     for attempt in range(max_retries + 1):
         try:
-            with gate:
-                resp = session.post(url, json=payload, headers=headers, timeout=timeout)
+            resp = session.post(url, json=payload, headers=headers, timeout=timeout)
             break
         except requests.RequestException as exc:
             if attempt == max_retries:
@@ -338,9 +339,10 @@ def complete(
     return completions
 
 
-# How many backend calls of one batch can be out at once; it matches
-# HttpChatBackend's default max_in_flight. The pool's threads start only when
-# a batch of two or more requests first needs them.
+# How many backend calls of batches can be out at once: the one bound on calls
+# in flight. A parse re-ask runs on the calling thread beside the pool, so one
+# caller has at most POOL_WIDTH + 1 calls out. The pool's threads start only
+# when a batch of two or more requests first needs them.
 POOL_WIDTH = 8
 # How many requests of a batch `structured_many` reads, renders and sends at a
 # time, which bounds the requests and prompts a batch holds. On the bench's

@@ -67,6 +67,7 @@ from .context_store import (
 )
 from .gateway import CallRecord, Gateway, HttpChatBackend, MockBackend, SamplingParams
 from .gateway import ledger, tally
+from .textutils import check_int
 from .value_index import IndexConfig, ValueIndex, _indexed_columns, build_value_index
 from .value_index import retrieve_entities
 
@@ -112,8 +113,8 @@ class PipelineConfig:
     n_unit_tests: int = 10
     max_revisions: int = 3
     compare_mode: str = "set"
-    execution_timeout_s: float = 30.0
-    row_cap: int = 10_000
+    execution_timeout_s: float = executor.DEFAULT_TIMEOUT_S
+    row_cap: int = executor.DEFAULT_ROW_CAP
     context_k: int = 10
     generation_temperature: float = 1.0
     max_tokens: int = 2048
@@ -135,9 +136,7 @@ class PipelineConfig:
             ("n_candidates", 1), ("row_cap", 1), ("max_tokens", 1), ("n_unit_tests", 0),
             ("max_revisions", 0), ("context_k", 0),
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be >= {low} and an int, got {value!r}")
+            check_int(name, getattr(self, name), low)
         if not self.generation_temperature >= 0:  # written so that NaN fails too
             raise ValueError(
                 f"generation_temperature must be >= 0, got {self.generation_temperature!r}"
@@ -435,12 +434,11 @@ def run(
         # --- selection ---------------------------------------------------
         verdict_matrix: list[list[Verdict]] = []
         tests: list = []
-        if "UT" in roles and len(clusters) > 1 and config.n_unit_tests > 0:
-            tests = agents.generate_unit_tests(env, clusters, config.n_unit_tests)
-            verdict_matrix = agents.evaluate_against_test(env, candidates, tests)
+        if "UT" in roles:
+            if len(clusters) > 1 and config.n_unit_tests > 0:
+                tests = agents.generate_unit_tests(env, clusters, config.n_unit_tests)
+                verdict_matrix = agents.evaluate_against_test(env, candidates, tests)
             winner = score_and_select(candidates, verdict_matrix, clusters)
-        elif "UT" in roles:
-            winner = clusters[0].representative_position
         else:
             winner = _first_reasonable(candidates)
 

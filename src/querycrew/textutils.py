@@ -1,4 +1,4 @@
-"""Shared text normalization and character n-gram hashing.
+"""Shared text normalization, character n-gram hashing and integer checks.
 
 Both the value index and the hashing embedder shingle strings into character
 n-grams over a lowercased, space-padded form. Hashes must be stable across
@@ -49,6 +49,12 @@ def jaccard(a: set, b: set) -> float:
         return 0.0
     inter = len(a & b)
     return inter / (len(a) + len(b) - inter)
+
+
+def check_int(name: str, value: object, low: int) -> None:
+    """The check of every integer setting: an int, not a bool, >= `low`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be >= {low} and an int, got {value!r}")
 
 
 def estimate_tokens(text: str) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .catalog import SchemaCatalog, _tick
 from .executor import connect_read_only
-from .textutils import char_ngrams, jaccard, ngram_hash, normalize_value
+from .textutils import char_ngrams, check_int, jaccard, ngram_hash, normalize_value
 
 logger = logging.getLogger(__name__)
 
@@ -69,9 +69,7 @@ class IndexConfig:
             ("ngram_size", 1), ("lsh_bands", 1), ("lsh_rows", 1), ("max_value_length", 1),
             ("lsh_candidate_cap", 0), ("embed_top_k", 0), ("num_permutations", 1),
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be >= {low} and an int, got {value!r}")
+            check_int(name, getattr(self, name), low)
         if self.lsh_bands * self.lsh_rows != self.num_permutations:
             raise ValueError(
                 f"lsh_bands * lsh_rows must equal num_permutations "
@@ -418,7 +416,10 @@ def lsh_query(
     out: list[tuple[str, str, str]] = []
     offsets, loc_ids = index.loc_offsets, index.loc_ids
     for value, _score, vid in ranked:
-        for loc_id in loc_ids[offsets[vid] : offsets[vid + 1]].tolist():
+        start, stop = offsets[vid], offsets[vid + 1]
+        if not 0 <= start < stop <= len(loc_ids):  # every value has a location
+            raise ValueIndexError(f"location offsets of value {vid} outside the value index")
+        for loc_id in loc_ids[start:stop].tolist():
             if len(out) >= cap:
                 return out
             if not 0 <= loc_id < len(index.locations):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from querycrew import gateway
 from querycrew.catalog import ingest_catalog_descriptions
 from querycrew.pipeline import PipelineConfig, build_embedder
 from querycrew.context_store import (
-    EMBED_BACKOFF_S,
     EMBED_CHUNK,
-    EMBED_RETRIES,
     ContextStoreError,
     HashingEmbedder,
     RemoteEmbedder,
@@ -278,8 +277,8 @@ class TestRemoteEmbedder:
         emb = RemoteEmbedder("http://x", "m", dimension=2, session=session)
         with pytest.raises(ContextStoreError):
             emb.embed(["a"])
-        assert session.attempts == 1 + EMBED_RETRIES
-        assert waits == [EMBED_BACKOFF_S * 2**i for i in range(EMBED_RETRIES)]
+        assert session.attempts == 1 + gateway.RETRIES
+        assert waits == [gateway.BACKOFF_S * 2**i for i in range(gateway.RETRIES)]
 
 
 class EchoSession:

@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 
 from querycrew.agents import RetrievedContext, RunEnv, generate_candidate
 from querycrew.catalog import full_projection
-from querycrew.context_store import (
-    EMBED_BACKOFF_S,
-    EMBED_RETRIES,
-    ContextStoreError,
-    RemoteEmbedder,
-)
+from querycrew.context_store import ContextStoreError, RemoteEmbedder
 from querycrew import gateway
 from querycrew.gateway import (
     POOL_WIDTH,
@@ -648,7 +643,7 @@ class TestHttpBackend:
         )
         with pytest.raises(GatewayError) as exc:
             backend.complete("p", SamplingParams(), "t", "s")
-        assert calls["n"] == 4  # initial attempt + 3 retries
+        assert calls["n"] == 1 + gateway.RETRIES
         assert "retries" in str(exc.value)
 
     def test_non_200_immediate_error_with_excerpt(self):
@@ -687,7 +682,7 @@ class TestHttpBackend:
         assert out[0].completion_tokens == 5
 
 
-    def test_max_in_flight_gate_holds(self, motorsport_catalog, calls):
+    def test_pool_width_bounds_calls_in_flight(self, motorsport_catalog, calls):
         class FakeResponse:
             status_code = 200
 
@@ -710,12 +705,12 @@ class TestHttpBackend:
                 return FakeResponse()
 
         session = CountingSession()
-        gw = Gateway.single(HttpChatBackend("http://x", "m", max_in_flight=2, session=session))
+        gw = Gateway.single(HttpChatBackend("http://x", "m", session=session))
         env = RunEnv(
             "q", "h", full_projection(motorsport_catalog), RetrievedContext(), Path(), gw, "q"
         )
         candidates = generate_candidate(env, SamplingParams(temperature=1.0, n_samples=20))
-        assert session.peak == 2
+        assert session.peak == POOL_WIDTH
         assert [c.generation_index for c in candidates] == list(range(20))
         assert [r.scenario_key for r in calls] == [
             f"q+generate_candidate+{i}" for i in range(20)
@@ -764,7 +759,7 @@ HTTP_CLIENTS = {
     "embeddings": (
         lambda s: RemoteEmbedder("http://x", "m", dimension=2, session=s),
         lambda client: client.embed(["a"]),
-        "EMBEDDINGS_API_KEY", ContextStoreError, EMBED_RETRIES, EMBED_BACKOFF_S,
+        "EMBEDDINGS_API_KEY", ContextStoreError, gateway.RETRIES, gateway.BACKOFF_S,
         {"data": [{"embedding": [3.0, 4.0]}]},
     ),
 }
@@ -1041,6 +1036,10 @@ def test_sampling_params_validation():
         SamplingParams(n_samples=0)
     with pytest.raises(ValueError):
         SamplingParams(temperature=-1)
+    with pytest.raises(ValueError, match="temperature must be >= 0, got nan"):
+        SamplingParams(temperature=float("nan"))
+    with pytest.raises(ValueError, match="max_tokens must be >= 1 and an int, got 0"):
+        SamplingParams(max_tokens=0)
 
 
 def test_completion_count_enforced():

@@ -33,6 +33,7 @@ from querycrew.catalog import full_projection, introspect_database, project
 from querycrew.context_store import HashingEmbedder, RemoteEmbedder
 from querycrew.executor import OK, TIMEOUT, ExecutionResult, execute, fingerprint
 from querycrew.gateway import (
+    POOL_WIDTH,
     WINDOW,
     Completion,
     Gateway,
@@ -784,6 +785,37 @@ class TestPipelineConfig:
         assert any("cannot differentiate" in r.message for r in caplog.records)
 
 
+def _unit_tests(value, catalog):
+    cluster = agents.Cluster("f", [0], 0, "SQL: SELECT 1\nResult: 1 rows", [0], 0)
+    gw = Gateway.single(MockBackend(responses={
+        ("q+generate_unit_tests+0", "generate_unit_tests"): [unit_tests_response(["t"])],
+    }))
+    env = RunEnv("q", "h", full_projection(catalog), RetrievedContext(), Path(), gw, "q")
+    return agents.generate_unit_tests(env, [cluster], value)
+
+
+# site -> (build it with one integer setting, that setting's name, its lowest value)
+INTEGER_SITES = {
+    "PipelineConfig": (lambda v, _: PipelineConfig(n_candidates=v), "n_candidates", 1),
+    "IndexConfig": (lambda v, _: IndexConfig(embed_top_k=v), "embed_top_k", 0),
+    "embedder": (lambda v, _: HashingEmbedder(dimension=v), "embedding dimension", 1),
+    "SamplingParams": (lambda v, _: SamplingParams(n_samples=v), "n_samples", 1),
+    "generate_unit_tests": (_unit_tests, "k", 1),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_every_integer_setting_is_checked_alike(site, motorsport_catalog):
+    """A non-integral number, a bool and a value below the bound are refused
+    with one message wherever an integer setting is taken."""
+    build, name, low = INTEGER_SITES[site]
+    for value in (2.5, True, low - 1):
+        message = f"{name} must be >= {low} and an int, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(value, motorsport_catalog)
+    build(low, motorsport_catalog)
+
+
 class TestBuildBackends:
     def test_mock_responses_read_from_a_config_file_are_refused(self, tmp_path):
         models = {"default": {"kind": "mock", "responses": {"k": ["x"]}}}
@@ -1278,7 +1310,7 @@ def _non_linking(catalog, sub):
 
 
 class TestFilterFanOut:
-    def test_http_filter_backend_gate_and_record_order(
+    def test_http_filter_backend_pool_bound_and_record_order(
         self, motorsport_artifacts, funnel_config, calls
     ):
         qid = "f1_0009"
@@ -1286,12 +1318,12 @@ class TestFilterFanOut:
         session = _FilterSession(FUNNEL_YES_COLUMNS)
         gw = Gateway(
             backends={
-                "filter_column": HttpChatBackend("http://x", "m", max_in_flight=2, session=session),
+                "filter_column": HttpChatBackend("http://x", "m", session=session),
                 "default": MockBackend(responses=funnel_responses(catalog, qid)),
             }
         )
         sql, trace = run(FUNNEL_QUESTION, FUNNEL_HINT, motorsport_artifacts, funnel_config, gw, qid=qid)
-        assert session.peak == 2
+        assert 1 < session.peak <= POOL_WIDTH
         assert [r.scenario_key for r in calls if r.template_id == "filter_column"] == [
             f"{qid}+filter_column+{t}.{c}" for t, c in _non_linking(catalog, full_projection(catalog))
         ]

@@ -319,16 +319,22 @@ class TestLshQuery:
 
     @pytest.mark.parametrize("array, bad", [
         ("band_ids", -1), ("band_ids", 10**6), ("loc_ids", -1), ("loc_ids", 10**6),
+        ("loc_offsets", "at_start"), ("loc_offsets", 10**9),
     ])
     def test_ids_outside_the_index_raise(self, currency_index, array, bad):
         """A negative id would index the values or the locations from their
-        end, and a mapped cache holding one would load silently."""
+        end, and a mapped cache holding one would load silently. A value's
+        end offset at its start would drop its columns, and one past the end
+        would emit it in columns where it does not occur."""
+        assert lsh_query(currency_index, "eur") == [("eur", "customers", "Currency")]
         vid = currency_index.values.index("eur")
         ids = getattr(currency_index, array).copy()
         if array == "band_ids":
             ids[0, ids[0].tolist().index(vid)] = bad
-        else:
+        elif array == "loc_ids":
             ids[currency_index.loc_offsets[vid]] = bad
+        else:
+            ids[vid + 1] = ids[vid] if bad == "at_start" else bad
         damaged = dataclasses.replace(currency_index, **{array: ids})
         with pytest.raises(ValueIndexError):
             lsh_query(damaged, "eur", cap=10)
