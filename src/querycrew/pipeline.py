@@ -185,17 +185,21 @@ class PipelineConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1), encoding="utf-8")
 
 
+def _given(spec: dict, *keys: str) -> dict:
+    """The keys a spec sets, so an unset one keeps its constructor default."""
+    return {key: spec[key] for key in keys if key in spec}
+
+
 def build_embedder(config: PipelineConfig):
     spec = config.embedder
     kind = spec.get("kind", "local")
     if kind in ("local", "deterministic-local"):
-        return HashingEmbedder(dimension=spec.get("dimension", 256))
+        return HashingEmbedder(**_given(spec, "dimension"))
     if kind == "remote":
         return RemoteEmbedder(
             base_url=spec["base_url"],
             model=spec.get("model", "text-embedding-3-small"),
-            dimension=spec.get("dimension", 1536),
-            api_key_env=spec.get("api_key_env", "EMBEDDINGS_API_KEY"),
+            **_given(spec, "dimension", "api_key_env"),
         )
     raise ValueError(f"unknown embedder kind {kind!r}")
 
@@ -217,7 +221,7 @@ def build_gateway(config: PipelineConfig, mock_dir: str | Path | None = None) ->
             backends[name] = HttpChatBackend(
                 base_url=spec["base_url"],
                 model=spec.get("model", "gpt-4o-mini"),
-                api_key_env=spec.get("api_key_env", "LLM_API_KEY"),
+                **_given(spec, "api_key_env"),
             )
         else:
             raise ValueError(f"unknown backend kind {kind!r}")

@@ -41,16 +41,6 @@ def ngram_hash(gram: str) -> int:
     return value
 
 
-def jaccard(a: set, b: set) -> float:
-    """Exact Jaccard similarity of two sets."""
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    inter = len(a & b)
-    return inter / (len(a) + len(b) - inter)
-
-
 def check_int(name: str, value: object, low: int) -> None:
     """The check of every integer setting: an int, not a bool, >= `low`."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import logging
 import re
@@ -865,6 +866,22 @@ class TestBuildBackends:
     def test_unknown_embedder_kind(self):
         with pytest.raises(ValueError, match="unknown embedder kind 'magic'"):
             build_embedder(PipelineConfig(embedder={"kind": "magic"}))
+
+    def test_unset_keys_keep_the_constructor_defaults(self):
+        def default(cls, name):
+            return inspect.signature(cls).parameters[name].default
+
+        http = PipelineConfig(models={"default": {"kind": "http", "base_url": "http://llm.local"}})
+        backend = build_gateway(http).backend_for("revise")
+        assert backend.api_key_env == default(HttpChatBackend, "api_key_env")
+        local = build_embedder(PipelineConfig(embedder={"kind": "local"}))
+        assert local.dimension == default(HashingEmbedder, "dimension")
+        remote = build_embedder(
+            PipelineConfig(embedder={"kind": "remote", "base_url": "http://emb.local"})
+        )
+        assert (remote.dimension, remote.api_key_env) == (
+            default(RemoteEmbedder, "dimension"), default(RemoteEmbedder, "api_key_env")
+        )
 
 
 class TestGenerationFailure:

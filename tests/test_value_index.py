@@ -4,6 +4,8 @@ import json
 import random
 import sqlite3
 import string
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from querycrew import value_index
-from querycrew.catalog import introspect_database
+from querycrew.catalog import SchemaCatalog, introspect_database
 from querycrew.context_store import HashingEmbedder
 from querycrew.pipeline import PipelineConfig
 from querycrew.textutils import char_ngrams, ngram_hash, normalize_value
@@ -22,8 +24,6 @@ from querycrew.value_index import (
     ValueIndexError,
     build_value_index,
     edit_distance,
-    estimated_jaccard,
-    exact_ngram_jaccard,
     lsh_query,
     minhash_signature,
     retrieve_entities,
@@ -52,6 +52,25 @@ def dp_levenshtein(a: str, b: str) -> int:
 def brute_force_best(keyword: str, values: list[str]) -> str:
     """Exact minimum-edit-distance value, ties to the smaller string."""
     return min(values, key=lambda v: (dp_levenshtein(keyword, v), v))
+
+
+def jaccard(a: set, b: set) -> float:
+    """Exact Jaccard similarity of two sets."""
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)
+
+
+def exact_ngram_jaccard(a: str, b: str, n: int = 3) -> float:
+    """Exact n-gram Jaccard similarity (reference metric for the estimator)."""
+    return jaccard(char_ngrams(normalize_value(a), n), char_ngrams(normalize_value(b), n))
+
+
+def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
+    return float(np.count_nonzero(sig_a == sig_b)) / len(sig_a)
 
 
 class TestIndexConfig:
@@ -189,7 +208,11 @@ class TestGramVocabularySignatures:
     def test_pinned_band_keys_and_queries(self, tmp_path):
         """Digests of a seeded 5,000-value corpus's sorted band keys and of
         100 lsh_query results over it, captured from the per-value build
-        (one ngram_hash per gram occurrence) that the vocabulary replaced."""
+        (one ngram_hash per gram occurrence) that the vocabulary replaced,
+        and of its values and location arrays, captured from the build that
+        kept a set of column ids per value. band_ids is not pinned: the
+        order of equal keys under an unstable argsort may differ between
+        CPUs."""
         rng = random.Random(7)
         alphabet = "abcdefghijklmnopqrstuvwxyz  0123456789\u00e9\u20ac\U0001F600"
         values: set[str] = set()
@@ -209,6 +232,15 @@ class TestGramVocabularySignatures:
         conn.close()
         index = build_value_index(introspect_database(db), db, IndexConfig())
         assert len(index) == 5000
+        for name, data, digest in (
+            ("values", json.dumps(index.values).encode(),
+             "5850699cc6d0331c7df61f228a3e55a93dd3ef6b5856a72248faec15d3ea0912"),
+            ("loc_offsets", index.loc_offsets.tobytes(),
+             "b21581f591f7439cd84e0cde20f0f1f1ca518f151dc85388f5110bd3303bbe61"),
+            ("loc_ids", index.loc_ids.tobytes(),
+             "1480e6c55d1883f182dd4ffed34e621457e437925d7b0b39445e8acaf20830c5"),
+        ):
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
         keys = hashlib.sha256()
         for band in index.bands:
@@ -223,6 +255,101 @@ class TestGramVocabularySignatures:
         assert queries.hexdigest() == (
             "eb99403f9f7ccc8852edfe66a7f0f829b7bc327af5c2a0fc6d9ea20909de08da"
         )
+
+
+def reference_build(catalog: SchemaCatalog, db, cfg: IndexConfig) -> dict:
+    """The per-value build: a set of column ids per distinct normalized
+    value, then the per-value signature and band-key oracles, each band
+    sorted by the build's argsort."""
+    locations = value_index._indexed_columns(catalog)
+    value_to_locs: dict[str, set[int]] = {}
+    conn = sqlite3.connect(db)
+    try:
+        for loc_id, (table, column) in enumerate(locations):
+            q = f'SELECT DISTINCT "{column}" FROM "{table}" WHERE "{column}" IS NOT NULL'
+            for (raw,) in conn.execute(q):
+                norm = normalize_value(raw) if isinstance(raw, str) else ""
+                if norm and len(norm) <= cfg.max_value_length:
+                    value_to_locs.setdefault(norm, set()).add(loc_id)
+    finally:
+        conn.close()
+    values = sorted(value_to_locs)
+    keys = reference_band_keys(reference_signatures(values, cfg), cfg)
+    order = np.array([np.argsort(row) for row in keys], dtype=np.int32).reshape(keys.shape)
+    return {
+        "values": values,
+        "loc_offsets": np.cumsum([0] + [len(value_to_locs[v]) for v in values], dtype=np.int64),
+        "loc_ids": np.array(
+            [i for v in values for i in sorted(value_to_locs[v])], dtype=np.int32
+        ),
+        "band_keys": np.take_along_axis(keys, order, axis=1),
+        "band_ids": order,
+    }
+
+
+_WORDS = ["eur", "Euro", "kings", "\U0001F600a", "\U0001D538\U0001D538", "\u0130zmir", "ab"]
+# "POINT TEXT" is indexed as text but has INTEGER affinity, so its numbers
+# stay numbers; a TEXT column stores them as text
+_COLUMN_TYPES = ["TEXT", "VARCHAR(8)", "POINT TEXT", "INTEGER", "REAL"]
+_cells = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.sampled_from([0.5, -2.0, 3.25]),
+    st.binary(max_size=3),
+    st.sampled_from(["", " ", "\t\n "]),
+    # case and whitespace variants of a few shared words
+    st.builds(
+        lambda word, upper, left, right: left + (word.upper() if upper else word) + right,
+        st.sampled_from(_WORDS), st.booleans(),
+        st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "  ", "\n"]),
+    ),
+    st.text(alphabet="aB \U0001F600\U0001D538\u0130", max_size=10),
+)
+
+
+@st.composite
+def _tables(draw):
+    """(column types, rows) per table; a table may have no rows and a
+    database no indexed column."""
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        types = draw(st.lists(st.sampled_from(_COLUMN_TYPES), max_size=3))
+        tables.append((types, draw(st.lists(st.tuples(*[_cells] * len(types)), max_size=8))))
+    return tables
+
+
+class TestWholeBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(tables=_tables(), max_len=st.integers(1, 12))
+    @example(  # one value in two columns, its variants in one, numbers and a blob
+        tables=[(["TEXT", "POINT TEXT"], [
+            ("Eur", "eur"), (" EUR ", 5), ("eur\t", 2.5), ("   ", b"\x00"),
+            ("\U0001F600ab", "abcd"), ("abcde", None), ("\u0130", "x"),
+        ])],
+        max_len=4,
+    )
+    @example(tables=[(["TEXT"], []), (["INTEGER", "REAL"], [(1, 2.0)])], max_len=100)
+    @example(tables=[(["INTEGER"], [(1,)])], max_len=100)
+    def test_build_matches_per_value_reference(self, tables, max_len):
+        cfg = IndexConfig(max_value_length=max_len)
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "cells.sqlite"
+            conn = sqlite3.connect(db)
+            for t, (types, rows) in enumerate(tables):
+                columns = "".join(f", c{i} {kind}" for i, kind in enumerate(types))
+                conn.execute(f"CREATE TABLE t{t} (id INTEGER PRIMARY KEY{columns})")
+                marks = ", ?" * len(types)
+                conn.executemany(f"INSERT INTO t{t} VALUES (NULL{marks})", rows)
+            conn.commit()
+            conn.close()
+            catalog = introspect_database(db)
+            index = build_value_index(catalog, db, cfg)
+            expected = reference_build(catalog, db, cfg)
+        assert index.values == expected["values"]
+        for name in ("loc_offsets", "loc_ids", "band_keys", "band_ids"):
+            got = getattr(index, name)
+            assert got.dtype == expected[name].dtype, name
+            assert np.array_equal(got, expected[name]), name
 
 
 @pytest.fixture(scope="module")
