@@ -7,7 +7,7 @@ of descriptions, not millions, so no ANN structure is needed.
 
 Two embedding providers exist: a remote one speaking the common
 `/embeddings` HTTP API and a deterministic local one (feature hashing over
-character 3-grams) that keeps tests and air-gapped deployments offline.
+character 1- to 3-grams) that keeps tests and air-gapped deployments offline.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import requests
 
 from .catalog import SchemaCatalog
 from .gateway import post_json
-from .textutils import char_ngrams, check_int, ngram_hash, normalize_value
+from .textutils import check_int, gram_vocabulary, normalize_value
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +51,13 @@ class HashingEmbedder:
     (a keyword and its stored spelling) above the default cosine threshold,
     mimicking how a real embedding model scores them. Used as the offline
     stand-in for a remote model.
+
+    Each distinct gram adds +1 or -1 (bit 16 of its ngram_hash) at its hash
+    modulo the dimension. Texts go EMBED_CHUNK at a time through
+    `gram_vocabulary`, so each distinct gram of a block is hashed once; one
+    bincount sums the signs of the block's distinct (text, gram) pairs into
+    the output in place, so a call holds no other (texts x dimension) array.
+    The sums are exact integers: summation order changes no bit.
     """
 
     kind = "deterministic-local"
@@ -60,18 +67,31 @@ class HashingEmbedder:
         self.dimension = dimension
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dimension), dtype=np.float64)
-        for row, text in enumerate(texts):
-            norm_text = normalize_value(text)
-            for size in (1, 2, 3):
-                for gram in char_ngrams(norm_text, size):
-                    h = ngram_hash(gram)
-                    idx = h % self.dimension
-                    sign = 1.0 if (h >> 16) & 1 else -1.0
-                    out[row, idx] += sign
-            norm = np.linalg.norm(out[row])
-            if norm > 0:
-                out[row] /= norm
+        dim = self.dimension
+        out = np.zeros((len(texts), dim), dtype=np.float64)
+        for start in range(0, len(texts), EMBED_CHUNK):
+            block = out[start : start + EMBED_CHUNK]
+            normalized = [normalize_value(text) for text in texts[start : start + EMBED_CHUNK]]
+            rows = np.flatnonzero(list(map(len, normalized)))
+            if not len(rows):
+                continue
+            values = [normalized[i] for i in rows.tolist()]
+            cells, signs = [], []
+            for n in (1, 2, 3):
+                hashes, grams, counts = gram_vocabulary(values, n)
+                # the k-th gram over all values, value i's, starts at position
+                # k + (n - 1) i: n - 1 positions after each value start none
+                owner = np.repeat(np.arange(len(values)), counts)
+                pairs = (rows[owner] << 32) | grams[np.arange(len(owner)) + owner * (n - 1)]
+                pairs.sort()
+                pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # a gram counts once
+                h = hashes.astype(np.int64)[pairs & 0xFFFFFFFF]
+                cells.append((pairs >> 32) * dim + h % dim)
+                signs.append(((h >> 16) & 1) * 2.0 - 1.0)
+            sums = np.bincount(np.concatenate(cells), np.concatenate(signs), len(block) * dim)
+            block[...] = sums.reshape(block.shape)
+            length = np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
+            np.divide(block, length, out=block, where=length > 0)
         return out
 
 

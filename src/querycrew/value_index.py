@@ -21,13 +21,13 @@ import random
 import sqlite3
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .catalog import SchemaCatalog, _tick
 from .executor import connect_read_only
-from .textutils import check_int, ngram_hash, normalize_value
+from .textutils import check_int, gram_vocabulary, normalize_value
 
 logger = logging.getLogger(__name__)
 
@@ -92,11 +92,6 @@ class EntityMatch:
     cosine: float
 
 
-class _Band(NamedTuple):
-    sorted_keys: np.ndarray  # uint64, ascending
-    sorted_ids: np.ndarray  # int32, value ids in key order
-
-
 @dataclass
 class ValueIndex:
     """Immutable LSH index over the distinct values of one database.
@@ -118,10 +113,6 @@ class ValueIndex:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def bands(self) -> list[_Band]:
-        return list(map(_Band, self.band_keys, self.band_ids))
 
     def to_parts(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The cache's JSON document and arrays (see `caching`). The values
@@ -203,44 +194,6 @@ def minhash_signature(value: str, cfg: IndexConfig) -> np.ndarray:
     return _signatures([norm], cfg, _permutations(cfg))[:, 0]
 
 
-def _gram_vocabulary(
-    values: Sequence[str], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Character n-grams of non-empty normalized values, read from one text
-    of their space-padded forms: (hashes, grams, counts), the ngram_hash of
-    each distinct gram, the vocabulary index of the gram at each position
-    that starts one, and each value's gram count. A value of length L has
-    L + n - 1 grams from its form's first position on, so none is empty;
-    the n - 1 positions after them start grams of spaces in no value.
-    Grams are keyed by packing their code points into one uint64; when n do
-    not fit, the key so far is replaced by its dense rank before packing.
-    """
-    pad = " " * (n - 1)
-    text = pad + (pad * 2).join(values) + pad
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
-    counts = np.fromiter(map(len, values), dtype=np.int64, count=len(values)) + (n - 1)
-
-    width = max(int(codes.max()).bit_length(), 1)
-    key = codes[: len(codes) - n + 1]
-    bits = width
-    for j in range(1, n):
-        if bits + width > 64:
-            ranked, key = np.unique(key, return_inverse=True)
-            key = key.astype(np.uint64)
-            bits = max(len(ranked) - 1, 1).bit_length()
-        key = (key << np.uint64(width)) | codes[j : j + len(key)]
-        bits += width
-    vocab, grams = np.unique(key, return_inverse=True)
-    some_start = np.empty(len(vocab), dtype=np.int64)
-    some_start[grams] = np.arange(len(grams))
-    hashes = np.fromiter(
-        (ngram_hash(text[p : p + n]) for p in some_start.tolist()),
-        dtype=np.uint64,
-        count=len(vocab),
-    )
-    return hashes, grams, counts
-
-
 # Elements of one gathered (grams x values x permutations) table.
 _GATHER_BUDGET = 1 << 15
 
@@ -261,7 +214,7 @@ def _signature_groups(
     least one), so a few keywords take every permutation in one pass, and
     a chunk's gather stays within it even at build size.
     """
-    hashes, grams, counts = _gram_vocabulary(values, cfg.ngram_size)
+    hashes, grams, counts = gram_vocabulary(values, cfg.ngram_size)
     per_band = cfg.lsh_rows * len(grams)
     group = min(len(salts), cfg.lsh_rows * max(1, _GATHER_BUDGET // per_band))
     cap = _GATHER_BUDGET // group  # vocabulary ids in one chunk
@@ -405,11 +358,10 @@ def lsh_query(
     keys = _band_keys([sig], 1, cfg)[:, 0]
 
     hits: list[np.ndarray] = []
-    for band, key in zip(index.bands, keys):
-        lo = np.searchsorted(band.sorted_keys, key, side="left")
-        hi = np.searchsorted(band.sorted_keys, key, side="right")
+    for band_keys, band_ids, key in zip(index.band_keys, index.band_ids, keys):
+        lo, hi = band_keys.searchsorted(key), band_keys.searchsorted(key, "right")
         if hi > lo:
-            hits.append(band.sorted_ids[lo:hi])
+            hits.append(band_ids[lo:hi])
     if not hits:
         return []
     candidate_ids = np.unique(np.concatenate(hits))  # sorted, so its ends bound it
@@ -486,36 +438,44 @@ def retrieve_entities(
     Per keyword, candidates from lsh_query are narrowed to the embed_top_k
     most cosine-similar values, values under cosine_threshold are dropped,
     and each (table, column) keeps the single value with the smallest edit
-    distance (ties broken by the lexicographically smaller value). If the
-    embedder is unavailable or fails, retrieval degrades to the LSH and
-    edit-distance stages with cosine reported as 1.0.
+    distance (ties broken by the lexicographically smaller value). Every
+    keyword with candidates and every distinct candidate value go to the
+    embedder in one call. If the embedder is unavailable or that call
+    fails, retrieval degrades for every keyword, with one warning, to the
+    LSH and edit-distance stages with cosine reported as 1.0.
     """
     cfg = cfg or index.config
-    out: list[EntityMatch] = []
-    seen_keywords: set[str] = set()
+    spellings: dict[str, str] = {}  # each normalized keyword's first spelling
     for keyword in keywords:
-        norm = normalize_value(keyword)
-        if not norm or norm in seen_keywords:
-            continue
-        seen_keywords.add(norm)
-        cands = lsh_query(index, norm, cfg.lsh_candidate_cap)
-        if not cands:
-            continue
-        distinct_values: list[str] = []
-        for value, _t, _c in cands:
-            if value not in distinct_values:
-                distinct_values.append(value)
+        if norm := normalize_value(keyword):
+            spellings.setdefault(norm, keyword)
+    queries = [(keyword, norm, cands) for norm, keyword in spellings.items()
+               if (cands := lsh_query(index, norm, cfg.lsh_candidate_cap))]
+    if not queries:
+        return []
 
-        cosines = _cosine_filter(norm, distinct_values, embedder, cfg)
-        if cosines is None:
-            kept = {v: 1.0 for v in distinct_values}
+    # one row per distinct text: embed is a pure function of each text
+    texts = list(dict.fromkeys(
+        text for _k, norm, cands in queries for text in [norm, *(v for v, _t, _c in cands)]
+    ))
+    row = {text: i for i, text in enumerate(texts)}
+    vectors = None
+    if embedder is not None:
+        try:
+            vectors = embedder.embed(texts)
+        except Exception as exc:  # degrade, never fail retrieval
+            logger.warning("embedder failed (%s); falling back to edit distance only", exc)
+
+    out: list[EntityMatch] = []
+    for keyword, norm, cands in queries:
+        distinct_values = list(dict.fromkeys(v for v, _t, _c in cands))
+        if vectors is None:
+            kept = dict.fromkeys(distinct_values, 1.0)
         else:
+            q = vectors[row[norm]]
+            cosines = {v: float(np.dot(vectors[row[v]], q)) for v in distinct_values}
             ranked = sorted(cosines.items(), key=lambda kv: (-kv[1], kv[0]))
-            kept = {
-                v: c
-                for v, c in ranked[: cfg.embed_top_k]
-                if c >= cfg.cosine_threshold
-            }
+            kept = {v: c for v, c in ranked[: cfg.embed_top_k] if c >= cfg.cosine_threshold}
         best: dict[tuple[str, str], tuple[int, str]] = {}
         for value, table, column in cands:
             if value not in kept:
@@ -524,33 +484,9 @@ def retrieve_entities(
             key = (table, column)
             if key not in best or (dist, value) < best[key]:
                 best[key] = (dist, value)
-        for (table, column), (dist, value) in sorted(best.items()):
-            out.append(
-                EntityMatch(
-                    keyword=keyword,
-                    value=value,
-                    table=table,
-                    column=column,
-                    edit_distance=dist,
-                    cosine=kept[value],
-                )
-            )
+        out += [EntityMatch(keyword, value, table, column, dist, kept[value])
+                for (table, column), (dist, value) in sorted(best.items())]
     return out
-
-
-def _cosine_filter(
-    keyword: str, values: list[str], embedder, cfg: IndexConfig
-) -> dict[str, float] | None:
-    """Cosine of each value against the keyword, or None when degraded."""
-    if embedder is None:
-        return None
-    try:
-        vectors = embedder.embed([keyword] + values)
-    except Exception as exc:  # degrade, never fail retrieval
-        logger.warning("embedder failed (%s); falling back to edit distance only", exc)
-        return None
-    q = vectors[0]
-    return {v: float(np.dot(vectors[1 + i], q)) for i, v in enumerate(values)}
 
 
 def _is_text_type(declared_type: str) -> bool:

@@ -1,11 +1,14 @@
+import hashlib
+import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from querycrew import gateway
+from querycrew import caching, gateway
 from querycrew.catalog import ingest_catalog_descriptions
 from querycrew.pipeline import PipelineConfig, build_embedder
 from querycrew.context_store import (
@@ -18,6 +21,31 @@ from querycrew.context_store import (
     build_context_store,
     retrieve_context,
 )
+from querycrew.textutils import ngram_hash, normalize_value
+
+
+def char_ngrams(text: str, n: int) -> set[str]:
+    """Distinct character n-grams of the space-padded string."""
+    if not text:
+        return set()
+    pad = " " * (n - 1)
+    padded = f"{pad}{text}{pad}"
+    return {padded[i : i + n] for i in range(len(padded) - n + 1)}
+
+
+def loop_embed(texts, dimension: int = 256) -> np.ndarray:
+    """HashingEmbedder.embed text by text and gram by gram: the reference."""
+    out = np.zeros((len(texts), dimension), dtype=np.float64)
+    for row, text in enumerate(texts):
+        norm_text = normalize_value(text)
+        for size in (1, 2, 3):
+            for gram in char_ngrams(norm_text, size):
+                h = ngram_hash(gram)
+                out[row, h % dimension] += 1.0 if (h >> 16) & 1 else -1.0
+        norm = np.linalg.norm(out[row])
+        if norm > 0:
+            out[row] /= norm
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +99,46 @@ class TestHashingEmbedder:
         far = float(vecs[0] @ vecs[2])
         assert close > far
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # any code points, with empty, whitespace-only and repeated texts
+        pool=st.lists(
+            st.text(max_size=12) | st.sampled_from(["", " ", "\t\n ", "İ", "\U0001F600aa"]),
+            min_size=1, max_size=30,
+        ),
+        size=st.sampled_from([0, 1, 255, 256, 257, 600]),
+        dimension=st.sampled_from([1, 7, 256]),
+        rng=st.randoms(use_true_random=False),
+    )
+    @example(pool=["", " \t", "İzmir", "\U0001D538\U0001F600", "aaaa"], size=257,
+             dimension=256, rng=random.Random(0))
+    def test_bulk_equals_per_gram_loop(self, pool, size, dimension, rng):
+        """Batches straddle EMBED_CHUNK; the ±1 sums are exact integers, so
+        the bulk vectors equal the loop's bit for bit."""
+        texts = rng.choices(pool, k=size)
+        got = HashingEmbedder(dimension).embed(texts)
+        assert got.shape == (size, dimension)
+        assert np.array_equal(got, loop_embed(texts, dimension))
+
+    def test_no_whole_call_temporary(self):
+        """Blocks are written and normalized in place in the output, so a
+        call's peak stays within the output and a few blocks' working set;
+        one more (texts x dimension) array would exceed it."""
+        rng = random.Random(3)
+        words = ["amount", "loan", "district", "average salary", "of", "ünï", "\U0001F600"]
+        texts = [" ".join(rng.choices(words, k=rng.randint(1, 5))) for _ in range(2000)]
+        embedder = HashingEmbedder()
+        embedder.embed(texts)  # fill the gram-hash memo outside the measurement
+        tracemalloc.start()
+        try:
+            out = embedder.embed(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = EMBED_CHUNK * embedder.dimension * out.itemsize
+        assert out.nbytes > 7 * block
+        assert peak <= out.nbytes + 5 * block, (peak - out.nbytes) / block
+
 
 class TestBuildStore:
     def test_item_count(self, ingested_catalog, store):
@@ -109,6 +177,16 @@ class TestBuildStore:
     def test_doc_ids_unique(self, store):
         ids = [item.doc_id for item in store.items]
         assert len(ids) == len(set(ids))
+
+    def test_vectors_equal_caches_written_before_bulk_embedding(self, store):
+        """Digest of the fixture store's vectors as the per-gram loop built
+        them; with the format's magic unchanged, stores cached by that
+        build load and score exactly as fresh ones."""
+        assert caching.CONTEXT_STORE_MAGIC == b"QCWCTXS3"
+        assert store.vectors.shape == (19, 256)
+        assert hashlib.sha256(store.vectors.tobytes()).hexdigest() == (
+            "da988541d8ccbde1cab581e1c734077af4c94bc650250e2e2e9eaebcc5993e2b"
+        )
 
 
 class TestRetrieveContext:

@@ -17,7 +17,7 @@ from querycrew import value_index
 from querycrew.catalog import SchemaCatalog, introspect_database
 from querycrew.context_store import HashingEmbedder
 from querycrew.pipeline import PipelineConfig
-from querycrew.textutils import char_ngrams, ngram_hash, normalize_value
+from querycrew.textutils import ngram_hash, normalize_value
 from querycrew.value_index import (
     EntityMatch,
     IndexConfig,
@@ -28,6 +28,7 @@ from querycrew.value_index import (
     minhash_signature,
     retrieve_entities,
 )
+from test_context_store import char_ngrams
 
 
 def dp_levenshtein(a: str, b: str) -> int:
@@ -243,8 +244,8 @@ class TestGramVocabularySignatures:
             assert hashlib.sha256(data).hexdigest() == digest, name
 
         keys = hashlib.sha256()
-        for band in index.bands:
-            keys.update(band.sorted_keys.tobytes())
+        for band_keys in index.band_keys:
+            keys.update(band_keys.tobytes())
         assert keys.hexdigest() == (
             "9d84346c12a4af660547e452b32491f8812b3cd058e74731c37635edb422e41b"
         )
@@ -397,9 +398,10 @@ class TestBuildIndex:
         assert a.values == b.values
         assert np.array_equal(a.loc_offsets, b.loc_offsets)
         assert np.array_equal(a.loc_ids, b.loc_ids)
-        for band_a, band_b in zip(a.bands, b.bands):
-            assert np.array_equal(band_a.sorted_keys, band_b.sorted_keys)
-            assert np.array_equal(band_a.sorted_ids, band_b.sorted_ids)
+        for keys_a, keys_b in zip(a.band_keys, b.band_keys):
+            assert np.array_equal(keys_a, keys_b)
+        for ids_a, ids_b in zip(a.band_ids, b.band_ids):
+            assert np.array_equal(ids_a, ids_b)
 
 
 class TestLshQuery:
@@ -498,6 +500,13 @@ class TestEditDistance:
                     assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
 
+class _Offline:
+    dimension = 8
+
+    def embed(self, texts):
+        raise RuntimeError("no network")
+
+
 class TestRetrieveEntities:
     def test_euro_scenario(self, currency_index):
         matches = retrieve_entities(
@@ -541,22 +550,35 @@ class TestRetrieveEntities:
         assert per_col[0].edit_distance == 0
 
     def test_embedder_failure_degrades(self, currency_index, caplog):
-        class BrokenEmbedder:
-            dimension = 8
-
-            def embed(self, texts):
-                raise RuntimeError("no network")
-
         import logging
 
         with caplog.at_level(logging.WARNING):
             matches = retrieve_entities(
-                currency_index, ["Euro"], embedder=BrokenEmbedder(),
+                currency_index, ["Euro", "czk"], embedder=_Offline(),
                 cfg=currency_index.config,
             )
         assert any(m.value == "eur" for m in matches)
+        assert any(m.value == "czk" for m in matches)
         assert all(m.cosine == 1.0 for m in matches)
-        assert any("falling back" in r.message for r in caplog.records)
+        # the one embed call of the question fails: one warning, not one per keyword
+        assert ["falling back" in r.message for r in caplog.records] == [True]
+
+    def test_one_embed_call_per_question(self, currency_index):
+        class Counting(HashingEmbedder):
+            def embed(self, texts):
+                self.calls.append(list(texts))
+                return super().embed(texts)
+
+        embedder = Counting()
+        embedder.calls = []
+        keywords = ["Euro", "czk", "EUR", "prague", "q#7!@"]
+        matches = retrieve_entities(currency_index, keywords, embedder=embedder)
+        assert {m.keyword for m in matches} >= {"Euro", "czk"}
+        assert len(embedder.calls) == 1
+        texts = embedder.calls[0]
+        assert len(texts) == len(set(texts)) and {"euro", "czk", "eur"} <= set(texts)
+        assert retrieve_entities(currency_index, ["q#7!@", ""], embedder=embedder) == []
+        assert len(embedder.calls) == 1
 
     def test_cardinality_at_most_one_per_keyword_column(self, currency_index):
         matches = retrieve_entities(
@@ -572,6 +594,89 @@ class TestRetrieveEntities:
             seen.add(key)
         for m in matches:
             assert m.cosine >= currency_index.config.cosine_threshold
+
+
+def reference_retrieve_entities(index, keywords, embedder, cfg) -> list[EntityMatch]:
+    """retrieve_entities keyword by keyword, one embed call per keyword."""
+    out = []
+    seen = set()
+    for keyword in keywords:
+        norm = normalize_value(keyword)
+        if not norm or norm in seen:
+            continue
+        seen.add(norm)
+        cands = lsh_query(index, norm, cfg.lsh_candidate_cap)
+        if not cands:
+            continue
+        values = list(dict.fromkeys(v for v, _t, _c in cands))
+        try:
+            vectors = None if embedder is None else embedder.embed([norm] + values)
+        except Exception:
+            vectors = None
+        if vectors is None:
+            kept = dict.fromkeys(values, 1.0)
+        else:
+            cosines = {v: float(np.dot(vectors[1 + i], vectors[0])) for i, v in enumerate(values)}
+            ranked = sorted(cosines.items(), key=lambda kv: (-kv[1], kv[0]))
+            kept = {v: c for v, c in ranked[: cfg.embed_top_k] if c >= cfg.cosine_threshold}
+        best = {}
+        for value, table, column in cands:
+            if value in kept:
+                dist = dp_levenshtein(norm, value)
+                if (table, column) not in best or (dist, value) < best[table, column]:
+                    best[table, column] = (dist, value)
+        out += [EntityMatch(keyword, value, table, column, dist, kept[value])
+                for (table, column), (dist, value) in sorted(best.items())]
+    return out
+
+
+@pytest.fixture(scope="module")
+def word_index(tmp_path_factory):
+    """Three columns over 1,200 short words from a small alphabet, so that
+    keywords near them collide with several values in several columns."""
+    rng = random.Random(17)
+    words = sorted({"".join(rng.choices("abcde", k=rng.randint(3, 8))) for _ in range(1200)})
+    db = tmp_path_factory.mktemp("words") / "words.sqlite"
+    conn = sqlite3.connect(db)
+    conn.execute("CREATE TABLE w (id INTEGER PRIMARY KEY, a TEXT, b TEXT, c TEXT)")
+    conn.executemany("INSERT INTO w VALUES (?, ?, ?, ?)", [
+        (i, word, words[(i * 7) % len(words)].upper(), word if i % 3 else None)
+        for i, word in enumerate(words)
+    ])
+    conn.commit()
+    conn.close()
+    return build_value_index(introspect_database(db), db, IndexConfig()), words
+
+
+class TestRetrieveEntitiesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        cap=st.integers(0, 12),
+        top_k=st.integers(0, 10),
+        threshold=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+        embedder=st.sampled_from(
+            [HashingEmbedder(), HashingEmbedder(dimension=16), None, _Offline()]
+        ),
+    )
+    def test_matches_per_keyword_reference(
+        self, word_index, data, cap, top_k, threshold, embedder
+    ):
+        index, words = word_index
+        keyword = st.one_of(
+            st.builds(
+                lambda w, cut, extra, upper: (w[:cut] + extra).upper() if upper else w[cut:] + extra,
+                st.sampled_from(words), st.integers(0, 3), st.text("abcdex ", max_size=2),
+                st.booleans(),
+            ),
+            st.text("abcde \U0001F600", max_size=6),
+        )
+        keywords = data.draw(st.lists(keyword, max_size=6))
+        cfg = dataclasses.replace(
+            index.config, lsh_candidate_cap=cap, embed_top_k=top_k, cosine_threshold=threshold
+        )
+        expected = reference_retrieve_entities(index, keywords, embedder, cfg)
+        assert retrieve_entities(index, keywords, embedder, cfg) == expected
 
 
 class TestOracleContainment:
