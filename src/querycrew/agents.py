@@ -33,13 +33,11 @@ logger = logging.getLogger(__name__)
 @dataclass
 class Keyword:
     text: str
-    source: str = "question"  # question | hint
 
 
 @dataclass
 class CandidateQuery:
     sql: str
-    reasoning: str = ""
     generation_index: int = 0
     revision_count: int = 0
     exec_result: ExecutionResult | None = None
@@ -137,14 +135,12 @@ def extract_keywords(env: RunEnv) -> list[Keyword]:
         return []
     keywords: list[Keyword] = []
     seen: set[str] = set()
-    question_lower = env.question.lower()
     for item in items:
         text = str(item).strip()
         if not text or text.lower() in seen:
             continue
         seen.add(text.lower())
-        source = "question" if text.lower() in question_lower else "hint"
-        keywords.append(Keyword(text=text, source=source))
+        keywords.append(Keyword(text=text))
     return keywords
 
 
@@ -276,13 +272,7 @@ def generate_candidate(env: RunEnv, params: SamplingParams) -> list[CandidateQue
         if not sql:
             logger.warning("candidate sample %d has empty SQL; dropped", i)
             continue
-        candidates.append(
-            CandidateQuery(
-                sql=sql,
-                reasoning=str(payload.get("chain_of_thought_reasoning", "")),
-                generation_index=i,
-            )
-        )
+        candidates.append(CandidateQuery(sql=sql, generation_index=i))
     if not candidates:
         raise GenerationError(f"all {params.n_samples} candidate samples failed to parse")
     return candidates
@@ -330,7 +320,6 @@ def revise(
         revised.append(
             CandidateQuery(
                 sql=sql,
-                reasoning=str(payload.get("chain_of_thought_reasoning", "")),
                 generation_index=candidate.generation_index,
                 revision_count=candidate.revision_count + 1,
             )

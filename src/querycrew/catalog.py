@@ -5,11 +5,11 @@ A SchemaCatalog is built once per SQLite file, and so are its lookups: tables
 and columns by name, linking columns and outgoing FK edges per table, and the
 case-insensitive name resolution that all callers share. Its structural lists
 (`tables`, each table's `columns` and `primary_key`, `fk_edges`) must not be
-mutated afterwards; column attributes such as the descriptions and `fk_targets`
-may change. SubSchema objects are lightweight views onto it. Foreign-key and
-primary-key columns ("linking columns") are never dropped by projection
-because joins and counts need them even when they are semantically unrelated
-to a question.
+mutated afterwards; column attributes such as the descriptions may change.
+SubSchema objects are lightweight views onto it. Foreign-key and primary-key
+columns ("linking columns") are never dropped by projection because joins
+and counts need them even when they are semantically unrelated to a
+question.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class ColumnInfo:
     column_description: str | None = None
     value_description: str | None = None
     is_pk: bool = False
-    fk_targets: list[str] = field(default_factory=list)  # "table.column" strings
 
 
 @dataclass
@@ -184,9 +183,10 @@ class SchemaCatalog:
             TableInfo(
                 name=t["name"],
                 primary_key=list(t["primary_key"]),
-                # older files hold `sample_values`, which never had an effect
+                # older files hold `sample_values` and `fk_targets`, which nothing read
                 columns=[
-                    ColumnInfo(**{k: v for k, v in c.items() if k != "sample_values"})
+                    ColumnInfo(**{k: v for k, v in c.items()
+                                  if k not in ("sample_values", "fk_targets")})
                     for c in t["columns"]
                 ],
             )
@@ -307,7 +307,6 @@ def introspect_database(db_file: str | Path) -> SchemaCatalog:
             if src_col is None or dst_col is None:
                 continue
             edges.append(FkEdge(t.name, src_col, target.name, dst_col))
-            t.column(src_col).fk_targets.append(f"{target.name}.{dst_col}")
     finally:
         conn.close()
     return SchemaCatalog(db_id=path.stem, tables=tables, fk_edges=edges)
@@ -427,17 +426,13 @@ def render_schema_prompt(
     Annotations referencing columns outside the sub-schema are dropped.
     Output is a pure function of the arguments: same inputs, same bytes.
     """
+    # keyed by every column named; only the sub-schema's columns are looked up
     examples: dict[tuple[str, str], list[str]] = {}
     for ent in entities:
-        key = (ent.table, ent.column)
-        if not sub.contains(*key):
-            continue
-        examples.setdefault(key, []).append(ent.value)
+        examples.setdefault((ent.table, ent.column), []).append(ent.value)
     best_desc: dict[tuple[str, str], object] = {}
     for hit in descriptions:
         key = (hit.table, hit.column)
-        if not sub.contains(*key):
-            continue
         prev = best_desc.get(key)
         if prev is None or (-hit.cosine, hit.doc_id) < (-prev.cosine, prev.doc_id):
             best_desc[key] = hit

@@ -36,7 +36,6 @@ class ContextStoreError(Exception):
 
 
 class EmbeddingProvider(Protocol):
-    kind: str
     dimension: int
 
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
@@ -59,8 +58,6 @@ class HashingEmbedder:
     the output in place, so a call holds no other (texts x dimension) array.
     The sums are exact integers: summation order changes no bit.
     """
-
-    kind = "deterministic-local"
 
     def __init__(self, dimension: int = 256):
         check_int("embedding dimension", dimension, 1)
@@ -102,8 +99,6 @@ class RemoteEmbedder:
     through `post_json`; its failures raise ContextStoreError, as does a body
     that is not one finite vector of `dimension` numbers per text sent.
     """
-
-    kind = "remote"
 
     def __init__(
         self,
@@ -152,7 +147,6 @@ class StoreItem:
     doc_id: str
     table: str
     column: str
-    field_kind: str
     text: str
 
 
@@ -189,7 +183,7 @@ class ContextStore:
 
 def _store_items(catalog: SchemaCatalog) -> list[StoreItem]:
     """One item per nonempty description field per column, in catalog order."""
-    return [StoreItem(f"{tinfo.name}.{col.name}.{kind}", tinfo.name, col.name, kind, text)
+    return [StoreItem(f"{tinfo.name}.{col.name}.{kind}", tinfo.name, col.name, text)
             for tinfo in catalog.tables for col in tinfo.columns for kind in FIELD_KINDS
             if (text := getattr(col, kind))]
 

@@ -264,10 +264,7 @@ def synthesize_large_schema(
             prefix = f"{catalog.db_id}__{tinfo.name}"
             kept_names = {c.name for c in kept_cols}
             new_pk = [c for c in tinfo.primary_key if c in kept_names]
-            columns = [
-                replace(col, is_pk=col.name in new_pk, fk_targets=[])
-                for col in kept_cols
-            ]
+            columns = [replace(col, is_pk=col.name in new_pk) for col in kept_cols]
             tables.append(TableInfo(name=prefix, columns=columns, primary_key=new_pk))
         for edge in catalog.fk_edges:
             src = (catalog.db_id, edge.src_table, edge.src_column)
@@ -282,10 +279,6 @@ def synthesize_large_schema(
                     )
                 )
     merged = SchemaCatalog(db_id=merged_db_id, tables=tables, fk_edges=edges)
-    for edge in merged.fk_edges:
-        merged.column(edge.src_table, edge.src_column).fk_targets.append(
-            f"{edge.dst_table}.{edge.dst_column}"
-        )
     if merged.column_count() != target_columns:
         raise SynthesisError(
             f"merge produced {merged.column_count()} columns, wanted {target_columns}"

@@ -248,11 +248,11 @@ def ensure_artifacts(
     does not load.
 
     Each header holds the database hash plus the description CSVs' digest
-    (described catalog), the index config and the indexed column list (value
-    index), or the embedder config and that digest (context store). A warm
-    call parses no CSV and maps the index's and the store's arrays in place
-    (see `caching`), so ingest warnings are logged only when the catalog is
-    built.
+    (described catalog), the index's build fields and the indexed column
+    list (value index), or the embedder config and that digest (context
+    store). A warm call parses no CSV and maps the index's and the store's
+    arrays in place (see `caching`), so ingest warnings are logged only when
+    the catalog is built.
     """
     db_file = Path(db_file)
     if description_dir is None:
@@ -287,7 +287,7 @@ def ensure_artifacts(
         "value_index", caching.VALUE_INDEX_MAGIC,
         lambda: build_value_index(catalog, db_file, config.index),
         ValueIndex.to_parts, functools.partial(ValueIndex.from_parts, locations, config.index),
-        config=caching.config_hash(config.index.to_dict()),
+        config=caching.config_hash(config.index.build_dict()),
         columns=caching.config_hash(locations),
     )
     embedder = build_embedder(config)

@@ -81,6 +81,12 @@ class IndexConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def build_dict(self) -> dict:
+        """The fields `build_value_index` reads, which key its cache; retrieval
+        reads the others from the config the index is loaded with."""
+        query_time = ("lsh_candidate_cap", "cosine_threshold", "embed_top_k")
+        return {k: v for k, v in self.to_dict().items() if k not in query_time}
+
 
 @dataclass
 class EntityMatch:

@@ -47,7 +47,6 @@ class TestExtractKeywords:
         )
         keywords = extract_keywords(_env(gw, qid="q"))
         assert [k.text for k in keywords] == ["Lewis Hamilton", "fastest lap time"]
-        assert keywords[0].source == "question"
 
     def test_duplicates_removed(self):
         gw = gw_with(
@@ -69,13 +68,6 @@ class TestExtractKeywords:
         )
         with caplog.at_level(logging.WARNING):
             assert extract_keywords(_env(gw, question="q", hint="")) == []
-
-    def test_hint_source(self):
-        gw = gw_with({("k+extract_keywords+0", "extract_keywords"): ['["min(fastestLapTime)"]']})
-        keywords = extract_keywords(
-            _env(gw, question="a question", hint="refers to min(fastestLapTime)")
-        )
-        assert keywords[0].source == "hint"
 
 
 class TestFilterColumn:

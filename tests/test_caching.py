@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fixture_dbs import build_finance_db, build_finance_descriptions
 
-from querycrew import caching, value_index
+from querycrew import caching, pipeline, value_index
 from querycrew.caching import (
     CATALOG_MAGIC, CONTEXT_STORE_MAGIC, VALUE_INDEX_MAGIC, config_hash, description_digest,
     file_sha256, load_envelope, save_envelope,
@@ -29,7 +29,7 @@ from querycrew.context_store import (
 )
 from querycrew.pipeline import PipelineConfig, ensure_artifacts
 from querycrew.value_index import (
-    IndexConfig, ValueIndex, _indexed_columns, build_value_index, lsh_query,
+    IndexConfig, ValueIndex, _indexed_columns, build_value_index, lsh_query, retrieve_entities,
 )
 
 CONFIG = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
@@ -79,7 +79,7 @@ def _keys(db: Path) -> dict[str, dict]:
     db_hash, descriptions = file_sha256(db), description_digest(db.parent / "database_description")
     return {
         "catalog": {"db": db_hash, "descriptions": descriptions},
-        "value_index": {"db": db_hash, "config": config_hash(CONFIG.index.to_dict()),
+        "value_index": {"db": db_hash, "config": config_hash(CONFIG.index.build_dict()),
                         "columns": config_hash(_indexed_columns(introspect_database(db)))},
         "context_store": {"db": db_hash, "descriptions": descriptions,
                           "config": config_hash({"embedder": CONFIG.embedder, "k": "context"})},
@@ -245,8 +245,8 @@ class TestCatalogIsTheOneCopy:
         items = warm.context_store.items
         assert len(items) > 10
         for item in items:
-            assert item.text is getattr(warm.catalog.column(item.table, item.column),
-                                        item.field_kind)
+            attribute = item.doc_id.rsplit(".", 1)[1]
+            assert item.text is getattr(warm.catalog.column(item.table, item.column), attribute)
         fresh = build_value_index(introspect_database(db), db, IndexConfig())
         assert len(fresh.locations) > 1
         assert warm.value_index.locations == fresh.locations
@@ -280,6 +280,61 @@ class TestCatalogIsTheOneCopy:
             document, _arrays = load_envelope(
                 tmp_path / f"small.{kind}.qcx", KINDS[kind][0], _keys(db)[kind])
             assert sorted(document) == fields, kind
+
+
+class TestValueIndexKey:
+    """The index's key holds only the config fields its build reads; the
+    retrieval fields come from the config it is loaded with."""
+
+    @staticmethod
+    def _config(**index_fields) -> PipelineConfig:
+        return dataclasses.replace(CONFIG, index=IndexConfig(**index_fields))
+
+    @pytest.fixture
+    def builds(self, monkeypatch) -> list:
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_value_index(*args)
+
+        monkeypatch.setattr(pipeline, "build_value_index", counting)
+        return calls
+
+    def test_a_changed_retrieval_field_loads_the_cached_index(self, tmp_path, builds):
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        built = ensure_artifacts(db, CONFIG)
+        builds.clear()
+        cache = tmp_path / "finance.value_index.qcx"
+        stamp = cache.stat().st_mtime_ns
+        embedder = HashingEmbedder()
+        assert len(lsh_query(built.value_index, "f")) == 2
+        assert retrieve_entities(built.value_index, ["eur"], embedder) != []
+
+        capped = ensure_artifacts(db, self._config(lsh_candidate_cap=1)).value_index
+        assert len(lsh_query(capped, "f")) == 1
+        none_kept = ensure_artifacts(db, self._config(embed_top_k=0)).value_index
+        assert retrieve_entities(none_kept, ["eur"], embedder) == []
+        strict = self._config(cosine_threshold=1.0)
+        assert ensure_artifacts(db, strict).value_index.config is strict.index
+        assert builds == []
+        assert cache.stat().st_mtime_ns == stamp
+        assert capped.values == built.value_index.values
+
+    @pytest.mark.parametrize("index_fields", [
+        {"ngram_size": 2}, {"permutation_seed": 14}, {"max_value_length": 4},
+        {"num_permutations": 64, "lsh_bands": 16},
+    ])
+    def test_a_changed_build_field_rebuilds(self, tmp_path, builds, index_fields):
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        ensure_artifacts(db, CONFIG)
+        builds.clear()
+        config = self._config(**index_fields)
+        again = ensure_artifacts(db, config).value_index
+        assert len(builds) == 1
+        fresh = build_value_index(introspect_database(db), db, config.index)
+        assert again.values == fresh.values
+        assert np.array_equal(again.band_keys, fresh.band_keys)
 
 
 UNPICKLED: list[str] = []

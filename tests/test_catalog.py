@@ -58,8 +58,8 @@ class TestIntrospection:
         assert not drivers.column("forename").is_pk
 
     def test_fk_targets_recorded(self, motorsport_catalog):
-        results = motorsport_catalog.table("results")
-        assert "drivers.driverId" in results.column("driverId").fk_targets
+        edges = motorsport_catalog.edges_from("results")
+        assert FkEdge("results", "driverId", "drivers", "driverId") in edges
 
     def test_fk_reference_spelled_in_another_case(self, tmp_path):
         db = tmp_path / "case.sqlite"
@@ -77,7 +77,7 @@ class TestIntrospection:
             (("twin", "PID"), ("parent", "id")),
         ]
         assert catalog.linking_columns("child") == {"cid", "pid"}
-        assert catalog.column("child", "pid").fk_targets == ["parent.id"]
+        assert catalog.edges_from("child") == [FkEdge("child", "pid", "parent", "id")]
 
     def test_fk_case_folding_is_ascii_only(self, tmp_path):
         # SQLite folds only ASCII letters, so "É" and "é" are two tables
@@ -146,7 +146,6 @@ def per_table_pragma_introspection(db_file) -> SchemaCatalog:
                 if src_col is None or dst_col is None:
                     continue
                 edges.append(FkEdge(t.name, src_col, target.name, dst_col))
-                t.column(src_col).fk_targets.append(f"{target.name}.{dst_col}")
     finally:
         conn.close()
     return SchemaCatalog(db_id=path.stem, tables=tables, fk_edges=edges)
@@ -372,7 +371,7 @@ class TestRenderSchemaPrompt:
         hits = [
             DescriptionHit(
                 doc_id="district.A11.column_description",
-                table="district", column="A11", field_kind="column_description",
+                table="district", column="A11",
                 text="average  salary in the district", cosine=0.8,
             )
         ]
@@ -383,7 +382,7 @@ class TestRenderSchemaPrompt:
         hits = [
             DescriptionHit(
                 doc_id="district.A11.column_description",
-                table="district", column="A11", field_kind="column_description",
+                table="district", column="A11",
                 text="average\n salary", cosine=0.8,
             )
         ]
@@ -400,6 +399,37 @@ class TestRenderSchemaPrompt:
         ]
         text = render_schema_prompt(sub, entities, [])
         assert "EUR" not in text
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_annotations_outside_sub_change_nothing(self, finance_catalog, data):
+        """Entities and description hits on any catalog column render as
+        they do once restricted to the sub-schema's columns."""
+        catalog = finance_catalog
+        requested = {
+            table: data.draw(st.lists(st.sampled_from(catalog.table(table).column_names()),
+                                      unique=True))
+            for table in data.draw(st.lists(st.sampled_from(catalog.table_names()),
+                                            min_size=1, unique=True))
+        }
+        sub = project(catalog, requested)
+        located = st.sampled_from([(t.name, c.name) for t in catalog.tables for c in t.columns])
+        text = st.text(alphabet="ab ,\n", max_size=6)
+        entities = [
+            EntityMatch(keyword="k", value=value, table=t, column=c, edit_distance=0, cosine=1.0)
+            for (t, c), value in data.draw(st.lists(st.tuples(located, text), max_size=10))
+        ]
+        hits = [
+            DescriptionHit(doc_id=f"{t}.{c}.{kind}", table=t, column=c, text=body, cosine=cosine)
+            for (t, c), kind, body, cosine in data.draw(st.lists(st.tuples(
+                located, st.sampled_from(["expanded_name", "column_description"]), text,
+                st.sampled_from([0.2, 0.5, 0.9]),
+            ), max_size=10))
+        ]
+        inside = lambda a: sub.contains(a.table, a.column)  # noqa: E731
+        assert render_schema_prompt(sub, entities, hits) == render_schema_prompt(
+            sub, [e for e in entities if inside(e)], [h for h in hits if inside(h)]
+        )
 
     def test_foreign_key_rendered_only_inside_selection(self, finance_catalog):
         sub = project(

@@ -224,7 +224,7 @@ class TestRetrieveContext:
         embedder = HashingEmbedder()
         text = "the amount of the loan in the account's currency"
         items = [
-            StoreItem(f"t{i}.amount.column_description", f"t{i}", "amount", "column_description", text)
+            StoreItem(f"t{i}.amount.column_description", f"t{i}", "amount", text)
             for i in reversed(range(7))
         ]
         store = ContextStore(items, embedder.embed([text] * 7), embedder)
@@ -237,7 +237,6 @@ class _FixedQuery:
     """Embeds every text as [1.0], so a store of one-wide vectors scores each
     item with exactly its own vector entry."""
 
-    kind = "fixed"
     dimension = 1
 
     def embed(self, texts):
@@ -246,7 +245,7 @@ class _FixedQuery:
 
 def _scored_store(scores) -> ContextStore:
     items = [
-        StoreItem(f"t.c{i:03d}.column_description", "t", f"c{i:03d}", "column_description", "x")
+        StoreItem(f"t.c{i:03d}.column_description", "t", f"c{i:03d}", "x")
         for i in range(len(scores))
     ]
     # doc_ids run against store order, so ties must be broken by doc_id, not position

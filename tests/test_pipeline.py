@@ -1105,6 +1105,45 @@ class TestArtifactCaching:
         assert cache.stat().st_mtime_ns == stamp
         assert again.catalog == built.catalog
 
+    def test_catalog_cache_with_fk_targets_loads(self, tmp_path, monkeypatch):
+        """A catalog cache whose columns still hold `fk_targets`, each FK
+        column's "table.column" targets, as every one did before that field
+        was removed, is a hit."""
+        import json
+
+        from fixture_dbs import build_finance_db, build_finance_descriptions
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        build_finance_descriptions(tmp_path / "database_description")
+        config = PipelineConfig(team="CG_only", n_candidates=1, n_unit_tests=0)
+        built = ensure_artifacts(db, config)
+        assert built.catalog.fk_edges
+        cache = tmp_path / "finance.catalog.qcx"
+        whole = cache.read_bytes()
+        size_at = whole.index(b"\n") + 1
+        header_end = size_at + 8 + int.from_bytes(whole[size_at : size_at + 8], "big")
+        payload = json.loads(whole[header_end:])
+        for table in payload["tables"]:
+            for column in table["columns"]:
+                column["fk_targets"] = [
+                    f"{edge.dst_table}.{edge.dst_column}"
+                    for edge in built.catalog.edges_from(table["name"])
+                    if edge.src_column == column["name"]
+                ]
+        cache.write_bytes(whole[:header_end] + json.dumps(payload, indent=1).encode())
+        stamp = cache.stat().st_mtime_ns
+        calls = []
+
+        def counting(db_file):
+            calls.append(db_file)
+            return introspect_database(db_file)
+
+        monkeypatch.setattr(pipeline, "introspect_database", counting)
+        again = ensure_artifacts(db, config)
+        assert calls == []
+        assert cache.stat().st_mtime_ns == stamp
+        assert again.catalog == built.catalog
+
     def test_store_cache_with_the_old_header_is_rebuilt_once(self, tmp_path):
         from fixture_dbs import build_finance_db, build_finance_descriptions
 
@@ -1122,7 +1161,7 @@ class TestArtifactCaching:
         # the index's key, and the store's header from before descriptions
         # were part of its key
         db_hash = file_sha256(db)
-        index_key = {"db": db_hash, "config": config_hash(config.index.to_dict()),
+        index_key = {"db": db_hash, "config": config_hash(config.index.build_dict()),
                      "columns": config_hash(_indexed_columns(built.catalog))}
         old_store = {"db": db_hash, "config": config_hash({"embedder": config.embedder,
                                                            "k": "context"})}

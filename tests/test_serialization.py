@@ -132,6 +132,70 @@ CATALOG_JSON = """\
      "expanded_name": null,
      "column_description": null,
      "value_description": null,
+     "is_pk": true
+    },
+    {
+     "name": "name",
+     "declared_type": "TEXT",
+     "expanded_name": "customer name",
+     "column_description": "full name",
+     "value_description": null,
+     "is_pk": false
+    }
+   ]
+  },
+  {
+   "name": "orders",
+   "primary_key": [
+    "id"
+   ],
+   "columns": [
+    {
+     "name": "id",
+     "declared_type": "INTEGER",
+     "expanded_name": null,
+     "column_description": null,
+     "value_description": null,
+     "is_pk": true
+    },
+    {
+     "name": "customer_id",
+     "declared_type": "INTEGER",
+     "expanded_name": null,
+     "column_description": null,
+     "value_description": "ref",
+     "is_pk": false
+    }
+   ]
+  }
+ ],
+ "fk_edges": [
+  [
+   "orders",
+   "customer_id",
+   "customers",
+   "id"
+  ]
+ ]
+}"""
+
+# bytes saved before `fk_targets` was removed; they must still load
+CATALOG_JSON_WITH_FK_TARGETS = """\
+{
+ "db_id": "shop",
+ "tables": [
+  {
+   "name": "customers",
+   "primary_key": [
+    "id"
+   ],
+   "columns": [
+    {
+     "name": "id",
+     "declared_type": "INTEGER",
+     "expanded_name": null,
+     "column_description": null,
+     "value_description": null,
      "is_pk": true,
      "fk_targets": []
     },
@@ -394,7 +458,6 @@ def catalogs(draw) -> SchemaCatalog:
                 column_description=draw(optional_text),
                 value_description=draw(optional_text),
                 is_pk=column in pk,
-                fk_targets=draw(st.lists(st.text(max_size=12), max_size=2)),
             )
             for column in column_names
         ]
@@ -487,7 +550,6 @@ class TestPinnedBytes:
                             name="customer_id",
                             declared_type="INTEGER",
                             value_description="ref",
-                            fk_targets=["customers.id"],
                         ),
                     ],
                 ),
@@ -511,6 +573,14 @@ class TestPinnedBytes:
         assert load_catalog(path) == SchemaCatalog.from_json_dict(json.loads(CATALOG_JSON))
         misspelled = CATALOG_JSON_WITH_SAMPLE_VALUES.replace("sample_values", "sample_value")
         with pytest.raises(TypeError, match="sample_value"):
+            SchemaCatalog.from_json_dict(json.loads(misspelled))
+
+    def test_catalog_json_with_fk_targets_loads(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(CATALOG_JSON_WITH_FK_TARGETS, encoding="utf-8")
+        assert load_catalog(path) == SchemaCatalog.from_json_dict(json.loads(CATALOG_JSON))
+        misspelled = CATALOG_JSON_WITH_FK_TARGETS.replace("fk_targets", "fk_target")
+        with pytest.raises(TypeError, match="fk_target"):
             SchemaCatalog.from_json_dict(json.loads(misspelled))
 
     def test_sweep_predictions_and_report(self, tmp_path):
