@@ -23,7 +23,6 @@ from .catalog import SchemaCatalog, SubSchema, project, render_schema_prompt
 from .context_store import DescriptionHit
 from .executor import ExecutionResult, FaultReport
 from .gateway import Gateway, ParseError, SamplingParams
-from .templates import DEFAULT_FEWSHOTS
 from .textutils import check_int
 from .value_index import EntityMatch
 
@@ -124,10 +123,9 @@ def extract_keywords(env: RunEnv) -> list[Keyword]:
     after the retry yields an empty list so the pipeline can proceed without
     entity retrieval.
     """
-    bindings = env.bindings(FEWSHOT_EXAMPLES=DEFAULT_FEWSHOTS["extract_keywords"])
     try:
         items = env.gateway.structured(
-            "extract_keywords", bindings, SamplingParams(temperature=0.0),
+            "extract_keywords", env.bindings(), SamplingParams(temperature=0.0),
             env.key("extract_keywords"),
         )
     except ParseError:
@@ -150,7 +148,7 @@ def filter_column(env: RunEnv, columns: Sequence[tuple[str, str]]) -> list[bool]
     `<table>.<column>` in `RunEnv.key`. A column's profile is built when the
     gateway reads its window, so the batch holds one window of profiles at a
     time. A vote that does not parse keeps its column."""
-    base = env.bindings(FEWSHOT_EXAMPLES=DEFAULT_FEWSHOTS["filter_column"])
+    base = env.bindings()
     catalog = env.sub.parent
     requests = (
         (
@@ -160,7 +158,7 @@ def filter_column(env: RunEnv, columns: Sequence[tuple[str, str]]) -> list[bool]
         for t, c in columns
     )
     payloads = env.gateway.structured_many(
-        "filter_column", requests, SamplingParams(temperature=0.0), retry_on_parse_failure=False
+        "filter_column", requests, SamplingParams(temperature=0.0)
     )
     votes = []
     for (table, column), payload in zip(columns, payloads):
@@ -261,7 +259,6 @@ def generate_candidate(env: RunEnv, params: SamplingParams) -> list[CandidateQue
         "generate_candidate",
         [(env.key("generate_candidate", i), bindings) for i in range(params.n_samples)],
         replace(params, n_samples=1),
-        retry_on_parse_failure=False,
     )
     candidates: list[CandidateQuery] = []
     for i, payload in enumerate(payloads):
@@ -292,12 +289,7 @@ def revise(
     `<generation index>.<revision number>` in `RunEnv.key`. A parse failure
     returns that candidate unchanged (with a warning) rather than losing it.
     """
-    base = {
-        "DATABASE_SCHEMA": env.schema(),
-        "MISSING_ENTITIES": env.context.entity_lines(),
-        "QUESTION": env.question,
-        "EVIDENCE": env.hint or "none",
-    }
+    base = env.bindings(DATABASE_SCHEMA=env.schema(), MISSING_ENTITIES=env.context.entity_lines())
     payloads = env.gateway.structured_many(
         "revise",
         [
@@ -308,7 +300,6 @@ def revise(
             for c, issue in zip(candidates, issues)
         ],
         SamplingParams(temperature=0.0),
-        retry_on_parse_failure=False,
     )
     revised = []
     for candidate, payload in zip(candidates, payloads):

@@ -95,7 +95,7 @@ def cmd_preprocess(args) -> int:
         artifacts = pipeline.ensure_artifacts(db_file, config)
         print(
             f"{db_file.stem}: {len(artifacts.value_index)} indexed values, "
-            f"{len(artifacts.context_store or [])} descriptions"
+            f"{len(artifacts.context_store)} descriptions"
         )
     return 0
 

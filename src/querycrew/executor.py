@@ -123,7 +123,7 @@ def execute(
         try:
             cursor = conn.execute(sql)
             rows = cursor.fetchmany(row_cap + 1)
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, sqlite3.Warning) as exc:  # 3.10 warns on a second statement
             elapsed = time.perf_counter() - start
             message = str(exc)
             if timed_out:

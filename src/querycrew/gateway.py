@@ -137,7 +137,7 @@ BACKOFF_S = 0.5
 class HttpChatBackend:
     """Client for a chat-completions-compatible HTTP endpoint.
 
-    Requests go through `post_json`, with `max_retries` and `backoff_s`; its
+    Requests go through `post_json`, which retries on its one schedule; its
     failures, and a body of the wrong shape, raise GatewayError.
     """
 
@@ -147,16 +147,12 @@ class HttpChatBackend:
         model: str,
         api_key_env: str = "LLM_API_KEY",
         timeout: float = 120.0,
-        max_retries: int = RETRIES,
-        backoff_s: float = BACKOFF_S,
         session: requests.Session | None = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
         self.backend_id = f"http:{model}"
         self.session = session or requests.Session()
 
@@ -171,10 +167,7 @@ class HttpChatBackend:
             "n": params.n_samples,
         }
         url = f"{self.base_url}/chat/completions"
-        body = post_json(
-            self.session, url, payload, self.api_key_env, self.timeout,
-            GatewayError, self.max_retries, self.backoff_s,
-        )
+        body = post_json(self.session, url, payload, self.api_key_env, self.timeout, GatewayError)
         try:
             usage = body.get("usage", {})
             texts = [choice["message"]["content"] or "" for choice in body.get("choices", [])]
@@ -208,28 +201,26 @@ def post_json(
     api_key_env: str,
     timeout: float,
     error: type[Exception],
-    max_retries: int = RETRIES,
-    backoff_s: float = BACKOFF_S,
 ):
     """POST `payload` as JSON and return the decoded body of the response.
 
-    This is the one HTTP client of the package. The bearer header comes from
-    the environment variable `api_key_env` when it is set. A transport
-    failure is retried up to `max_retries` times, the waits doubling from
-    `backoff_s`, by default RETRIES and BACKOFF_S. Exhausted retries, a
-    non-200 response (with a body excerpt) and a body that is not JSON each
-    raise `error`.
+    This is the one HTTP client of the package, and it alone holds the retry
+    schedule. The bearer header comes from the environment variable
+    `api_key_env` when it is set. A transport failure is retried up to
+    RETRIES times, the waits doubling from BACKOFF_S seconds; both are read
+    at call time. Exhausted retries, a non-200 response (with a body excerpt)
+    and a body that is not JSON each raise `error`.
     """
     api_key = os.environ.get(api_key_env, "")
     headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-    for attempt in range(max_retries + 1):
+    for attempt in range(RETRIES + 1):
         try:
             resp = session.post(url, json=payload, headers=headers, timeout=timeout)
             break
         except requests.RequestException as exc:
-            if attempt == max_retries:
-                raise error(f"{url} unreachable after {max_retries} retries: {exc}") from exc
-            time.sleep(backoff_s * 2**attempt)
+            if attempt == RETRIES:
+                raise error(f"{url} unreachable after {RETRIES} retries: {exc}") from exc
+            time.sleep(BACKOFF_S * 2**attempt)
     if resp.status_code != 200:
         raise error(f"{url} returned {resp.status_code}: {resp.text[:200]}")
     try:
@@ -663,7 +654,6 @@ class Gateway:
         template_id: str,
         requests: Iterable[tuple[str, dict[str, object]]],
         params: SamplingParams,
-        retry_on_parse_failure: bool = True,
     ) -> Iterator:
         """Render, complete, and parse a batch of independent calls, each
         request a `(scenario_key, bindings)` pair; the answers come back as
@@ -681,14 +671,13 @@ class Gateway:
         caller does with an answer happen as if the requests had run one
         after another.
 
-        A parse failure is re-asked once at its own request's turn, as in
-        `structured`; an answer that still does not parse comes back as its
-        ParseError. A chunk stops at its first backend error: the requests
-        before that error are recorded and handed out, the window's other
-        chunks are waited for, and the error is raised in place of its
-        request's answer.
+        Where the template re-asks, a parse failure is re-asked once at its
+        own request's turn, as in `structured`; an answer that does not parse
+        in the end comes back as its ParseError. A chunk stops at its first
+        backend error: the requests before that error are recorded and handed
+        out, the window's other chunks are waited for, and the error is raised
+        in place of its request's answer.
         """
-        retry = retry_on_parse_failure
         requests = iter(requests)
         while True:
             keys, prompts = [], []  # the last window's prompts go before the next is read
@@ -698,7 +687,7 @@ class Gateway:
             if not prompts:
                 return
             if len(prompts) == 1:
-                yield self._answer(template_id, prompts[0], params, keys[0], None, retry)
+                yield self._answer(template_id, prompts[0], params, keys[0], None)
                 continue
             backend = self.backend_for(template_id)
             width = min(len(prompts), POOL_WIDTH)
@@ -712,7 +701,7 @@ class Gateway:
             ]
             try:
                 for prompt, key, sent in zip(prompts, keys, _chunk_answers(chunks)):
-                    yield self._answer(template_id, prompt, params, key, sent, retry)
+                    yield self._answer(template_id, prompt, params, key, sent)
             finally:
                 wait(chunks)
 
@@ -722,19 +711,16 @@ class Gateway:
         bindings: dict[str, object],
         params: SamplingParams,
         scenario_key: str,
-        retry_on_parse_failure: bool = True,
     ):
         """Render, complete, and parse one single-sample call.
 
-        On a parse failure and when retries are allowed, the prompt is
-        re-asked once with the failed shape's instruction from SHAPES
-        appended; the second failure propagates. The re-ask uses scenario key
-        `<key>#retry1` so scripted runs can stage both responses. This is
-        the one-request case of `structured_many`.
+        On a parse failure, a template whose `reask` is set (see
+        `templates.TEMPLATES`) asks once more with the failed shape's
+        instruction from SHAPES appended, under scenario key `<key>#retry1`
+        so scripted runs can stage both responses. The failure that ends the
+        call propagates. This is the one-request case of `structured_many`.
         """
-        (answer,) = self.structured_many(
-            template_id, [(scenario_key, bindings)], params, retry_on_parse_failure
-        )
+        (answer,) = self.structured_many(template_id, [(scenario_key, bindings)], params)
         try:
             if isinstance(answer, ParseError):
                 raise answer
@@ -749,14 +735,15 @@ class Gateway:
         params: SamplingParams,
         scenario_key: str,
         sent: Sent | None,
-        retry_on_parse_failure: bool,
     ):
-        """One request's turn: record its call, parse the answer and, if
-        allowed, re-ask once; returns the parsed answer or its ParseError."""
-        shape = templates.TEMPLATES[template_id].expected_shape
+        """One request's turn: record its call, parse the answer and, if its
+        template re-asks, re-ask once; returns the parsed answer or its
+        ParseError."""
+        template = templates.TEMPLATES[template_id]
+        shape = template.expected_shape
         completion = self.complete_prompt(template_id, prompt, params, scenario_key, sent)
         answer = _parse_or_error(completion[0], shape)
-        if isinstance(answer, ParseError) and retry_on_parse_failure:
+        if isinstance(answer, ParseError) and template.reask:
             retry = self.complete_prompt(
                 template_id, f"{prompt}\n\n{SHAPES[shape][1]}", params, f"{scenario_key}#retry1"
             )

@@ -235,7 +235,7 @@ class DbArtifacts:
     db_file: Path
     catalog: SchemaCatalog
     value_index: ValueIndex
-    context_store: ContextStore | None
+    context_store: ContextStore
 
 
 def ensure_artifacts(
@@ -384,12 +384,11 @@ def run(
         if "IR" in roles:
             keywords = agents.extract_keywords(env)
             if keywords and config.tool_enabled("retrieve_entity"):
-                store = artifacts.context_store
                 env.context.entities = retrieve_entities(
                     artifacts.value_index, [k.text for k in keywords],
-                    embedder=store.embedder if store else None, cfg=config.index,
+                    embedder=artifacts.context_store.embedder, cfg=config.index,
                 )
-            if artifacts.context_store is not None and config.tool_enabled("retrieve_context"):
+            if config.tool_enabled("retrieve_context"):
                 query_text = f"{question} {hint}".strip()
                 env.context.descriptions = retrieve_context(
                     artifacts.context_store, query_text, config.context_k

@@ -6,6 +6,10 @@ braces; rendering requires every placeholder to be bound and raises
 RenderError naming the first missing one. Literal braces in the JSON output
 examples pass through untouched because placeholder tokens must start with
 an upper-case letter.
+
+A template also fixes its tool's output shape and whether an answer that
+does not parse is re-asked. The few-shot blocks are part of the
+`extract_keywords` and `filter_column` bodies.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ class PromptTemplate:
     template_id: str
     body: str
     expected_shape: str
+    # whether an answer that does not parse is asked once more (see `Gateway.structured`)
+    reask: bool = True
     # the body split once at its placeholders: literals at even positions, names at odd
     parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
@@ -38,6 +44,56 @@ class PromptTemplate:
 
     def placeholders(self) -> list[str]:
         return list(dict.fromkeys(self.parts[1::2]))
+
+
+# The frozen few-shot blocks of the two bodies that carry examples.
+
+FEWSHOT_EXTRACT_KEYWORDS = """\
+Example 1:
+Question: How many male customers live in the city of Prague?
+Hint: male customers refers to gender = 'M'
+["male customers", "city", "Prague", "gender = 'M'", "M"]
+
+Example 2:
+Question: What is the average salary of employees hired after 2010 in the sales department?
+Hint: hired after 2010 refers to year(hire_date) > 2010
+["average salary", "employees", "hired after 2010", "sales department", "year(hire_date) > 2010"]
+
+Example 3:
+Question: List the titles of books published by Penguin with more than 500 pages.
+Hint: more than 500 pages refers to num_pages > 500
+["titles", "books", "Penguin", "more than 500 pages", "num_pages > 500"]"""
+
+FEWSHOT_FILTER_COLUMN = """\
+Example 1:
+Column information:
+Table name: orders
+Original column name: order_date
+Data type: DATE
+Description: the date the order was placed
+Question: How many orders were placed in March 2012?
+HINT: placed in March 2012 refers to order_date LIKE '2012-03%'
+Answer: {"chain_of_thought_reasoning": "The question filters orders by the month they were placed, which is stored in this column.", "is_column_information_relevant": "Yes"}
+
+Example 2:
+Column information:
+Table name: customers
+Original column name: fax_number
+Data type: TEXT
+Description: customer fax number
+Question: What is the email address of the customer named Ava Smith?
+HINT: none
+Answer: {"chain_of_thought_reasoning": "The question asks for an email address and a name; a fax number does not help.", "is_column_information_relevant": "No"}
+
+Example 3:
+Column information:
+Table name: products
+Original column name: unit_price
+Data type: REAL
+Description: price per unit in USD
+Question: Name the cheapest product.
+HINT: cheapest refers to MIN(unit_price)
+Answer: {"chain_of_thought_reasoning": "Finding the cheapest product requires comparing unit prices.", "is_column_information_relevant": "Yes"}"""
 
 
 _EXTRACT_KEYWORDS_BODY = """\
@@ -51,7 +107,7 @@ Instructions:
 - Keyphrases: Short phrases or named entities that represent specific concepts, locations, organizations, or other significant details.
 Ensure to maintain the original phrasing or terminology used in the question and hint.
 
-{FEWSHOT_EXAMPLES}
+""" + FEWSHOT_EXTRACT_KEYWORDS + """
 
 Task:
 Given the following question and hint, identify and list all relevant keywords, keyphrases, and named entities.
@@ -146,7 +202,7 @@ Procedure:
 
 Here is an example of how to determine if the column information is relevant or irrelevant to the question and the hint:
 
-{FEWSHOT_EXAMPLES}
+""" + FEWSHOT_FILTER_COLUMN + """
 
 Now, it's your turn to determine whether the provided column information can help formulate a SQL query to answer the given question, based on the provided hint.
 
@@ -222,7 +278,7 @@ Question:
 {QUESTION}
 
 Hint:
-{EVIDENCE}
+{HINT}
 
 Predicted query:
 {SQL}
@@ -312,69 +368,14 @@ TEMPLATES: dict[str, PromptTemplate] = {
     t.template_id: t
     for t in (
         PromptTemplate("extract_keywords", _EXTRACT_KEYWORDS_BODY, PYTHON_LIST),
-        PromptTemplate("filter_column", _FILTER_COLUMN_BODY, JSON_OBJECT),
+        PromptTemplate("filter_column", _FILTER_COLUMN_BODY, JSON_OBJECT, reask=False),
         PromptTemplate("select_tables", _SELECT_TABLES_BODY, JSON_OBJECT),
         PromptTemplate("select_columns", _SELECT_COLUMNS_BODY, JSON_OBJECT),
-        PromptTemplate("generate_candidate", _GENERATE_CANDIDATE_BODY, JSON_OBJECT),
-        PromptTemplate("revise", _REVISE_BODY, JSON_OBJECT),
+        PromptTemplate("generate_candidate", _GENERATE_CANDIDATE_BODY, JSON_OBJECT, reask=False),
+        PromptTemplate("revise", _REVISE_BODY, JSON_OBJECT, reask=False),
         PromptTemplate("generate_unit_tests", _GENERATE_UNIT_TESTS_BODY, TAGGED_ANSWER_BLOCK),
         PromptTemplate("evaluate_unit_test", _EVALUATE_UNIT_TEST_BODY, VERDICT_LINES),
     )
-}
-
-
-# Frozen few-shot assets for the tools whose prompts carry examples.
-
-FEWSHOT_EXTRACT_KEYWORDS = """\
-Example 1:
-Question: How many male customers live in the city of Prague?
-Hint: male customers refers to gender = 'M'
-["male customers", "city", "Prague", "gender = 'M'", "M"]
-
-Example 2:
-Question: What is the average salary of employees hired after 2010 in the sales department?
-Hint: hired after 2010 refers to year(hire_date) > 2010
-["average salary", "employees", "hired after 2010", "sales department", "year(hire_date) > 2010"]
-
-Example 3:
-Question: List the titles of books published by Penguin with more than 500 pages.
-Hint: more than 500 pages refers to num_pages > 500
-["titles", "books", "Penguin", "more than 500 pages", "num_pages > 500"]"""
-
-FEWSHOT_FILTER_COLUMN = """\
-Example 1:
-Column information:
-Table name: orders
-Original column name: order_date
-Data type: DATE
-Description: the date the order was placed
-Question: How many orders were placed in March 2012?
-HINT: placed in March 2012 refers to order_date LIKE '2012-03%'
-Answer: {"chain_of_thought_reasoning": "The question filters orders by the month they were placed, which is stored in this column.", "is_column_information_relevant": "Yes"}
-
-Example 2:
-Column information:
-Table name: customers
-Original column name: fax_number
-Data type: TEXT
-Description: customer fax number
-Question: What is the email address of the customer named Ava Smith?
-HINT: none
-Answer: {"chain_of_thought_reasoning": "The question asks for an email address and a name; a fax number does not help.", "is_column_information_relevant": "No"}
-
-Example 3:
-Column information:
-Table name: products
-Original column name: unit_price
-Data type: REAL
-Description: price per unit in USD
-Question: Name the cheapest product.
-HINT: cheapest refers to MIN(unit_price)
-Answer: {"chain_of_thought_reasoning": "Finding the cheapest product requires comparing unit prices.", "is_column_information_relevant": "Yes"}"""
-
-DEFAULT_FEWSHOTS = {
-    "extract_keywords": FEWSHOT_EXTRACT_KEYWORDS,
-    "filter_column": FEWSHOT_FILTER_COLUMN,
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from querycrew import executor
 from querycrew.executor import (
     EMPTY_RESULT,
     OK,
@@ -107,6 +108,26 @@ class TestExecute:
             timeout=0.01,
         )
         assert result.status == TIMEOUT
+
+    def test_sqlite_warning_is_a_runtime_error(self, finance_db, monkeypatch):
+        """Python 3.10's sqlite3 raises `sqlite3.Warning`, which is no
+        `sqlite3.Error`, for a query of two statements ("SELECT 1; SELECT 2")."""
+
+        class TwoStatements:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+            def execute(self, sql):
+                raise sqlite3.Warning("You can only execute one statement at a time.")
+
+        real = executor.connect_read_only
+        monkeypatch.setattr(executor, "connect_read_only", lambda db: TwoStatements(real(db)))
+        result = execute(finance_db, "SELECT 1; SELECT 2")
+        assert result.status == RUNTIME_ERROR
+        assert "one statement" in result.error_text
 
     def test_row_cap_truncates(self, tmp_path):
         db = tmp_path / "caps.sqlite"

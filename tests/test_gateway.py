@@ -43,7 +43,6 @@ from querycrew.templates import (
     TAGGED_ANSWER_BLOCK,
     TEMPLATES,
     VERDICT_LINES,
-    DEFAULT_FEWSHOTS,
     RenderError,
     render_template,
 )
@@ -54,7 +53,6 @@ class TestRenderTemplate:
         prompt = render_template(
             "extract_keywords",
             {
-                "FEWSHOT_EXAMPLES": DEFAULT_FEWSHOTS["extract_keywords"],
                 "QUESTION": "What is the fastest lap time for Lewis Hamilton?",
                 "HINT": "fastest lap time refers to min(fastestLapTime)",
             },
@@ -102,13 +100,13 @@ class TestRenderTemplate:
 
     def test_every_template_placeholders_consistent(self):
         expected = {
-            "extract_keywords": {"FEWSHOT_EXAMPLES", "QUESTION", "HINT"},
-            "filter_column": {"FEWSHOT_EXAMPLES", "COLUMN_PROFILE", "QUESTION", "HINT"},
+            "extract_keywords": {"QUESTION", "HINT"},
+            "filter_column": {"COLUMN_PROFILE", "QUESTION", "HINT"},
             "select_tables": {"DATABASE_SCHEMA", "QUESTION", "HINT"},
             "select_columns": {"DATABASE_SCHEMA", "QUESTION", "HINT"},
             "generate_candidate": {"DATABASE_SCHEMA", "QUESTION", "HINT"},
             "revise": {
-                "DATABASE_SCHEMA", "MISSING_ENTITIES", "QUESTION", "EVIDENCE",
+                "DATABASE_SCHEMA", "MISSING_ENTITIES", "QUESTION", "HINT",
                 "SQL", "QUERY_RESULT",
             },
             "generate_unit_tests": {
@@ -638,9 +636,8 @@ class TestHttpBackend:
                 calls["n"] += 1
                 raise requests.ConnectionError("unreachable")
 
-        backend = HttpChatBackend(
-            "http://localhost:1", "m", backoff_s=0.0, session=FakeSession()
-        )
+        monkeypatch.setattr(time, "sleep", lambda _s: None)
+        backend = HttpChatBackend("http://localhost:1", "m", session=FakeSession())
         with pytest.raises(GatewayError) as exc:
             backend.complete("p", SamplingParams(), "t", "s")
         assert calls["n"] == 1 + gateway.RETRIES
@@ -751,9 +748,9 @@ class ScriptedSession:
 #          its retries, its first wait, a body it accepts)
 HTTP_CLIENTS = {
     "chat": (
-        lambda s: HttpChatBackend("http://x", "m", max_retries=2, backoff_s=0.25, session=s),
+        lambda s: HttpChatBackend("http://x", "m", session=s),
         lambda client: client.complete("p", SamplingParams(), "t", "s"),
-        "LLM_API_KEY", GatewayError, 2, 0.25,
+        "LLM_API_KEY", GatewayError, gateway.RETRIES, gateway.BACKOFF_S,
         {"choices": [{"message": {"content": "hi"}}]},
     ),
     "embeddings": (
@@ -906,18 +903,18 @@ class TestGatewayStructured:
                 "revise",
                 {
                     "DATABASE_SCHEMA": "s", "MISSING_ENTITIES": "", "QUESTION": "q",
-                    "EVIDENCE": "h", "SQL": "SELECT 1", "QUERY_RESULT": "r",
+                    "HINT": "h", "SQL": "SELECT 1", "QUERY_RESULT": "r",
                 },
                 SamplingParams(),
                 "k",
-                retry_on_parse_failure=False,
             )
         assert len(calls) == 1
 
     def test_parse_failure_frees_callers_locals(self):
         """The raised ParseError ties no frame into a reference cycle, so a
         caller's locals die with the caller even with the collector off."""
-        gw = Gateway.single(MockBackend(responses={("k", "select_tables"): ["junk"]}))
+        junk = {("k", "select_tables"): ["junk"], ("k#retry1", "select_tables"): ["junk"]}
+        gw = Gateway.single(MockBackend(responses=junk))
 
         class Buffer:
             pass
@@ -925,7 +922,7 @@ class TestGatewayStructured:
         def caller():
             buffer = Buffer()
             try:
-                gw.structured("select_tables", SELECT_BINDINGS, SamplingParams(), "k", False)
+                gw.structured("select_tables", SELECT_BINDINGS, SamplingParams(), "k")
             except ParseError:
                 pass
             return weakref.ref(buffer)
@@ -942,13 +939,9 @@ class TestGatewayStructured:
         gw = Gateway(backends={"filter_column": cheap, "default": strong})
         gw.structured(
             "filter_column",
-            {
-                "FEWSHOT_EXAMPLES": "f", "COLUMN_PROFILE": "c",
-                "QUESTION": "q", "HINT": "h",
-            },
+            {"COLUMN_PROFILE": "c", "QUESTION": "q", "HINT": "h"},
             SamplingParams(),
             "k",
-            retry_on_parse_failure=False,
         )
         assert cheap.calls == 1
         assert strong.calls == 0
@@ -964,6 +957,23 @@ def _reask_prompts(template_id: str, log_path: Path) -> tuple[str, str]:
     first, reask = (json.loads(line)["prompt"] for line in _read(log_path).splitlines())
     assert reask.startswith(first)
     return first, reask
+
+
+# the tools whose parse failure costs only its own answer: a column vote, one
+# candidate sample, one revision
+NOT_REASKED = {"filter_column", "generate_candidate", "revise"}
+
+
+@pytest.mark.parametrize("template_id", sorted(TEMPLATES))
+def test_template_table_decides_the_reask(template_id, calls):
+    """A junk first answer is asked again under `#retry1` iff the template re-asks."""
+    junk = {("k", template_id): ["junk"], ("k#retry1", template_id): ["junk"]}
+    bindings = {name: "x" for name in TEMPLATES[template_id].placeholders()}
+    gw = Gateway.single(MockBackend(responses=junk))
+    (answer,) = gw.structured_many(template_id, [("k", bindings)], SamplingParams())
+    assert isinstance(answer, ParseError)
+    expected = ["k"] if template_id in NOT_REASKED else ["k", "k#retry1"]
+    assert [r.scenario_key for r in calls] == expected
 
 
 class TestReaskInstruction:
@@ -1067,6 +1077,11 @@ def test_request_response_jsonl_log(tmp_path):
 
 
 SELECT_BINDINGS = {"DATABASE_SCHEMA": "s", "QUESTION": "q", "HINT": "h"}
+# a template that re-asks a parse failure and one that does not, with their bindings
+BINDINGS = {
+    "select_tables": SELECT_BINDINGS,
+    "revise": {**SELECT_BINDINGS, "MISSING_ENTITIES": "", "SQL": "SELECT 1", "QUERY_RESULT": "r"},
+}
 
 # what the backend does for one request: its first answer, then its re-ask;
 # None is no scripted response, which the mock raises as a GatewayError
@@ -1079,12 +1094,12 @@ OUTCOMES = {
 }
 
 
-def _scripted(outcomes: list[str]) -> MockBackend:
+def _scripted(outcomes: list[str], template_id: str = "select_tables") -> MockBackend:
     responses = {}
     for i, outcome in enumerate(outcomes):
         for key, text in zip((f"k{i}", f"k{i}#retry1"), OUTCOMES[outcome]):
             if text is not None:
-                responses[(key, "select_tables")] = [text]
+                responses[(key, template_id)] = [text]
     return MockBackend(responses=responses)
 
 
@@ -1110,20 +1125,21 @@ class TestStructuredMany:
     @settings(max_examples=150, deadline=None)
     @given(
         outcomes=st.lists(st.sampled_from(sorted(OUTCOMES)), max_size=12),
-        retry=st.booleans(),
+        template_id=st.sampled_from(sorted(BINDINGS)),
     )
-    def test_batch_matches_one_by_one(self, outcomes, retry):
+    def test_batch_matches_one_by_one(self, outcomes, template_id):
         keys = [f"k{i}" for i in range(len(outcomes))]
+        bindings = BINDINGS[template_id]
         with tempfile.TemporaryDirectory() as tmp:
-            one_by_one = Gateway.single(_scripted(outcomes), log_path=Path(tmp) / "a.jsonl")
+            one_by_one = Gateway.single(
+                _scripted(outcomes, template_id), log_path=Path(tmp) / "a.jsonl"
+            )
             expected, expected_error = [], None
             with ledger() as one_by_one_calls:
                 for key in keys:
                     try:
                         expected.append(
-                            one_by_one.structured(
-                                "select_tables", SELECT_BINDINGS, SamplingParams(), key, retry
-                            )
+                            one_by_one.structured(template_id, bindings, SamplingParams(), key)
                         )
                     except ParseError as exc:
                         expected.append(_answer(exc))
@@ -1131,12 +1147,13 @@ class TestStructuredMany:
                         expected_error = str(exc)
                         break
 
-            batch = Gateway.single(_scripted(outcomes), log_path=Path(tmp) / "b.jsonl")
+            batch = Gateway.single(
+                _scripted(outcomes, template_id), log_path=Path(tmp) / "b.jsonl"
+            )
             with ledger() as batch_calls:
                 try:
                     answers = list(batch.structured_many(
-                        "select_tables", [(key, SELECT_BINDINGS) for key in keys],
-                        SamplingParams(), retry,
+                        template_id, [(key, bindings) for key in keys], SamplingParams()
                     ))
                 except GatewayError as exc:
                     assert str(exc) == expected_error
@@ -1233,7 +1250,7 @@ class TestStructuredManyWindows:
         gw = Gateway.single(_scripted(["bad_then_bad", "ok"]))
         answers = list(gw.structured_many(
             "select_tables", [("k0", SELECT_BINDINGS), ("k1", SELECT_BINDINGS)],
-            SamplingParams(), False,
+            SamplingParams(),
         ))
         assert isinstance(answers[0], ParseError)
         assert answers[0].__traceback__ is None

@@ -59,8 +59,7 @@ from querycrew.pipeline import (
     run,
     score_and_select,
 )
-from querycrew.templates import DEFAULT_FEWSHOTS
-from querycrew.value_index import IndexConfig, _indexed_columns
+from querycrew.value_index import IndexConfig, _indexed_columns, retrieve_entities
 
 
 def executed(sql: str, rows, index: int = 0) -> CandidateQuery:
@@ -358,6 +357,38 @@ class TestRunFunnel:
         assert trace.completion_tokens == sum(
             r["completion_tokens"] for r in trace.records
         )
+
+
+class TestEntityRetrievalWithoutDescriptions:
+    def test_cosine_stage_applies(self, motorsport_artifacts, monkeypatch):
+        """A database with no description CSVs has an empty context store, and
+        entity retrieval still runs the cosine filter with its embedder: the
+        LSH candidate "british" scores under the threshold for 'Great Britain'."""
+        assert len(motorsport_artifacts.context_store) == 0
+        found = []
+
+        def recording(*args, **kwargs):
+            found.append(retrieve_entities(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(pipeline, "retrieve_entities", recording)
+        config = PipelineConfig(
+            team="IR_CG_UT", n_candidates=1, n_unit_tests=0,
+            disabled_tools=frozenset({"retrieve_context"}),
+        )
+        qid = "ir_0001"
+        gw = Gateway.single(MockBackend(responses={
+            (f"{qid}+extract_keywords+0", "extract_keywords"): [
+                keyword_response(["Great Britain"])
+            ],
+            (f"{qid}+generate_candidate+0", "generate_candidate"): [
+                candidate_response("SELECT COUNT(*) FROM drivers")
+            ],
+        }))
+        run("q", "", motorsport_artifacts, config, gw, qid=qid)
+        index = motorsport_artifacts.value_index
+        assert [m.value for m in retrieve_entities(index, ["Great Britain"])] == ["british"]
+        assert found == [[]]
 
 
 class TestRunUnitTesterTeam:
@@ -1456,7 +1487,6 @@ def _filter_one_by_one(catalog, sub, gw, qid):
             if column in catalog.linking_columns(table):
                 continue
             bindings = {
-                "FEWSHOT_EXAMPLES": DEFAULT_FEWSHOTS["filter_column"],
                 "COLUMN_PROFILE": build_column_profile(catalog, table, column, RetrievedContext()),
                 "QUESTION": FUNNEL_QUESTION,
                 "HINT": FUNNEL_HINT,
@@ -1464,7 +1494,7 @@ def _filter_one_by_one(catalog, sub, gw, qid):
             try:
                 payload = gw.structured(
                     "filter_column", bindings, SamplingParams(temperature=0.0),
-                    f"{qid}+filter_column+{table}.{column}", retry_on_parse_failure=False,
+                    f"{qid}+filter_column+{table}.{column}",
                 )
             except ParseError:
                 logging.getLogger("querycrew.agents").warning(
