@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .catalog import SchemaCatalog, SubSchema, project, render_schema_prompt
+from .catalog import SchemaCatalog, SubSchema, render_schema_prompt
 from .context_store import DescriptionHit
 from .executor import ExecutionResult, FaultReport
 from .gateway import Gateway, ParseError, SamplingParams
@@ -205,11 +205,11 @@ def select_tables(env: RunEnv) -> list[str]:
 
 
 def select_columns(env: RunEnv) -> dict[str, list[str]]:
-    """Columns needed for the query, re-projected so PK/FK retention holds.
+    """The model's table->columns request for the query, before projection.
 
-    The model's table->columns map is intersected with `env.sub`; unknown
-    names are dropped with a warning and a parse failure returns the
-    sub-schema unchanged.
+    The map is intersected with `env.sub`; unknown names are dropped with a
+    warning and a parse failure returns the sub-schema unchanged. Projecting
+    the request re-adds its linking columns.
     """
     sub = env.sub
     try:
@@ -243,8 +243,7 @@ def select_columns(env: RunEnv) -> dict[str, list[str]]:
     if not requested:
         logger.warning("select_columns selected nothing that exists; keeping sub-schema")
         return sub.as_requested()
-    reprojected = project(sub.parent, requested)
-    return reprojected.as_requested()
+    return requested
 
 
 def generate_candidate(env: RunEnv, params: SamplingParams) -> list[CandidateQuery]:

@@ -7,7 +7,7 @@ case-insensitive name resolution that all callers share. Its structural lists
 (`tables`, each table's `columns` and `primary_key`, `fk_edges`) must not be
 mutated afterwards; column attributes such as the descriptions may change.
 SubSchema objects are lightweight views onto it. Foreign-key and primary-key
-columns ("linking columns") are never dropped by projection because joins
+columns ("linking columns") are never missing from a SubSchema because joins
 and counts need them even when they are semantically unrelated to a
 question.
 """
@@ -206,34 +206,40 @@ def load_catalog(path: str | Path) -> SchemaCatalog:
 
 @dataclass
 class SubSchema:
-    """An ordered table -> columns selection over a parent catalog.
+    """An ordered table -> columns selection over a parent catalog, closed
+    over its linking columns when it is built.
 
-    Invariant: every selected table carries all of its PK columns, and both
-    endpoint columns of any FK edge joining two selected tables are present.
+    Construction takes any table -> columns request as `selection` and keeps,
+    beyond it, every PK column of each requested table and both endpoint
+    columns of any FK edge joining two requested tables. Tables and columns
+    follow catalog order. An unknown table or column raises ProjectionError.
     """
 
     selection: dict[str, list[str]]
     parent: SchemaCatalog
 
     def __post_init__(self) -> None:
-        have: dict[str, set[str]] = {}
+        catalog = self.parent
+        wanted: dict[str, set[str]] = {}
         for table, cols in self.selection.items():
+            try:
+                primary_key = catalog.table(table).primary_key
+            except KeyError:
+                raise ProjectionError(f"unknown table {table!r}") from None
             for col in cols:
-                if not self.parent.has_column(table, col):
+                if not catalog.has_column(table, col):
                     raise ProjectionError(f"unknown column {table}.{col}")
-            have[table] = set(cols)
-            missing = set(self.parent.table(table).primary_key) - have[table]
-            if missing:
-                raise ProjectionError(
-                    f"sub-schema for {table!r} is missing primary key columns {sorted(missing)}"
-                )
-        for table in have:
-            for edge in self.parent.edges_from(table):
-                for end_table, end_column in edge.as_pair():
-                    if edge.dst_table in have and end_column not in have[end_table]:
-                        raise ProjectionError(
-                            f"sub-schema missing fk column {end_table}.{end_column}"
-                        )
+            wanted[table] = set(cols) | set(primary_key)
+        for table in wanted:
+            for edge in catalog.edges_from(table):
+                if edge.dst_table in wanted:
+                    wanted[table].add(edge.src_column)
+                    wanted[edge.dst_table].add(edge.dst_column)
+        self.selection = {
+            tinfo.name: [c for c in tinfo.column_names() if c in wanted[tinfo.name]]
+            for tinfo in catalog.tables
+            if tinfo.name in wanted
+        }
 
     def table_names(self) -> list[str]:
         return list(self.selection)
@@ -380,34 +386,10 @@ def _ingest_descriptions(catalog: SchemaCatalog, description_dir, copy: bool) ->
 def project(
     catalog: SchemaCatalog, requested: Mapping[str, Sequence[str]]
 ) -> SubSchema:
-    """Project a table -> columns request onto the catalog.
-
-    The result always contains, beyond what was requested, the PK columns of
-    every requested table and both sides of any FK edge whose endpoint tables
-    are both requested. Unknown names raise ProjectionError.
-    """
-    wanted: dict[str, set[str]] = {}
-    for table, cols in requested.items():
-        try:
-            primary_key = catalog.table(table).primary_key
-        except KeyError:
-            raise ProjectionError(f"unknown table {table!r}") from None
-        for col in cols:
-            if not catalog.has_column(table, col):
-                raise ProjectionError(f"unknown column {table}.{col}")
-        wanted[table] = set(cols) | set(primary_key)
-    for table in wanted:
-        for edge in catalog.edges_from(table):
-            if edge.dst_table in wanted:
-                wanted[table].add(edge.src_column)
-                wanted[edge.dst_table].add(edge.dst_column)
-
-    selection: dict[str, list[str]] = {}
-    for tinfo in catalog.tables:
-        if tinfo.name in wanted:
-            chosen = wanted[tinfo.name]
-            selection[tinfo.name] = [c for c in tinfo.column_names() if c in chosen]
-    return SubSchema(selection=selection, parent=catalog)
+    """The sub-schema of a table -> columns request, closed as SubSchema
+    describes: PK columns and both ends of FK edges between requested tables
+    are added, and unknown names raise ProjectionError."""
+    return SubSchema(requested, catalog)
 
 
 def full_projection(catalog: SchemaCatalog) -> SubSchema:

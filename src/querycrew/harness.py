@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import executor, pipeline
-from .catalog import FkEdge, SchemaCatalog, SubSchema, TableInfo, project
+from .catalog import FkEdge, SchemaCatalog, SubSchema, TableInfo
 from .gateway import Gateway, ledger, tally
 from .pipeline import DbArtifacts, PipelineConfig, RunTrace, StageRecord
 from .sql_items import extract_sql_items
@@ -72,7 +72,9 @@ def load_dataset(path: str | Path, fmt: str = "bird") -> list[BenchmarkItem]:
     The bird format carries question/evidence/SQL/db_id/difficulty; the
     spider format maps query->gold_sql with empty evidence (spider databases
     ship no catalog descriptions, so context retrieval should be disabled
-    for those runs). A row without `db_id` or `question` raises DatasetError.
+    for those runs). A row without `db_id` or `question`, or whose question
+    id is not a plain file name (each names its trace file), raises
+    DatasetError.
     """
     if fmt not in _FIELDS:
         raise ValueError(f"unknown dataset format {fmt!r}")
@@ -81,9 +83,14 @@ def load_dataset(path: str | Path, fmt: str = "bird") -> list[BenchmarkItem]:
     for i, row in enumerate(json.loads(Path(path).read_text(encoding="utf-8"))):
         if not isinstance(row, dict) or not {"db_id", "question"} <= row.keys():
             raise DatasetError(f"row {i} of {path} is not an object with db_id and question")
+        question_id = str(row.get("question_id", i))
+        if question_id in ("", ".", "..") or any(ch in question_id for ch in "/\\\0"):
+            raise DatasetError(
+                f"row {i} of {path} has question_id {question_id!r}, not a plain file name"
+            )
         items.append(
             BenchmarkItem(
-                question_id=str(row.get("question_id", i)),
+                question_id=question_id,
                 db_id=row["db_id"],
                 question=row["question"],
                 evidence=row.get(evidence_key, "") or "",
@@ -214,7 +221,7 @@ def synthesize_large_schema(
     """Merge catalogs into one schema with exactly target_columns columns.
 
     Table names are prefixed with their source db id to avoid collisions.
-    The required sub-schema (plus its PK/FK closure) is always retained;
+    The required sub-schema, closed over its PK/FK columns, is always retained;
     remaining columns are drawn deterministically under the seed. FK edges
     and PK markers survive only where both endpoints survive.
     """
@@ -227,8 +234,7 @@ def synthesize_large_schema(
     required_cols: set[tuple[str, str, str]] = set()  # (db_id, table, column)
     if required is not None:
         source = required.parent
-        closure = project(source, required.as_requested())
-        for table, cols in closure.selection.items():
+        for table, cols in required.selection.items():
             for col in cols:
                 required_cols.add((source.db_id, table, col))
     if len(required_cols) > target_columns:
@@ -536,11 +542,12 @@ def _assemble_report(
             ex_by_diff[diff] = sum(o.ex for o in rows) / len(rows)
     pass_at: dict[str, float] = {}
     lists = [o.candidate_ex for o in outcomes if o.candidate_ex]
-    if lists and len(lists) == n:
+    if lists:
         min_len = min(len(lst) for lst in lists)
+        # a failed item has no candidates: it is a miss at every k
+        lists += [[0] * min_len] * (n - len(lists))
         for k in (1, min_len):
-            if 1 <= k <= min_len:
-                pass_at[f"pass@{k}"] = pass_at_k(lists, k)
+            pass_at[f"pass@{k}"] = pass_at_k(lists, k)
     mean_prs = {
         stage: {f.name: sum(getattr(p, f.name) for p in prs) / len(prs) for f in fields(SchemaPR)}
         for stage, prs in stage_prs.items()

@@ -172,8 +172,16 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "index" in payload:
+            unknown = set(payload["index"]) - {f.name for f in fields(IndexConfig)}
+            if unknown:
+                raise ValueError(f"unknown index config keys: {sorted(unknown)}")
             payload["index"] = IndexConfig(**payload["index"])
         if "disabled_tools" in payload:
+            if isinstance(payload["disabled_tools"], str):
+                raise ValueError(
+                    "disabled_tools must be a list of tool names, "
+                    f"not the string {payload['disabled_tools']!r}"
+                )
             payload["disabled_tools"] = frozenset(payload["disabled_tools"])
         return cls(**payload)
 
@@ -186,7 +194,14 @@ class PipelineConfig:
 
 
 def _given(spec: dict, *keys: str) -> dict:
-    """The keys a spec sets, so an unset one keeps its constructor default."""
+    """The keys a spec sets, so an unset one keeps its constructor default.
+
+    `keys` are all that the spec's kind reads; any other key but "kind"
+    raises ValueError, as an unknown top-level config key does.
+    """
+    unknown = set(spec) - {"kind", *keys}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in spec {spec!r}")
     return {key: spec[key] for key in keys if key in spec}
 
 
@@ -196,11 +211,8 @@ def build_embedder(config: PipelineConfig):
     if kind in ("local", "deterministic-local"):
         return HashingEmbedder(**_given(spec, "dimension"))
     if kind == "remote":
-        return RemoteEmbedder(
-            base_url=spec["base_url"],
-            model=spec.get("model", "text-embedding-3-small"),
-            **_given(spec, "dimension", "api_key_env"),
-        )
+        given = _given(spec, "base_url", "model", "dimension", "api_key_env")
+        return RemoteEmbedder(**{"model": "text-embedding-3-small", **given})
     raise ValueError(f"unknown embedder kind {kind!r}")
 
 
@@ -213,16 +225,10 @@ def build_gateway(config: PipelineConfig, mock_dir: str | Path | None = None) ->
     for name, spec in models.items():
         kind = spec.get("kind", "http")
         if kind == "mock":
-            backends[name] = MockBackend(
-                fixture_dir=spec.get("fixture_dir"),
-                responses=spec.get("responses"),
-            )
+            backends[name] = MockBackend(**_given(spec, "fixture_dir", "responses"))
         elif kind == "http":
-            backends[name] = HttpChatBackend(
-                base_url=spec["base_url"],
-                model=spec.get("model", "gpt-4o-mini"),
-                **_given(spec, "api_key_env"),
-            )
+            given = _given(spec, "base_url", "model", "api_key_env")
+            backends[name] = HttpChatBackend(**{"model": "gpt-4o-mini", **given})
         else:
             raise ValueError(f"unknown backend kind {kind!r}")
     return Gateway(backends=backends)

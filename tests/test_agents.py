@@ -201,7 +201,8 @@ class TestSelectColumns:
             }
         )
         out = select_columns(_env(gw, sub))
-        assert out == {
+        assert out == {"drivers": ["forename"], "results": ["fastestLapTime"]}
+        assert project(motorsport_catalog, out).selection == {
             "drivers": ["driverId", "forename"],
             "results": ["resultId", "driverId", "fastestLapTime"],
         }
@@ -210,7 +211,8 @@ class TestSelectColumns:
         sub = project(motorsport_catalog, {"drivers": ["forename"]})
         gw = gw_with({("k+select_columns+0", "select_columns"): ['{"drivers": []}']})
         out = select_columns(_env(gw, sub))
-        assert out == {"drivers": ["driverId"]}
+        assert out == {"drivers": []}
+        assert project(motorsport_catalog, out).selection == {"drivers": ["driverId"]}
 
     def test_unknown_columns_dropped_with_warning(self, motorsport_catalog, caplog):
         sub = project(motorsport_catalog, {"drivers": ["forename"]})
@@ -219,7 +221,8 @@ class TestSelectColumns:
         )
         with caplog.at_level(logging.WARNING):
             out = select_columns(_env(gw, sub))
-        assert out == {"drivers": ["driverId", "forename"]}
+        assert out == {"drivers": ["forename"]}
+        assert project(motorsport_catalog, out).selection == {"drivers": ["driverId", "forename"]}
         assert any("ghost_col" in r.message for r in caplog.records)
 
     def test_parse_failure_returns_sub_unchanged(self, motorsport_catalog):
@@ -238,7 +241,9 @@ class TestSelectColumns:
             {("k+select_columns+0", "select_columns"): ['{"ghost": ["a"], "drivers": []}']}
         )
         with caplog.at_level(logging.WARNING):
-            assert select_columns(_env(gw, sub)) == {"drivers": ["driverId"]}
+            out = select_columns(_env(gw, sub))
+        assert out == {"drivers": []}
+        assert project(motorsport_catalog, out).selection == {"drivers": ["driverId"]}
         assert "unknown table 'ghost'" in caplog.text
 
     def test_no_known_table_keeps_sub(self, motorsport_catalog, caplog):

@@ -145,16 +145,19 @@ def test_projection_closure_matches_scan_and_is_idempotent(data):
     assert list(sub.selection) == list(expected)
     assert project(catalog, sub.as_requested()).selection == sub.selection
 
-    # the sub-schema invariant: dropping a column the closure needs is refused
+    # building a SubSchema closes it too: a column the closure needs comes back
     nonempty = [t for t, cols in expected.items() if cols]
-    if not nonempty:
-        return
-    table = data.draw(st.sampled_from(nonempty))
-    dropped = data.draw(st.sampled_from(expected[table]))
-    smaller = {t: [c for c in cols if (t, c) != (table, dropped)] for t, cols in expected.items()}
-    needed = scan_closure(catalog, {t: [] for t in expected})[table]
-    if dropped in needed:
-        with pytest.raises(ProjectionError):
-            SubSchema(smaller, catalog)
-    else:
-        assert SubSchema(smaller, catalog).selection == smaller
+    if nonempty:
+        table = data.draw(st.sampled_from(nonempty))
+        dropped = data.draw(st.sampled_from(expected[table]))
+        smaller = {
+            t: [c for c in cols if (t, c) != (table, dropped)] for t, cols in expected.items()
+        }
+        assert SubSchema(smaller, catalog).selection == scan_closure(catalog, smaller)
+
+    # "ghost" cannot be drawn from NAMES' alphabet
+    for unknown in ({**requested, "ghost": []}, {**requested, "ghost": ["a"]},
+                    {**requested, chosen[0].name: ["ghost"]}):
+        for build in (lambda r: project(catalog, r), lambda r: SubSchema(r, catalog)):
+            with pytest.raises(ProjectionError):
+                build(unknown)

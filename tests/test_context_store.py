@@ -83,7 +83,9 @@ class TestHashingEmbedder:
         args = {"local": (), "remote": ("http://x", "m")}[kind]
         with pytest.raises(ValueError, match="dimension"):
             embedder(*args, dimension=dimension)
-        spec = {"kind": kind, "base_url": "http://x", "dimension": dimension}
+        spec = {"kind": kind, "dimension": dimension}
+        if kind == "remote":
+            spec["base_url"] = "http://x"
         config = PipelineConfig.from_dict({**PipelineConfig().to_dict(), "embedder": spec})
         with pytest.raises(ValueError, match="dimension"):
             build_embedder(config)

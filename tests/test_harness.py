@@ -76,6 +76,20 @@ class TestPassAtK:
         rates = [pass_at_k(lists, k) for k in range(1, 7)]
         assert rates == sorted(rates)
 
+    def test_failed_item_is_a_miss_in_the_report(self):
+        def outcome(qid, candidate_ex):
+            return harness.ItemOutcome(
+                question_id=qid, db_id="d", difficulty="simple", predicted_sql="", ex=0,
+                llm_calls=0, prompt_tokens=0, completion_tokens=0,
+                candidate_ex=candidate_ex, error="" if candidate_ex else "no database",
+            )
+
+        scored = [outcome("a", [1, 0, 0]), outcome("b", [0, 1, 0])]
+        report = harness._assemble_report(scored, {}, [], PipelineConfig())
+        assert report.pass_at == {"pass@1": 0.5, "pass@3": 1.0}
+        report = harness._assemble_report(scored + [outcome("c", [])], {}, [], PipelineConfig())
+        assert report.pass_at == {"pass@1": 1 / 3, "pass@3": 2 / 3}
+
 
 class TestGoldSchemaItems:
     def test_join_query(self, motorsport_catalog):
@@ -279,6 +293,17 @@ class TestLoadDataset:
         path.write_text(json.dumps([dict(row, db_id="d", question="q"), row]), encoding="utf-8")
         with pytest.raises(DatasetError, match=f"row 1 of {path}"):
             load_dataset(path, fmt)
+
+    @pytest.mark.parametrize("qid", ["", ".", "..", "../escaped", "/tmp/x", "a\\b", "a\0b"])
+    def test_question_id_that_is_not_a_file_name(self, tmp_path, qid):
+        """Each id names a trace file under the output directory."""
+        path = tmp_path / "rows.json"
+        rows = [{"db_id": "d", "question": "q", "question_id": ok} for ok in ("7", "q_1-2")]
+        path.write_text(json.dumps(rows + [dict(rows[0], question_id=qid)]), encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"row 2 of {path}.*not a plain file name"):
+            load_dataset(path, "bird")
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        assert [it.question_id for it in load_dataset(path, "bird")] == ["7", "q_1-2"]
 
 
 class TestResolveDbFile:

@@ -761,6 +761,22 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="n_candidate"):
             PipelineConfig.from_file(path)
 
+    @pytest.mark.parametrize("section, value, key", [
+        ("embedder", {"kind": "local", "dimenson": 64}, "dimenson"),
+        ("embedder", {"kind": "remote", "base_url": "http://e", "modle": "m"}, "modle"),
+        ("models", {"default": {"kind": "http", "base_url": "http://m", "modle": "m"}}, "modle"),
+        ("models", {"default": {"kind": "mock", "fixture": "fx"}}, "fixture"),
+        ("index", {"lsh_band": 4}, "lsh_band"),
+        ("disabled_tools", "revise", "disabled_tools"),
+    ])
+    def test_nested_keys_are_checked_like_top_level_ones(self, section, value, key):
+        """A misspelled nested key is an error naming it, not a silent default."""
+        payload = {**PipelineConfig().to_dict(), section: value}
+        with pytest.raises(ValueError, match=key):
+            config = PipelineConfig.from_dict(payload)
+            build_embedder(config)
+            build_gateway(config)
+
     def test_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99}', encoding="utf-8")
