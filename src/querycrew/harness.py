@@ -444,7 +444,7 @@ def run_benchmark(
             pred_fh.write(outcome.to_json_line() + "\n")
             outcomes.append(outcome)
 
-    report = _assemble_report(outcomes, stage_prs, flagged, config)
+    report = _assemble_report(outcomes, stage_prs, flagged)
     (out / "report.json").write_text(
         json.dumps(report.to_dict(), indent=1, ensure_ascii=False), encoding="utf-8"
     )
@@ -526,10 +526,7 @@ def _collect_stage_pr(
 
 
 def _assemble_report(
-    outcomes: list[ItemOutcome],
-    stage_prs: dict[str, list[SchemaPR]],
-    flagged: list[str],
-    config: PipelineConfig,
+    outcomes: list[ItemOutcome], stage_prs: dict[str, list[SchemaPR]], flagged: list[str]
 ) -> Report:
     n = len(outcomes)
     ex_overall = sum(o.ex for o in outcomes) / n if n else 0.0

@@ -85,9 +85,9 @@ class TestPassAtK:
             )
 
         scored = [outcome("a", [1, 0, 0]), outcome("b", [0, 1, 0])]
-        report = harness._assemble_report(scored, {}, [], PipelineConfig())
+        report = harness._assemble_report(scored, {}, [])
         assert report.pass_at == {"pass@1": 0.5, "pass@3": 1.0}
-        report = harness._assemble_report(scored + [outcome("c", [])], {}, [], PipelineConfig())
+        report = harness._assemble_report(scored + [outcome("c", [])], {}, [])
         assert report.pass_at == {"pass@1": 1 / 3, "pass@3": 2 / 3}
 
 

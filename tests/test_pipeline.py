@@ -846,6 +846,10 @@ def _unit_tests(value, catalog):
 INTEGER_SITES = {
     "PipelineConfig": (lambda v, _: PipelineConfig(n_candidates=v), "n_candidates", 1),
     "IndexConfig": (lambda v, _: IndexConfig(embed_top_k=v), "embed_top_k", 0),
+    "IndexConfig.permutation_seed": (
+        lambda v, _: PipelineConfig.from_dict({"index": {"permutation_seed": v}}),
+        "permutation_seed", 0,
+    ),
     "embedder": (lambda v, _: HashingEmbedder(dimension=v), "embedding dimension", 1),
     "SamplingParams": (lambda v, _: SamplingParams(n_samples=v), "n_samples", 1),
     "generate_unit_tests": (_unit_tests, "k", 1),
@@ -862,6 +866,15 @@ def test_every_integer_setting_is_checked_alike(site, motorsport_catalog):
         with pytest.raises(ValueError, match=re.escape(message)):
             build(value, motorsport_catalog)
     build(low, motorsport_catalog)
+
+
+@pytest.mark.parametrize("value", [None, "13", -5])
+def test_permutation_seed_that_would_alias_or_draw_entropy_is_refused(value):
+    """`random.Random` seeds from the OS on None and takes abs() of an int,
+    so either would load a cached index under salts it was not built with."""
+    message = f"permutation_seed must be >= 0 and an int, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig.from_dict({"index": {"permutation_seed": value}})
 
 
 class TestBuildBackends:

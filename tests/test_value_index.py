@@ -4,7 +4,9 @@ import json
 import random
 import sqlite3
 import string
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +19,7 @@ from querycrew import value_index
 from querycrew.catalog import SchemaCatalog, introspect_database
 from querycrew.context_store import HashingEmbedder
 from querycrew.pipeline import PipelineConfig
-from querycrew.textutils import ngram_hash, normalize_value
+from querycrew.textutils import gram_vocabulary, ngram_hash, normalize_value
 from querycrew.value_index import (
     EntityMatch,
     IndexConfig,
@@ -193,7 +195,8 @@ class TestGramVocabularySignatures:
         with mock.patch.object(value_index, "_GATHER_BUDGET", budget):
             got = value_index._signatures(values, cfg, salts)
             keys = value_index._band_keys(
-                value_index._signature_groups(values, cfg, salts), len(values), cfg
+                value_index._signature_groups(values, cfg, salts),
+                np.empty((cfg.lsh_bands, len(values)), dtype=np.uint64), cfg,
             )
         assert np.array_equal(got, expected)
         assert np.array_equal(keys, reference_band_keys(expected, cfg))
@@ -319,6 +322,27 @@ def _tables(draw):
     return tables
 
 
+def _write_tables(db: Path, tables) -> None:
+    """Table t{i} holds an integer key and columns c0, c1, ... of the given
+    declared types, filled with the given rows."""
+    conn = sqlite3.connect(db)
+    for t, (types, rows) in enumerate(tables):
+        columns = "".join(f", c{i} {kind}" for i, kind in enumerate(types))
+        conn.execute(f"CREATE TABLE t{t} (id INTEGER PRIMARY KEY{columns})")
+        marks = ", ?" * len(types)
+        conn.executemany(f"INSERT INTO t{t} VALUES (NULL{marks})", rows)
+    conn.commit()
+    conn.close()
+
+
+def _assert_build_equals(index, expected: dict) -> None:
+    assert index.values == expected["values"]
+    for name in ("loc_offsets", "loc_ids", "band_keys", "band_ids"):
+        got = getattr(index, name)
+        assert got.dtype == expected[name].dtype, name
+        assert np.array_equal(got, expected[name]), name
+
+
 class TestWholeBuild:
     @settings(max_examples=60, deadline=None)
     @given(tables=_tables(), max_len=st.integers(1, 12))
@@ -335,22 +359,57 @@ class TestWholeBuild:
         cfg = IndexConfig(max_value_length=max_len)
         with tempfile.TemporaryDirectory() as tmp:
             db = Path(tmp) / "cells.sqlite"
-            conn = sqlite3.connect(db)
-            for t, (types, rows) in enumerate(tables):
-                columns = "".join(f", c{i} {kind}" for i, kind in enumerate(types))
-                conn.execute(f"CREATE TABLE t{t} (id INTEGER PRIMARY KEY{columns})")
-                marks = ", ?" * len(types)
-                conn.executemany(f"INSERT INTO t{t} VALUES (NULL{marks})", rows)
-            conn.commit()
-            conn.close()
+            _write_tables(db, tables)
             catalog = introspect_database(db)
             index = build_value_index(catalog, db, cfg)
             expected = reference_build(catalog, db, cfg)
-        assert index.values == expected["values"]
-        for name in ("loc_offsets", "loc_ids", "band_keys", "band_ids"):
-            got = getattr(index, name)
-            assert got.dtype == expected[name].dtype, name
-            assert np.array_equal(got, expected[name]), name
+        _assert_build_equals(index, expected)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_meet_at_their_seams(self, tmp_path, block):
+        """29 values signed `block` at a time, the last block partial: each
+        block's keys land at its own values' offsets."""
+        names = [f"Word {i}" + "\u00e9\U0001F600"[: i % 3] for i in range(29)]
+        rows = [(name, names[i * 7 % 29].upper() if i % 2 else None)
+                for i, name in enumerate(names)]
+        db = tmp_path / "seams.sqlite"
+        _write_tables(db, [(["TEXT", "TEXT"], rows)])
+        catalog, cfg = introspect_database(db), IndexConfig()
+        with mock.patch.object(value_index, "_BUILD_BLOCK", block):
+            index = build_value_index(catalog, db, cfg)
+        assert len(index) == 29
+        _assert_build_equals(index, reference_build(catalog, db, cfg))
+
+    def test_build_peak_stays_near_its_result(self, tmp_path):
+        """The signature pass holds the result and one block's working set,
+        not the per-column value lists or the value-to-id map: those grow
+        with the corpus, so over 40 blocks they would exceed the bound."""
+        rng = random.Random(11)
+        alphabet = string.ascii_lowercase + " \u00e9"
+        words = sorted({"".join(rng.choices(alphabet, k=rng.randint(4, 24))).strip()
+                        for _ in range(12_000)} - {""})
+        db = tmp_path / "peak.sqlite"
+        _write_tables(db, [(["TEXT", "TEXT"], [(w, rng.choice(words)) for w in words])])
+        catalog, cfg, block = introspect_database(db), IndexConfig(), 256
+        with mock.patch.object(value_index, "_BUILD_BLOCK", block):
+            gram_vocabulary(words, cfg.ngram_size)  # fill the gram-hash memo outside the measurement
+            tracemalloc.start()
+            try:
+                index = build_value_index(catalog, db, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                keys = np.empty((cfg.lsh_bands, block), dtype=np.uint64)
+                groups = value_index._signature_groups(index.values[-block:], cfg, index._salts)
+                value_index._band_keys(groups, keys, cfg)
+                work = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+        arrays = (index.loc_offsets, index.loc_ids, index.band_keys, index.band_ids)
+        result = sum(a.nbytes for a in arrays) + sys.getsizeof(index.values) + sum(
+            map(sys.getsizeof, index.values))
+        assert len(index) > 40 * block
+        assert peak <= result + 2 * work, (peak - result) / work
 
 
 @pytest.fixture(scope="module")
