@@ -336,12 +336,12 @@ def complete(
 # when a batch of two or more requests first needs them.
 POOL_WIDTH = 8
 # How many requests of a batch `structured_many` reads, renders and sends at a
-# time, which bounds the requests and prompts a batch holds. On the bench's
-# 4,337-column schema (2,893 filter calls a question, 0.1 ms each; 2-core
-# Linux host) the median question took about 190, 180 and 170 ms with windows
-# of 64, 128 and 256, against 490 ms one call at a time; peak RSS rose 0.4%,
-# 0.5% and 1%, and one 256 run rose 11%. 128 keeps most of the gain at a
-# steady memory cost.
+# time. Two windows are out at once, so a batch holds at most 2 * WINDOW
+# requests and prompts. On the bench's 4,337-column schema (2,893 filter calls
+# a question, 0.1 ms each; 2-core Linux host) the median question took 113 ms
+# with one window out and 83 ms with two (10 alternating pairs; peak RSS
+# +0.3%). In a separate set of 3 runs each with two out, windows of 64, 128
+# and 256 took 87, 76 and 77 ms, and 256 raised peak RSS about 1%.
 WINDOW = 128
 _POOL = ThreadPoolExecutor(max_workers=POOL_WIDTH, thread_name_prefix="querycrew-backend")
 
@@ -659,14 +659,18 @@ class Gateway:
         request a `(scenario_key, bindings)` pair; the answers come back as
         an iterator, in request order.
 
-        `requests` is read WINDOW pairs at a time, so the batch never holds
-        more than one window's requests and prompts, and a generator of
-        requests is advanced only when its window is due. A window's prompts
-        are rendered on the calling thread and split into at most POOL_WIDTH
-        chunks of consecutive requests. Each chunk is one pool task, run in a
-        copy of the caller's context, whose worker makes the chunk's backend
-        calls one after another; a one-request window calls the backend
-        inline. Each answer is then recorded, logged and parsed on the
+        `requests` is read WINDOW pairs at a time, and two windows are out at
+        once: as soon as window n is sent, the calling thread reads, renders
+        and sends window n+1, and only then reads window n's answers. So a
+        generator of requests is read at most two windows ahead of the
+        answers, the batch holds at most two windows of requests and prompts,
+        and the pool works on one window while the calling thread renders the
+        next. A window is split into at most POOL_WIDTH chunks of consecutive
+        requests. Each chunk is one pool task, run in a copy of the caller's
+        context, whose worker makes the chunk's backend calls one after
+        another; the pool takes tasks in order, so a worker goes on to window
+        n+1 as it finishes window n. A one-request window calls the backend
+        inline at its turn. Each answer is recorded, logged and parsed on the
         calling thread at its turn, so the ledger, the log and whatever the
         caller does with an answer happen as if the requests had run one
         after another.
@@ -675,20 +679,54 @@ class Gateway:
         own request's turn, as in `structured`; an answer that does not parse
         in the end comes back as its ParseError. A chunk stops at its first
         backend error: the requests before that error are recorded and handed
-        out, the window's other chunks are waited for, and the error is raised
-        in place of its request's answer.
+        out, and the error is raised in place of its request's answer. An
+        error that reading or rendering a request raises is held and raised
+        at that request's turn, after the answers before it. However the
+        batch ends (exhausted, an error, or the caller closing it), chunks
+        not yet started are cancelled and the others waited for, so no call
+        of the batch is out once it has ended; calls past an error are not
+        recorded.
         """
         requests = iter(requests)
-        while True:
-            keys, prompts = [], []  # the last window's prompts go before the next is read
+        window = ahead = self._send_window(template_id, requests, params)
+        try:
+            while True:
+                keys, prompts, chunks, error = window
+                if not keys and error is None:
+                    return
+                if error is None:
+                    ahead = self._send_window(template_id, requests, params)
+                sents = _chunk_answers(chunks) if chunks else itertools.repeat(None)
+                for prompt, key, sent in zip(prompts, keys, sents):
+                    yield self._answer(template_id, prompt, params, key, sent)
+                if error is not None:
+                    raise error
+                window = ahead
+        finally:
+            out = window[2] + ahead[2]
+            window = ahead = error = None  # a raised error's traceback holds this frame
+            for chunk in out:
+                chunk.cancel()  # one not yet started never starts
+            wait(out)
+
+    def _send_window(
+        self,
+        template_id: str,
+        requests: Iterator[tuple[str, dict[str, object]]],
+        params: SamplingParams,
+    ) -> tuple[list[str], list[str], list[Future], Exception | None]:
+        """Read and render the next window of `requests` and, if it has two or
+        more, submit its chunks. Returns its keys, its prompts, its chunks
+        and the error that reading or rendering raised, if any, which stands
+        in for the request after the last prompt."""
+        keys, prompts, chunks, error = [], [], [], None
+        try:
             for key, bindings in itertools.islice(requests, WINDOW):
-                keys.append(key)
                 prompts.append(render_template(template_id, bindings))
-            if not prompts:
-                return
-            if len(prompts) == 1:
-                yield self._answer(template_id, prompts[0], params, keys[0], None)
-                continue
+                keys.append(key)
+        except Exception as exc:
+            error = exc
+        if len(prompts) > 1:
             backend = self.backend_for(template_id)
             width = min(len(prompts), POOL_WIDTH)
             bounds = [len(prompts) * i // width for i in range(width + 1)]
@@ -699,11 +737,10 @@ class Gateway:
                 )
                 for a, b in zip(bounds, bounds[1:])
             ]
-            try:
-                for prompt, key, sent in zip(prompts, keys, _chunk_answers(chunks)):
-                    yield self._answer(template_id, prompt, params, key, sent)
-            finally:
-                wait(chunks)
+        try:
+            return keys, prompts, chunks, error
+        finally:
+            del error  # its traceback holds this frame
 
     def structured(
         self,

@@ -360,10 +360,10 @@ def run_benchmark(
     Resumable: question ids already present in predictions.jsonl are loaded,
     not re-run, and their schema PRs read the catalog from the same
     per-database `ensure_artifacts` entry as fresh items; a torn last line
-    left by a killed sweep is dropped and its item runs again. Per-item failures are recorded as EX=0 with an error
-    note and never abort the sweep: a broken database, or a missing one (its
-    DatasetError text is the error), fails only its own items, and flags
-    their gold.
+    left by a killed sweep is dropped and its item runs again. Per-item
+    failures are recorded as EX=0 with an error note and never abort the
+    sweep: a broken database, or a missing one (its DatasetError text is the
+    error), fails only its own items, and flags their gold.
 
     EX is read from the cluster fingerprints of the pipeline's trace: a
     candidate scores 1 iff its cluster's digest equals the gold's. Each item,

@@ -20,13 +20,15 @@ Independent model calls go to the backend together (`Gateway.structured_many`):
 a question's column-filter votes form one batch, its candidate samples
 another, each revision wave another, and its unit-test verdicts one more.
 The gateway reads a batch 128 requests at a time and splits each window into
-at most `POOL_WIDTH` chunks of consecutive calls, one pool task each; the
-filter's column profiles are built as their window is read. Everything else,
-rendering, parsing and SQL execution included, runs on the calling thread,
-which is where the call records are appended. They keep the order of a
-one-by-one run with one exception: revisions are recorded wave by wave
-(every candidate's first revision, then every second revision, and so on),
-not candidate by candidate.
+at most `POOL_WIDTH` chunks of consecutive calls, one pool task each. It
+keeps two windows out: the calling thread reads and renders window n+1, and
+so builds the filter's column profiles of that window, while the pool calls
+the backend for window n. Everything else, rendering, parsing and SQL
+execution included, runs on the calling thread, which is where the call
+records are appended. They keep the order of a one-by-one run with one
+exception: revisions are recorded wave by wave (every candidate's first
+revision, then every second revision, and so on), not candidate by
+candidate.
 
 Each distinct SQL text runs once per question. A run keeps one dict from
 SQL text to `ExecutionResult`, and a candidate or revision whose exact text

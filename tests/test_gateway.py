@@ -1,3 +1,4 @@
+import contextlib
 import contextvars
 import gc
 import json
@@ -1121,13 +1122,43 @@ def _read(path: Path) -> str:
     return path.read_text(encoding="utf-8") if path.exists() else ""
 
 
+class Unreadable(Exception):
+    """What a request iterator of the tests below raises."""
+
+
+def _requests(keys, bindings, fault):
+    """`(key, bindings)` pairs of `keys`; a `fault` of `(i, "iterator")`
+    raises Unreadable in place of request i, and one of `(i, "binding")`
+    hands request i bindings that lack a placeholder."""
+    for i in range(len(keys) + 1):
+        if fault == (i, "iterator"):
+            raise Unreadable(f"request {i}")
+        if fault == (i, "binding"):
+            yield f"k{i}", {}
+        elif i < len(keys):
+            yield keys[i], bindings
+
+
+def _error(exc: Exception) -> tuple[str, str]:
+    return type(exc).__name__, str(exc)
+
+
 class TestStructuredMany:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         outcomes=st.lists(st.sampled_from(sorted(OUTCOMES)), max_size=12),
         template_id=st.sampled_from(sorted(BINDINGS)),
+        window=st.integers(1, 4),
+        data=st.data(),
     )
-    def test_batch_matches_one_by_one(self, outcomes, template_id):
+    def test_batch_matches_one_by_one(self, outcomes, template_id, window, data):
+        """Across window seams (WINDOW of 1 to 4, so a window is out behind
+        the one being read) and with the request iterator failing at a drawn
+        request, the batch hands out the answers, records, log lines and
+        error of a one-by-one run."""
+        fault = data.draw(st.none() | st.tuples(
+            st.integers(0, len(outcomes)), st.sampled_from(["iterator", "binding"])
+        ))
         keys = [f"k{i}" for i in range(len(outcomes))]
         bindings = BINDINGS[template_id]
         with tempfile.TemporaryDirectory() as tmp:
@@ -1136,30 +1167,32 @@ class TestStructuredMany:
             )
             expected, expected_error = [], None
             with ledger() as one_by_one_calls:
-                for key in keys:
-                    try:
-                        expected.append(
-                            one_by_one.structured(template_id, bindings, SamplingParams(), key)
-                        )
-                    except ParseError as exc:
-                        expected.append(_answer(exc))
-                    except GatewayError as exc:
-                        expected_error = str(exc)
-                        break
+                try:
+                    for key, request in _requests(keys, bindings, fault):
+                        try:
+                            expected.append(
+                                one_by_one.structured(template_id, request, SamplingParams(), key)
+                            )
+                        except ParseError as exc:
+                            expected.append(_answer(exc))
+                except (GatewayError, RenderError, Unreadable) as exc:
+                    expected_error = _error(exc)
 
             batch = Gateway.single(
                 _scripted(outcomes, template_id), log_path=Path(tmp) / "b.jsonl"
             )
-            with ledger() as batch_calls:
+            answers, error = [], None
+            with ledger() as batch_calls, pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gateway, "WINDOW", window)
                 try:
-                    answers = list(batch.structured_many(
-                        template_id, [(key, bindings) for key in keys], SamplingParams()
-                    ))
-                except GatewayError as exc:
-                    assert str(exc) == expected_error
-                else:
-                    assert expected_error is None
-                    assert [_answer(a) for a in answers] == expected
+                    for answer in batch.structured_many(
+                        template_id, _requests(keys, bindings, fault), SamplingParams()
+                    ):
+                        answers.append(_answer(answer))
+                except (GatewayError, RenderError, Unreadable) as exc:
+                    error = _error(exc)
+            assert answers == expected
+            assert error == expected_error
             assert _records(batch_calls) == _records(one_by_one_calls)
             assert _read(Path(tmp) / "b.jsonl") == _read(Path(tmp) / "a.jsonl")
 
@@ -1187,8 +1220,8 @@ class TestStructuredMany:
 
 class TestStructuredManyWindows:
     def test_requests_are_read_a_window_at_a_time(self, calls):
-        """A generator of requests is advanced one window ahead of the
-        answers: the first answer comes after exactly WINDOW pulls."""
+        """A generator of requests is advanced at most two windows ahead of
+        the answers: the first answer comes after 2 * WINDOW pulls."""
         n = 2 * WINDOW + 5
         backend = MockBackend(
             responses={(f"k{i}", "select_tables"): [f'{{"i": {i}}}'] for i in range(n)}
@@ -1205,8 +1238,8 @@ class TestStructuredManyWindows:
         )
         assert pulled == []
         assert next(answers) == {"i": 0}
-        assert len(pulled) == WINDOW
-        assert backend.calls <= WINDOW  # no call of the next window is out
+        assert len(pulled) == 2 * WINDOW
+        assert backend.calls <= 2 * WINDOW  # no call of a third window is out
         assert list(answers) == [{"i": i} for i in range(1, n)]
         assert len(pulled) == n
         assert [r.scenario_key for r in calls] == [f"k{i}" for i in range(n)]
@@ -1254,3 +1287,142 @@ class TestStructuredManyWindows:
         ))
         assert isinstance(answers[0], ParseError)
         assert answers[0].__traceback__ is None
+
+    @pytest.mark.parametrize("fault", ["iterator", "binding"])
+    def test_held_error_frees_callers_locals(self, monkeypatch, fault):
+        """An error held from the read-ahead window ties no frame into a
+        reference cycle once it is raised, so a caller's locals die with the
+        caller even with the collector off."""
+        monkeypatch.setattr(gateway, "WINDOW", 2)
+        keys = ["k0", "k1", "k2"]
+        gw = Gateway.single(MockBackend(
+            responses={(key, "select_tables"): ['{"ok": 1}'] for key in keys}
+        ))
+
+        class Buffer:
+            pass
+
+        def caller():
+            buffer = Buffer()
+            try:
+                list(gw.structured_many(
+                    "select_tables", _requests(keys, SELECT_BINDINGS, (3, fault)),
+                    SamplingParams(),
+                ))
+            except (Unreadable, RenderError):
+                pass
+            return weakref.ref(buffer)
+
+        gc.disable()
+        try:
+            assert caller()() is None
+        finally:
+            gc.enable()
+
+
+class GatedBackend:
+    """Counts the calls started and the calls out. A call whose key is in
+    `held` waits for `gate`; the call keyed `failing` waits until every held
+    call has started and then raises a GatewayError."""
+
+    backend_id = "gated"
+
+    def __init__(self, held, failing=None):
+        self.held, self.failing = set(held), failing
+        self.gate, self.held_out = threading.Event(), threading.Event()
+        self.lock = threading.Lock()
+        self.started = self.in_flight = self.held_started = 0
+
+    def complete(self, prompt, params, template_id, scenario_key):
+        with self.lock:
+            self.started += 1
+            self.in_flight += 1
+            self.held_started += scenario_key in self.held
+            if self.held_started == len(self.held):
+                self.held_out.set()
+        try:
+            if scenario_key in self.held:
+                assert self.gate.wait(5)
+            if scenario_key == self.failing:
+                assert self.held_out.wait(5)
+                raise GatewayError("backend down")
+            return [Completion('{"ok": 1}', 1, 1, self.backend_id)]
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class TestStructuredManyEnds:
+    """However a batch ends, no call of it is out and none starts later,
+    the read-ahead window's included. Windows of 4 requests, one request a
+    chunk; the held calls wait for a gate that opens 0.2 s after the batch
+    is told to end."""
+
+    KEYS = [f"k{i}" for i in range(12)]
+
+    @pytest.fixture(autouse=True)
+    def small_windows(self, monkeypatch):
+        monkeypatch.setattr(gateway, "WINDOW", 4)
+
+    @staticmethod
+    def _batch(backend, keys=KEYS):
+        return Gateway.single(backend).structured_many(
+            "select_tables", [(key, SELECT_BINDINGS) for key in keys], SamplingParams()
+        )
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _ending(backend):
+        """Opens the gate 0.2 s after the block starts; once the block has
+        ended the batch, no call is out and none starts later."""
+        timer = threading.Timer(0.2, backend.gate.set)
+        timer.start()
+        yield
+        assert backend.in_flight == 0
+        timer.join(5)
+        assert not timer.is_alive()
+        started = backend.started
+        time.sleep(0.05)
+        assert backend.started == started
+        assert backend.in_flight == 0
+
+    def test_exhausted(self, calls):
+        backend = GatedBackend(held=self.KEYS[4:8])
+        with self._ending(backend):
+            assert list(self._batch(backend)) == [{"ok": 1}] * 12
+        assert backend.started == 12
+        assert [r.scenario_key for r in calls] == self.KEYS
+
+    def test_backend_error_with_the_next_window_out(self, calls):
+        backend = GatedBackend(held=self.KEYS[4:8], failing="k1")
+        answers = self._batch(backend)
+        assert next(answers) == {"ok": 1}
+        with self._ending(backend), pytest.raises(GatewayError, match="backend down"):
+            next(answers)
+        assert backend.started == 8  # the third window is never read
+        assert [r.scenario_key for r in calls] == ["k0"]
+
+    def test_closed_mid_window(self, calls):
+        backend = GatedBackend(held=self.KEYS[4:8])
+        answers = self._batch(backend)
+        assert next(answers) == {"ok": 1}
+        assert backend.held_out.wait(5)
+        with self._ending(backend):
+            answers.close()
+        assert backend.started == 8
+        assert [r.scenario_key for r in calls] == ["k0"]
+
+    def test_queued_chunks_never_start(self, calls, monkeypatch):
+        """With windows of POOL_WIDTH requests, the first window fills the
+        pool and the read-ahead window waits in its queue; a batch closed
+        then cancels what has not started."""
+        monkeypatch.setattr(gateway, "WINDOW", POOL_WIDTH)
+        keys = [f"k{i}" for i in range(2 * POOL_WIDTH)]
+        backend = GatedBackend(held=keys[1:POOL_WIDTH + 1])
+        answers = self._batch(backend, keys)
+        assert next(answers) == {"ok": 1}
+        assert backend.held_out.wait(5)  # k0's worker took k8; the rest of window 2 is queued
+        with self._ending(backend):
+            answers.close()
+        assert backend.started == POOL_WIDTH + 1
+        assert [r.scenario_key for r in calls] == ["k0"]

@@ -1449,7 +1449,8 @@ class TestFilterFanOut:
 
     def test_profiles_are_built_a_window_ahead_of_the_calls(self, wide_catalog, monkeypatch):
         """The stage sends its columns as one batch, and a column's profile is
-        built only when the gateway reads its window."""
+        built only when the gateway reads its window: a call of window k runs
+        after window k is read and before window k + 2 is."""
         built = []
 
         def counting_profile(*args):
@@ -1460,10 +1461,10 @@ class TestFilterFanOut:
             backend_id = "sees-profiles"
 
             def __init__(self):
-                self.seen = []
+                self.seen = {}
 
             def complete(self, prompt, params, template_id, scenario_key):
-                self.seen.append(len(built))
+                self.seen[scenario_key] = len(built)
                 return [Completion('{"is_column_information_relevant": "No"}', 1, 1, "x")]
 
         monkeypatch.setattr(agents, "build_column_profile", counting_profile)
@@ -1474,7 +1475,11 @@ class TestFilterFanOut:
         n = len(_non_linking(wide_catalog, sub))
         assert n > 2 * WINDOW
         assert built == _non_linking(wide_catalog, sub)
-        assert backend.seen == [WINDOW] * WINDOW + [2 * WINDOW] * WINDOW + [n] * (n - 2 * WINDOW)
+        assert len(backend.seen) == n
+        for i, (t, c) in enumerate(built):
+            k = i // WINDOW
+            seen = backend.seen[f"w+filter_column+{t}.{c}"]
+            assert min(n, (k + 1) * WINDOW) <= seen <= min(n, (k + 2) * WINDOW)
 
 
 WIDE_TABLES, WIDE_COLUMNS = 3, 100
