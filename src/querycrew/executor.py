@@ -6,14 +6,24 @@ Execution never mutates the database: connections are opened in read-only
 mode (`connect_read_only`) and an authorizer rejects anything that is not a
 read. Faults are reported as statuses, never raised past this module's
 boundary.
+
+Each thread keeps one connection per database file it executes on, so a
+statement does not re-open the file, re-parse its schema and start from an
+empty page cache. A connection is kept under the path as given and is
+re-opened once the file at that path is another or has changed (its device,
+inode, mtime or size). A call installs its own authorizer and deadline and
+closes its cursor on every path, so no read transaction outlives it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import sqlite3
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,6 +50,11 @@ _ALLOWED_ACTIONS = {
 }
 # PRAGMA optimize may run ANALYZE, so its table-valued form is no plain read
 _WRITING_PRAGMAS = {"optimize"}
+
+# database files a thread keeps a connection to; past this, the connection
+# used longest ago is closed
+KEPT_CONNECTIONS = 8
+_THREAD = threading.local()
 
 
 @dataclass
@@ -75,6 +90,33 @@ def connect_read_only(db_file: str | Path) -> sqlite3.Connection:
     return sqlite3.connect(Path(db_file).resolve().as_uri() + "?mode=ro", uri=True)
 
 
+def _kept_connection(db_file: str | Path) -> sqlite3.Connection:
+    """This thread's connection to `db_file`, opened by `connect_read_only`
+    when the thread keeps none for the path or the file's `os.stat` stamp
+    has changed. A path that cannot be stat'ed is opened all the same, so
+    a missing file raises the error that opening it raises."""
+    kept = getattr(_THREAD, "kept", None)
+    if kept is None:
+        kept = _THREAD.kept = OrderedDict()
+    path = os.fspath(db_file)
+    try:
+        st = os.stat(path)
+        stamp = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+    except OSError:
+        stamp = None
+    entry = kept.pop(path, None)
+    if entry is not None:
+        if entry[0] == stamp:
+            kept[path] = entry
+            return entry[1]
+        entry[1].close()
+    conn = connect_read_only(path)
+    kept[path] = (stamp, conn)
+    if len(kept) > KEPT_CONNECTIONS:
+        kept.popitem(last=False)[1][1].close()
+    return conn
+
+
 def execute(
     db_file: str | Path,
     sql: str,
@@ -89,60 +131,62 @@ def execute(
     start = time.perf_counter()
     timed_out = False
     try:
-        conn = connect_read_only(db_file)
+        conn = _kept_connection(db_file)
     except sqlite3.Error as exc:
         return ExecutionResult(RUNTIME_ERROR, error_text=str(exc), elapsed=0.0)
-    try:
-        deadline = start + timeout
-        in_select = False
+    deadline = start + timeout
+    in_select = False
 
-        def authorize(action, arg1, *_args):
-            # Inside a SELECT, building an eponymous virtual table (json_each,
-            # pragma_table_info, ...) reports updates of sqlite_master's
-            # columns, and a pragma table-valued function reports its pragma.
-            # A PRAGMA statement reports no SELECT, so it stays denied.
-            nonlocal in_select
-            in_select = in_select or action == sqlite3.SQLITE_SELECT
-            select_part = in_select and (
-                (action == sqlite3.SQLITE_UPDATE and arg1 == "sqlite_master")
-                or (action == sqlite3.SQLITE_PRAGMA and arg1 not in _WRITING_PRAGMAS)
-            )
-            if action in _ALLOWED_ACTIONS or select_part:
-                return sqlite3.SQLITE_OK
-            return sqlite3.SQLITE_DENY
-
-        def on_progress():
-            nonlocal timed_out
-            if time.perf_counter() > deadline:
-                timed_out = True
-                return 1
-            return 0
-
-        conn.set_authorizer(authorize)
-        conn.set_progress_handler(on_progress, 10_000)
-        try:
-            cursor = conn.execute(sql)
-            rows = cursor.fetchmany(row_cap + 1)
-        except (sqlite3.Error, sqlite3.Warning) as exc:  # 3.10 warns on a second statement
-            elapsed = time.perf_counter() - start
-            message = str(exc)
-            if timed_out:
-                return ExecutionResult(TIMEOUT, error_text="query timed out", elapsed=elapsed)
-            lowered = message.lower()
-            if any(marker in lowered for marker in _SYNTAX_MARKERS):
-                return ExecutionResult(SYNTAX_ERROR, error_text=message, elapsed=elapsed)
-            return ExecutionResult(RUNTIME_ERROR, error_text=message, elapsed=elapsed)
-        truncated = len(rows) > row_cap
-        if truncated:
-            rows = rows[:row_cap]
-        return ExecutionResult(
-            OK,
-            rows=[tuple(r) for r in rows],
-            elapsed=time.perf_counter() - start,
-            truncated=truncated,
+    def authorize(action, arg1, *_args):
+        # Inside a SELECT, building an eponymous virtual table (json_each,
+        # pragma_table_info, ...) reports updates of sqlite_master's
+        # columns, and a pragma table-valued function reports its pragma.
+        # A PRAGMA statement reports no SELECT, so it stays denied.
+        nonlocal in_select
+        in_select = in_select or action == sqlite3.SQLITE_SELECT
+        select_part = in_select and (
+            (action == sqlite3.SQLITE_UPDATE and arg1 == "sqlite_master")
+            or (action == sqlite3.SQLITE_PRAGMA and arg1 not in _WRITING_PRAGMAS)
         )
-    finally:
-        conn.close()
+        if action in _ALLOWED_ACTIONS or select_part:
+            return sqlite3.SQLITE_OK
+        return sqlite3.SQLITE_DENY
+
+    def on_progress():
+        nonlocal timed_out
+        if time.perf_counter() > deadline:
+            timed_out = True
+            return 1
+        return 0
+
+    # installing an authorizer expires the connection's prepared statements,
+    # so every statement is prepared, and so authorized, under this call's
+    conn.set_authorizer(authorize)
+    conn.set_progress_handler(on_progress, 10_000)
+    try:
+        cursor = conn.execute(sql)
+        try:
+            rows = cursor.fetchmany(row_cap + 1)
+        finally:
+            cursor.close()  # resets the statement, which ends its read
+    except (sqlite3.Error, sqlite3.Warning) as exc:  # 3.10 warns on a second statement
+        elapsed = time.perf_counter() - start
+        message = str(exc)
+        if timed_out:
+            return ExecutionResult(TIMEOUT, error_text="query timed out", elapsed=elapsed)
+        lowered = message.lower()
+        if any(marker in lowered for marker in _SYNTAX_MARKERS):
+            return ExecutionResult(SYNTAX_ERROR, error_text=message, elapsed=elapsed)
+        return ExecutionResult(RUNTIME_ERROR, error_text=message, elapsed=elapsed)
+    truncated = len(rows) > row_cap
+    if truncated:
+        rows = rows[:row_cap]
+    return ExecutionResult(
+        OK,
+        rows=[tuple(r) for r in rows],
+        elapsed=time.perf_counter() - start,
+        truncated=truncated,
+    )
 
 
 def canonicalize(rows: Iterable[Sequence]) -> list[tuple]:

@@ -362,27 +362,45 @@ def _complete_chunk(
     params: SamplingParams,
     template_id: str,
     scenario_keys: Sequence[str],
-) -> tuple[list[Sent], Exception | None]:
-    """Backend calls of consecutive requests, one after another. Stops at
-    the first call that raises and returns the answers before it with that
-    error."""
-    done = []
+) -> list[Sent | Exception]:
+    """Backend calls of consecutive requests, one after another: their
+    answers in request order. The first call that raises ends the chunk,
+    and its error stands in for that call's answer."""
+    done: list[Sent | Exception] = []
     for prompt, key in zip(prompts, scenario_keys):
         try:
             done.append(_timed_complete(backend, prompt, params, template_id, key))
         except Exception as exc:
-            return done, exc
-    return done, None
+            done.append(exc)
+            break
+    return done
 
 
 def _chunk_answers(chunks: Sequence[Future]):
-    """Each request's backend answer in request order; a chunk's error is
-    raised in place of the first request it did not answer."""
+    """Each request's backend answer in request order; a chunk's error
+    stands in for the first request it did not answer, and ends the answers.
+
+    The error is taken out of its chunk's list and yielded, not raised here.
+    Its traceback holds the worker's frames, which hold that list, and a
+    traceback through this frame would hold the chunks: either way the
+    error, and every frame it is raised through, would sit in a reference
+    cycle until the cyclic collector runs.
+    """
     for chunk in chunks:
-        done, error = chunk.result()
+        done = chunk.result()
+        error = done.pop() if done and isinstance(done[-1], Exception) else None
         yield from done
         if error is not None:
-            raise error
+            yield error
+            return
+
+
+def _settle(chunks: Sequence[Future]) -> None:
+    """Cancel the chunks not yet started, so they never start, and wait for
+    the others."""
+    for chunk in chunks:
+        chunk.cancel()
+    wait(chunks)
 
 
 def parse_structured(completion: Completion | str, expected_shape: str):
@@ -698,16 +716,17 @@ class Gateway:
                     ahead = self._send_window(template_id, requests, params)
                 sents = _chunk_answers(chunks) if chunks else itertools.repeat(None)
                 for prompt, key, sent in zip(prompts, keys, sents):
+                    if isinstance(sent, Exception):
+                        raise sent
                     yield self._answer(template_id, prompt, params, key, sent)
                 if error is not None:
                     raise error
                 window = ahead
         finally:
-            out = window[2] + ahead[2]
-            window = ahead = error = None  # a raised error's traceback holds this frame
-            for chunk in out:
-                chunk.cancel()  # one not yet started never starts
-            wait(out)
+            _settle(window[2] + ahead[2])
+            # a raised error's traceback holds this frame, which holds the error in
+            # `sent` or `error`, or in the suspended `sents`
+            window = ahead = sents = sent = error = None
 
     def _send_window(
         self,

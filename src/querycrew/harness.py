@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import executor, pipeline
+from .agents import CandidateQuery
 from .catalog import FkEdge, SchemaCatalog, SubSchema, TableInfo
 from .gateway import Gateway, ledger, tally
 from .pipeline import DbArtifacts, PipelineConfig, RunTrace, StageRecord
@@ -102,19 +103,30 @@ def load_dataset(path: str | Path, fmt: str = "bird") -> list[BenchmarkItem]:
 
 
 def validate_gold(
-    item: BenchmarkItem, db_root: str | Path, config: PipelineConfig
+    item: BenchmarkItem,
+    db_root: str | Path,
+    config: PipelineConfig,
+    ran: Sequence[CandidateQuery] = (),
 ) -> executor.ExecutionResult:
     """The item's gold SQL run on its database under `config.row_cap` and
     `config.execution_timeout_s`. A failure or a result over `row_cap` is
-    logged; a missing database is a runtime_error with the DatasetError text."""
-    try:
-        db_file = resolve_db_file(db_root, item.db_id)
-    except DatasetError as exc:
-        gold = executor.ExecutionResult(executor.RUNTIME_ERROR, error_text=str(exc))
-    else:
-        gold = executor.execute(
-            db_file, item.gold_sql, timeout=config.execution_timeout_s, row_cap=config.row_cap
-        )
+    logged; a missing database is a runtime_error with the DatasetError text.
+
+    `ran` are candidates the pipeline executed on the item's database under
+    the same `config`: the result of one whose SQL is the gold's exact text
+    is the gold's, and the gold does not run again.
+    """
+    gold = next((c.exec_result for c in ran if c.sql == item.gold_sql), None)
+    if gold is None:
+        try:
+            db_file = resolve_db_file(db_root, item.db_id)
+        except DatasetError as exc:
+            gold = executor.ExecutionResult(executor.RUNTIME_ERROR, error_text=str(exc))
+        else:
+            gold = executor.execute(
+                db_file, item.gold_sql, timeout=config.execution_timeout_s,
+                row_cap=config.row_cap,
+            )
     if not gold.is_ok():
         logger.warning("gold SQL for %s fails: %s", item.question_id, gold.error_text)
     elif gold.truncated:
@@ -366,8 +378,12 @@ def run_benchmark(
     error), fails only its own items, and flags their gold.
 
     EX is read from the cluster fingerprints of the pipeline's trace: a
-    candidate scores 1 iff its cluster's digest equals the gold's. Each item,
-    resumed or not, runs only its gold SQL here, once, in `validate_gold`.
+    candidate scores 1 iff its cluster's digest equals the gold's. The only
+    SQL run here is the gold's, at most once per item, in `validate_gold`,
+    after the pipeline's run: a final candidate with the gold's exact text
+    already ran it on the same file under the same limits, so its result is
+    the gold's (no gold data reaches the pipeline). A resumed item, one whose
+    pipeline raised, and one that no candidate repeats run the gold.
     `config.row_cap` and `config.execution_timeout_s` bound every execution,
     and a gold that fails or exceeds `row_cap` cannot score and is flagged.
     """
@@ -394,11 +410,9 @@ def run_benchmark(
     stage_prs: dict[str, list[SchemaPR]] = {}
     with open(predictions_path, "a", encoding="utf-8") as pred_fh:
         for item in items:
-            gold = validate_gold(item, db_root, config)
-            scorable = gold.is_ok() and not gold.truncated
-            if not scorable:
-                flagged.append(item.question_id)
             if item.question_id in done:
+                if not _scorable(validate_gold(item, db_root, config)):
+                    flagged.append(item.question_id)
                 outcomes.append(done[item.question_id])
                 try:  # an unreadable trace or database costs only the stage PR
                     stages = _resumed_stages(traces_dir / f"{item.question_id}.jsonl")
@@ -408,6 +422,7 @@ def run_benchmark(
                 except Exception as exc:
                     logger.warning("schema PR skipped for %s: %s", item.question_id, exc)
                 continue
+            gold = None
             with ledger() as spent:
                 try:
                     artifacts = artifacts_of(item.db_id)
@@ -415,8 +430,10 @@ def run_benchmark(
                         item.question, item.evidence, artifacts, config, gateway,
                         qid=item.question_id,
                     )
+                    gold = validate_gold(item, db_root, config, trace.candidates)
                     gold_digest = (
-                        executor.fingerprint(gold, config.compare_mode).digest if scorable else None
+                        executor.fingerprint(gold, config.compare_mode).digest
+                        if _scorable(gold) else None
                     )
                     digest_of = {g: c["fingerprint"] for c in trace.clusters for g in c["members"]}
                     candidate_ex = [
@@ -428,6 +445,10 @@ def run_benchmark(
                 except Exception as exc:
                     logger.warning("item %s failed: %s", item.question_id, exc)
                     sql, ex, candidate_ex, error = "", 0, [], str(exc)
+            if gold is None:  # the pipeline raised, so no candidate stands in
+                gold = validate_gold(item, db_root, config)
+            if not _scorable(gold):
+                flagged.append(item.question_id)
             llm_calls, prompt_tokens, completion_tokens = tally(spent)
             outcome = ItemOutcome(
                 question_id=item.question_id,
@@ -449,6 +470,11 @@ def run_benchmark(
         json.dumps(report.to_dict(), indent=1, ensure_ascii=False), encoding="utf-8"
     )
     return report
+
+
+def _scorable(gold: executor.ExecutionResult) -> bool:
+    """A gold that failed or exceeded `row_cap` cannot score: its item is flagged."""
+    return gold.is_ok() and not gold.truncated
 
 
 # `json.dumps` with a keyword argument builds a new encoder per call

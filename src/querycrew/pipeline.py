@@ -36,8 +36,11 @@ already ran in the question shares that result object; first occurrences
 run in candidate order, on the calling thread. A copy of a query that timed
 out shares its TIMEOUT instead of waiting out the budget again, and copies
 of non-deterministic SQL (`random()`, `'now'`) share one result, so they
-land in one cluster. The dict lives for one `run` call, so nothing is
-cached across questions.
+land in one cluster. The dict lives for one `run` call, so no result is
+cached across questions; the connection each statement runs on is the
+calling thread's kept one (see `executor`). `harness.run_benchmark` reads
+the trace's final candidates after the run: one with the gold's exact text
+stands in for running the gold.
 """
 
 from __future__ import annotations

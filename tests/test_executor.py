@@ -1,8 +1,13 @@
+import ast
 import contextlib
 import json
+import os
 import random
 import shutil
 import sqlite3
+import threading
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -48,6 +53,27 @@ numbers = (
 )
 
 
+@contextlib.contextmanager
+def _kept_only():
+    """Fails any `execute` that would open a connection, so every statement
+    inside runs on a connection this thread already keeps."""
+
+    def refuse(db_file):
+        raise AssertionError(f"a new connection to {db_file} was opened")
+
+    with mock.patch.object(executor, "connect_read_only", refuse):
+        yield
+
+
+def _table_db(path, n: int):
+    """A database whose table `t` holds x = 0 .. n-1."""
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE t (x INTEGER)")
+        conn.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(n)])
+        conn.commit()
+    return path
+
+
 def _equal_cells(cell):
     """Cells that should compare equal to `cell`: itself, or a number's other type."""
     if isinstance(cell, int) and float(cell) == cell:
@@ -74,6 +100,7 @@ class TestExecute:
 
     def test_write_statement_rejected(self, finance_db):
         before = finance_db.read_bytes()
+        assert execute(finance_db, "SELECT count(*) FROM customers").is_ok()
         for sql in (
             "INSERT INTO customers VALUES (99, 'M', 'EUR')",
             "UPDATE customers SET Currency = 'USD'",
@@ -83,7 +110,8 @@ class TestExecute:
             "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 3)"
             " INSERT INTO customers SELECT 100 + n, 'M', 'EUR' FROM r",
         ):
-            result = execute(finance_db, sql)
+            with _kept_only():  # the connection that served the read
+                result = execute(finance_db, sql)
             assert result.status == RUNTIME_ERROR, sql
         assert finance_db.read_bytes() == before
 
@@ -109,9 +137,12 @@ class TestExecute:
         )
         assert result.status == TIMEOUT
 
-    def test_sqlite_warning_is_a_runtime_error(self, finance_db, monkeypatch):
+    def test_sqlite_warning_is_a_runtime_error(self, finance_db, tmp_path, monkeypatch):
         """Python 3.10's sqlite3 raises `sqlite3.Warning`, which is no
-        `sqlite3.Error`, for a query of two statements ("SELECT 1; SELECT 2")."""
+        `sqlite3.Error`, for a query of two statements ("SELECT 1; SELECT 2").
+        The copy is a file this thread keeps no connection to, so the
+        wrapped opener below opens it."""
+        finance_db = shutil.copy(finance_db, tmp_path / "finance.sqlite")
 
         class TwoStatements:
             def __init__(self, conn):
@@ -144,6 +175,7 @@ class TestExecute:
     def test_unreadable_db(self, tmp_path):
         result = execute(tmp_path / "absent.sqlite", "SELECT 1")
         assert result.status == RUNTIME_ERROR
+        assert result.error_text == "unable to open database file"
 
     def test_database_under_odd_directory_name(self, tmp_path, finance_db):
         """`#`, `%`, `?` and a space in a directory name stay part of the
@@ -257,10 +289,147 @@ class TestReadOnlyGuard:
     @given(statements(WRITE_SHAPES))
     def test_writes_rejected_and_file_unchanged(self, tvf_db, sql):
         before, version = tvf_db.read_bytes(), _schema_version(tvf_db)
-        result = execute(tvf_db, sql)
+        assert execute(tvf_db, "SELECT count(*) FROM customers").is_ok()
+        with _kept_only():  # the connection that served the read
+            result = execute(tvf_db, sql)
         assert result.status == RUNTIME_ERROR, sql
         assert tvf_db.read_bytes() == before
         assert _schema_version(tvf_db) == version
+
+
+def _write_at_once(db) -> None:
+    """Insert into and commit to `db` on a new connection that does not
+    wait for a lock: it raises if any connection still holds a read."""
+    with contextlib.closing(sqlite3.connect(db, timeout=0)) as conn:
+        conn.execute("INSERT INTO t VALUES (-1)")
+        conn.commit()
+
+
+class TestKeptConnections:
+    def test_reuses_one_connection_per_file(self, tmp_path):
+        db = _table_db(tmp_path / "t.sqlite", 3)
+        assert execute(db, "SELECT count(*) FROM t").rows == [(3,)]
+        with _kept_only():
+            assert execute(str(db), "SELECT max(x) FROM t").rows == [(2,)]
+
+    @pytest.mark.parametrize(
+        ("sql", "kwargs", "status"),
+        [
+            pytest.param(
+                "SELECT count(*) FROM t a, t b, t c WHERE a.x + b.x + c.x = 17",
+                {"timeout": 0.01}, TIMEOUT, id="timeout",
+            ),
+            # abs() of the smallest integer overflows on the row x = 2000,
+            # after the first fetch returned rows
+            pytest.param(
+                "SELECT CASE WHEN x < 2000 THEN x ELSE abs(-9223372036854775807 - 1) END FROM t",
+                {"row_cap": 5_000}, RUNTIME_ERROR, id="fails-mid-fetch",
+            ),
+            pytest.param("SELECT x FROM t", {"row_cap": 10}, OK, id="truncated"),
+        ],
+    )
+    def test_no_read_outlives_a_call(self, tmp_path, sql, kwargs, status):
+        db = _table_db(tmp_path / "t.sqlite", 3000)
+        result = execute(db, sql, **kwargs)
+        assert result.status == status, result.error_text
+        _write_at_once(db)
+        assert execute(db, "SELECT count(*) FROM t").rows == [(3001,)]
+
+    def test_replaced_file_is_read_fresh(self, tmp_path):
+        db = _table_db(tmp_path / "t.sqlite", 3)
+        assert execute(db, "SELECT count(*) FROM t").rows == [(3,)]
+        os.replace(_table_db(tmp_path / "next.sqlite", 7), db)
+        assert execute(db, "SELECT count(*) FROM t").rows == [(7,)]
+
+    def test_missing_file_after_a_read(self, tmp_path):
+        db = _table_db(tmp_path / "t.sqlite", 3)
+        assert execute(db, "SELECT count(*) FROM t").is_ok()
+        db.unlink()
+        result = execute(db, "SELECT count(*) FROM t")
+        assert result.status == RUNTIME_ERROR
+        assert result.error_text == "unable to open database file"
+
+    def test_connection_used_longest_ago_closes_past_the_bound(self, tmp_path, monkeypatch):
+        opened = {}
+        real = executor.connect_read_only
+
+        def record(db_file):
+            opened[os.path.basename(db_file)] = conn = real(db_file)
+            return conn
+
+        monkeypatch.setattr(executor, "connect_read_only", record)
+        n = executor.KEPT_CONNECTIONS
+        dbs = [_table_db(tmp_path / f"{i}.sqlite", i) for i in range(n + 1)]
+        for db in dbs[:n]:
+            assert execute(db, "SELECT count(*) FROM t").is_ok()
+        assert execute(dbs[0], "SELECT count(*) FROM t").is_ok()  # 1 is now the oldest
+        assert execute(dbs[n], "SELECT count(*) FROM t").is_ok()
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened["1.sqlite"].execute("SELECT 1")
+        for i in (0, *range(2, n + 1)):
+            assert opened[f"{i}.sqlite"].execute("SELECT count(*) FROM t").fetchone() == (i,)
+        assert len(opened) == n + 1
+
+    def test_each_thread_keeps_its_own(self, tmp_path):
+        db = _table_db(tmp_path / "t.sqlite", 3)
+        assert execute(db, "SELECT count(*) FROM t").is_ok()
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append(execute(db, "SELECT count(*) FROM t"))
+        )
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert results[0].rows == [(3,)]
+
+
+def _sqlite_connects(tree: ast.Module) -> list[tuple[str, str]]:
+    """Each use of `sqlite3.connect` in a module: the function it is in and
+    the source of the call it makes, or `import` and the name that an import
+    of `connect` or an alias of `sqlite3` binds."""
+    found: list[tuple[str, str]] = []
+
+    def visit(node, function, parent):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ImportFrom) and node.module == "sqlite3":
+            found.extend(("import", a.name) for a in node.names if a.name == "connect")
+        if isinstance(node, ast.Import):  # an alias would hide `sqlite3.connect`
+            found.extend(
+                ("import", a.asname) for a in node.names if a.name == "sqlite3" and a.asname
+            )
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "connect"
+            and isinstance(node.value, ast.Name) and node.value.id == "sqlite3"
+        ):
+            call = parent if isinstance(parent, ast.Call) and parent.func is node else node
+            found.append((function, ast.unparse(call)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, node)
+
+    visit(tree, "<module>", None)
+    return found
+
+
+def test_only_the_read_only_opener_connects_to_files():
+    """A kept connection lives across calls, so no code may open a user
+    database but `connect_read_only`, which opens it with `mode=ro`; the one
+    other connection in the package is `sql_items`' empty in-memory copy."""
+    src = Path(executor.__file__).parent
+    found = {
+        path.name: uses
+        for path in sorted(src.glob("*.py"))
+        if (uses := _sqlite_connects(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {
+        "executor.py": [(
+            "connect_read_only",
+            "sqlite3.connect(Path(db_file).resolve().as_uri() + '?mode=ro', uri=True)",
+        )],
+        "sql_items.py": [
+            ("_schema_copy", "sqlite3.connect(':memory:', check_same_thread=False)")
+        ],
+    }
 
 
 class TestCanonicalize:

@@ -1288,15 +1288,18 @@ class TestStructuredManyWindows:
         assert isinstance(answers[0], ParseError)
         assert answers[0].__traceback__ is None
 
-    @pytest.mark.parametrize("fault", ["iterator", "binding"])
+    @pytest.mark.parametrize("fault", ["iterator", "binding", "backend"])
     def test_held_error_frees_callers_locals(self, monkeypatch, fault):
-        """An error held from the read-ahead window ties no frame into a
-        reference cycle once it is raised, so a caller's locals die with the
-        caller even with the collector off."""
+        """An error held from the read-ahead window, or one the backend
+        raises in a pool chunk (a batch of two whose second call has no
+        scripted response), ties no frame into a reference cycle once it is
+        raised, so a caller's locals die with the caller even with the
+        collector off."""
         monkeypatch.setattr(gateway, "WINDOW", 2)
-        keys = ["k0", "k1", "k2"]
+        keys = ["k0", "k1"] if fault == "backend" else ["k0", "k1", "k2"]
+        answered = keys[:-1] if fault == "backend" else keys
         gw = Gateway.single(MockBackend(
-            responses={(key, "select_tables"): ['{"ok": 1}'] for key in keys}
+            responses={(key, "select_tables"): ['{"ok": 1}'] for key in answered}
         ))
 
         class Buffer:
@@ -1309,9 +1312,9 @@ class TestStructuredManyWindows:
                     "select_tables", _requests(keys, SELECT_BINDINGS, (3, fault)),
                     SamplingParams(),
                 ))
-            except (Unreadable, RenderError):
-                pass
-            return weakref.ref(buffer)
+            except (Unreadable, RenderError, GatewayError):
+                return weakref.ref(buffer)
+            raise AssertionError("the batch raised nothing")
 
         gc.disable()
         try:

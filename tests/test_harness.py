@@ -316,12 +316,51 @@ class TestResolveDbFile:
             resolve_db_file(bench_env["root"], "ghost")
 
 
+def _count_executions(monkeypatch) -> dict[str, list[str]]:
+    """The SQL texts that the harness and the pipeline each pass to
+    `executor.execute` from now on, in call order."""
+    executed: dict[str, list[str]] = {"harness": [], "pipeline": []}
+
+    class CountingExecutor:
+        def __init__(self, side):
+            self.side = side
+
+        def __getattr__(self, name):
+            return getattr(executor, name)
+
+        def execute(self, db_file, sql, **kwargs):
+            executed[self.side].append(sql)
+            return executor.execute(db_file, sql, **kwargs)
+
+    for side, module in (("harness", harness), ("pipeline", pipeline)):
+        monkeypatch.setattr(module, "executor", CountingExecutor(side))
+    return executed
+
+
 class TestValidateGold:
     def test_gold_runs_under_the_row_cap(self, bench_env):
         item = BenchmarkItem("cap", "finance", "q", "", "SELECT CustomerID FROM customers")
         config = PipelineConfig(team="CG_only", n_candidates=1, row_cap=2)
         gold = harness.validate_gold(item, bench_env["root"], config)
         assert gold.is_ok() and gold.truncated and len(gold.rows) == 2
+
+    def test_candidate_with_the_gold_text_stands_in(self, bench_env, caplog):
+        gold_sql = "SELECT count(*) FROM customers"
+        item = BenchmarkItem("stand_in", "finance", "q", "", gold_sql)
+        config = PipelineConfig(team="CG_only", n_candidates=1)
+        stand_in = executor.ExecutionResult(executor.TIMEOUT, error_text="query timed out")
+        spaced = CandidateQuery("SELECT  count(*) FROM customers", 0,
+                                exec_result=executor.ExecutionResult(executor.OK, rows=[(0,)]))
+        with caplog.at_level(logging.WARNING, logger="querycrew.harness"):
+            gold = harness.validate_gold(
+                item, bench_env["root"], config, [spaced, CandidateQuery(gold_sql, 1, 0, stand_in)]
+            )
+        assert gold is stand_in
+        assert [r.getMessage() for r in caplog.records] == [
+            "gold SQL for stand_in fails: query timed out"
+        ]
+        # text that differs only in spacing is another query: the gold runs
+        assert harness.validate_gold(item, bench_env["root"], config, [spaced]).rows == [(5,)]
 
     def test_missing_database_is_a_failed_gold(self, bench_env, caplog):
         item = BenchmarkItem("ghost_0001", "ghost", "q", "", "SELECT 1")
@@ -473,21 +512,14 @@ class TestRunBenchmark:
             responses[(f"{q.question_id}+generate_candidate+2", "generate_candidate")] = [
                 candidate_response(q.gold_sql)
             ]
-        executed: dict[str, list[str]] = {"harness": [], "pipeline": []}
-
-        class CountingExecutor:
-            def __init__(self, side):
-                self.side = side
-
-            def __getattr__(self, name):
-                return getattr(executor, name)
-
-            def execute(self, db_file, sql, **kwargs):
-                executed[self.side].append(sql)
-                return executor.execute(db_file, sql, **kwargs)
-
-        for side, module in (("harness", harness), ("pipeline", pipeline)):
-            monkeypatch.setattr(module, "executor", CountingExecutor(side))
+        # the second question's candidates #0 and #2 are the variant instead:
+        # the gold's result, but no candidate has the gold's text
+        variant = SUITE[1]
+        for i in (0, 2):
+            responses[(f"{variant.question_id}+generate_candidate+{i}", "generate_candidate")] = [
+                candidate_response(variant.variant_sql)
+            ]
+        executed = _count_executions(monkeypatch)
         items = load_dataset(bench_env["dataset"], "bird")[:3]
         report = run_benchmark(
             items, self._config("IR_CG_UT"), tmp_path / "out_once", bench_env["root"],
@@ -495,13 +527,32 @@ class TestRunBenchmark:
         )
         assert [o.candidate_ex for o in report.outcomes] == [[1, 0, 1]] * 3
         assert [o.ex for o in report.outcomes] == [1, 1, 1]
-        # the harness runs each item's gold SQL once and no candidate
-        assert executed["harness"] == [item.gold_sql for item in items]
+        # the harness runs no candidate, and no gold that a final candidate
+        # repeats: only the second item's gold, once
+        assert executed["harness"] == [items[1].gold_sql]
         # the pipeline runs each distinct candidate SQL once; #2 shares #0's
         # result, and none is revised
         assert executed["pipeline"] == [
-            sql for q in SUITE[:3] for sql in (q.gold_sql, q.wrong_sql)
+            sql for q in SUITE[:3]
+            for sql in (q.variant_sql if q is variant else q.gold_sql, q.wrong_sql)
         ]
+        assert report.flagged_gold == []
+
+    def test_failed_item_runs_its_gold_and_flags_it(self, bench_env, tmp_path, monkeypatch):
+        """An item whose pipeline raises has no candidate to stand in for
+        its gold: the harness runs the gold, once, and a broken one is
+        flagged."""
+        item = BenchmarkItem("bad_gold", "finance", "q", "", "SELEC nothing")
+        # the only candidate does not parse, so the pipeline raises
+        responses = {("bad_gold+generate_candidate+0", "generate_candidate"): ["{"]}
+        executed = _count_executions(monkeypatch)
+        report = run_benchmark(
+            [item], self._config("CG_only"), tmp_path / "out", bench_env["root"],
+            gateway=Gateway.single(MockBackend(responses=responses)),
+        )
+        assert report.outcomes[0].error
+        assert executed == {"harness": [item.gold_sql], "pipeline": []}
+        assert report.flagged_gold == ["bad_gold"]
 
     @pytest.mark.parametrize(
         ("team", "kept", "ghost", "tail"),
