@@ -40,8 +40,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-VALUE_INDEX_MAGIC = b"QCWVIDX3"
-CONTEXT_STORE_MAGIC = b"QCWCTXS3"
+VALUE_INDEX_MAGIC = b"QCWVIDX4"
+CONTEXT_STORE_MAGIC = b"QCWCTXS4"
 CATALOG_MAGIC = b"QCWCATL2"
 ALIGN = 64
 _HEADER_LIMIT = 1 << 20

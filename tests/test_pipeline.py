@@ -363,7 +363,9 @@ class TestEntityRetrievalWithoutDescriptions:
     def test_cosine_stage_applies(self, motorsport_artifacts, monkeypatch):
         """A database with no description CSVs has an empty context store, and
         entity retrieval still runs the cosine filter with its embedder: the
-        LSH candidate "british" scores under the threshold for 'Great Britain'."""
+        LSH candidate "british" scores under a 0.99 threshold for 'Brittish'.
+        Their Jaccard is 0.73, so they collide unless all 32 bands miss
+        (probability 3e-5), whichever way the gram hash falls."""
         assert len(motorsport_artifacts.context_store) == 0
         found = []
 
@@ -375,11 +377,12 @@ class TestEntityRetrievalWithoutDescriptions:
         config = PipelineConfig(
             team="IR_CG_UT", n_candidates=1, n_unit_tests=0,
             disabled_tools=frozenset({"retrieve_context"}),
+            index=IndexConfig(cosine_threshold=0.99),
         )
         qid = "ir_0001"
         gw = Gateway.single(MockBackend(responses={
             (f"{qid}+extract_keywords+0", "extract_keywords"): [
-                keyword_response(["Great Britain"])
+                keyword_response(["Brittish"])
             ],
             (f"{qid}+generate_candidate+0", "generate_candidate"): [
                 candidate_response("SELECT COUNT(*) FROM drivers")
@@ -387,8 +390,37 @@ class TestEntityRetrievalWithoutDescriptions:
         }))
         run("q", "", motorsport_artifacts, config, gw, qid=qid)
         index = motorsport_artifacts.value_index
-        assert [m.value for m in retrieve_entities(index, ["Great Britain"])] == ["british"]
+        unfiltered = retrieve_entities(index, ["Brittish"], cfg=config.index)
+        assert "british" in [m.value for m in unfiltered]
         assert found == [[]]
+
+
+class TestEmbedderFailureAtQueryTime:
+    def test_question_completes_without_descriptions(self, tmp_path, monkeypatch, caplog):
+        """A remote embedder that fails at query time degrades both retrieval
+        stages, each with one warning, and the question still gets its SQL."""
+        from fixture_dbs import build_finance_db, build_finance_descriptions
+        from test_context_store import EchoSession
+
+        db = build_finance_db(tmp_path / "finance.sqlite")
+        build_finance_descriptions(tmp_path / "database_description")
+        config = PipelineConfig(team="IR_CG_UT", n_candidates=1, n_unit_tests=0)
+        built = ensure_artifacts(db, config)
+        assert len(built.context_store) > 0
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        offline = RemoteEmbedder("http://x", "m", session=EchoSession(fail_first=10**9))
+        artifacts = dataclasses.replace(built, context_store=dataclasses.replace(
+            built.context_store, embedder=offline))
+        qid, sql = "emb_0001", "SELECT COUNT(*) FROM customers WHERE Currency = 'EUR'"
+        gw = Gateway.single(MockBackend(responses={
+            (f"{qid}+extract_keywords+0", "extract_keywords"): [keyword_response(["EUR"])],
+            (f"{qid}+generate_candidate+0", "generate_candidate"): [candidate_response(sql)],
+        }))
+        with caplog.at_level(logging.WARNING):
+            got, trace = run("How many customers pay in euro?", "", artifacts, config, gw, qid=qid)
+        assert got == sql and trace.llm_calls == 2
+        failed = [r.name for r in caplog.records if "embedder failed" in r.getMessage()]
+        assert failed == ["querycrew.value_index", "querycrew.context_store"]
 
 
 class TestRunUnitTesterTeam:

@@ -327,8 +327,8 @@ CATALOG_JSON_WITH_SAMPLE_VALUES = """\
 }"""
 
 SWEEP_PREDICTIONS = """\
-{"candidate_ex": [1], "completion_tokens": 1360, "db_id": "motorsport", "difficulty": "simple", "error": "", "ex": 1, "llm_calls": 68, "predicted_sql": "SELECT MIN(fastestLapTime) FROM results WHERE driverId = 1", "prompt_tokens": 54609, "question_id": "f1_0001"}
-{"candidate_ex": [1], "completion_tokens": 363, "db_id": "finance", "difficulty": "moderate", "error": "", "ex": 1, "llm_calls": 17, "predicted_sql": "SELECT AVG(T1.Price) FROM transactions_1k AS T1 INNER JOIN customers AS T2 ON T1.CustomerID = T2.CustomerID WHERE T2.Currency = 'EUR'", "prompt_tokens": 13068, "question_id": "fin_0001"}
+{"candidate_ex": [1], "completion_tokens": 1360, "db_id": "motorsport", "difficulty": "simple", "error": "", "ex": 1, "llm_calls": 68, "predicted_sql": "SELECT MIN(fastestLapTime) FROM results WHERE driverId = 1", "prompt_tokens": 54590, "question_id": "f1_0001"}
+{"candidate_ex": [1], "completion_tokens": 363, "db_id": "finance", "difficulty": "moderate", "error": "", "ex": 1, "llm_calls": 17, "predicted_sql": "SELECT AVG(T1.Price) FROM transactions_1k AS T1 INNER JOIN customers AS T2 ON T1.CustomerID = T2.CustomerID WHERE T2.Currency = 'EUR'", "prompt_tokens": 13043, "question_id": "fin_0001"}
 """
 
 SWEEP_REPORT = """\
@@ -348,7 +348,7 @@ SWEEP_REPORT = """\
   "pass@1": 1.0
  },
  "mean_llm_calls": 42.5,
- "mean_prompt_tokens": 33838.5,
+ "mean_prompt_tokens": 33816.5,
  "mean_completion_tokens": 861.5,
  "schema_pr_per_stage": {
   "initial": {
@@ -381,7 +381,7 @@ SWEEP_REPORT = """\
 
 # the summary line of traces/fin_0003.jsonl from an IR_CG_UT sweep, minus duration_s
 TRACE_SUMMARY = """\
-{"kind": "summary", "question_id": "fin_0003", "selected_sql": "SELECT A3 FROM district ORDER BY A11 DESC LIMIT 1", "selected_index": 0, "llm_calls": 7, "prompt_tokens": 4490, "completion_tokens": 212, "stages": [{"stage": "initial", "n_tables": 5, "n_columns": 21, "selection": {"district": ["DistrictID", "A2", "A3", "A11"], "customers": ["CustomerID", "Gender", "Currency"], "gasstations": ["GasStationID", "ChainID", "Country", "Segment"], "transactions_1k": ["TransactionID", "Date", "CustomerID", "GasStationID", "Amount", "Price"], "client": ["ClientID", "Gender", "Birthday", "DistrictID"]}}], "candidates": [{"generation_index": 0, "sql": "SELECT A3 FROM district ORDER BY A11 DESC LIMIT 1", "revision_count": 0, "status": "ok"}, {"generation_index": 1, "sql": "SELECT A3 FROM district ORDER BY A11 ASC LIMIT 1", "revision_count": 0, "status": "ok"}, {"generation_index": 2, "sql": "SELECT A3 FROM district WHERE A11 = (SELECT MAX(A11) FROM district)", "revision_count": 0, "status": "ok"}], "clusters": [{"fingerprint": "55ca6e2b046d21ee1ae05b203ad5a61f7f25cb0be710b704d9faefb5a1bdc981", "members": [0, 2], "representative": 0}, {"fingerprint": "fbf6763e3ee7e6ea75c94a04bb34bb8013e3050e04f4189c140324f5c59951b4", "members": [1], "representative": 1}], "scores": [2, 0, 2], "n_unit_tests": 2, "revisions_total": 0}"""
+{"kind": "summary", "question_id": "fin_0003", "selected_sql": "SELECT A3 FROM district ORDER BY A11 DESC LIMIT 1", "selected_index": 0, "llm_calls": 7, "prompt_tokens": 4451, "completion_tokens": 212, "stages": [{"stage": "initial", "n_tables": 5, "n_columns": 21, "selection": {"district": ["DistrictID", "A2", "A3", "A11"], "customers": ["CustomerID", "Gender", "Currency"], "gasstations": ["GasStationID", "ChainID", "Country", "Segment"], "transactions_1k": ["TransactionID", "Date", "CustomerID", "GasStationID", "Amount", "Price"], "client": ["ClientID", "Gender", "Birthday", "DistrictID"]}}], "candidates": [{"generation_index": 0, "sql": "SELECT A3 FROM district ORDER BY A11 DESC LIMIT 1", "revision_count": 0, "status": "ok"}, {"generation_index": 1, "sql": "SELECT A3 FROM district ORDER BY A11 ASC LIMIT 1", "revision_count": 0, "status": "ok"}, {"generation_index": 2, "sql": "SELECT A3 FROM district WHERE A11 = (SELECT MAX(A11) FROM district)", "revision_count": 0, "status": "ok"}], "clusters": [{"fingerprint": "55ca6e2b046d21ee1ae05b203ad5a61f7f25cb0be710b704d9faefb5a1bdc981", "members": [0, 2], "representative": 0}, {"fingerprint": "fbf6763e3ee7e6ea75c94a04bb34bb8013e3050e04f4189c140324f5c59951b4", "members": [1], "representative": 1}], "scores": [2, 0, 2], "n_unit_tests": 2, "revisions_total": 0}"""
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),

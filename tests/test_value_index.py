@@ -19,7 +19,7 @@ from querycrew import value_index
 from querycrew.catalog import SchemaCatalog, introspect_database
 from querycrew.context_store import HashingEmbedder
 from querycrew.pipeline import PipelineConfig
-from querycrew.textutils import gram_vocabulary, ngram_hash, normalize_value
+from querycrew.textutils import normalize_value
 from querycrew.value_index import (
     EntityMatch,
     IndexConfig,
@@ -30,7 +30,7 @@ from querycrew.value_index import (
     minhash_signature,
     retrieve_entities,
 )
-from test_context_store import char_ngrams
+from test_context_store import char_ngrams, gram_hash
 
 
 def dp_levenshtein(a: str, b: str) -> int:
@@ -141,6 +141,43 @@ class TestMinhashSignature:
         assert not np.array_equal(a, b)
 
 
+class TestSCurve:
+    """The banding S-curve (Leskovec, Rajaraman and Ullman, Mining of Massive
+    Datasets, 3.4): a signature row of two values agrees with probability J,
+    their exact Jaccard, and some band of r rows of b agrees with probability
+    1 - (1 - J^r)^b. A digest pin cannot tell a biased hash or mixer from a
+    good one; these rates can."""
+
+    def test_collision_rates_follow_the_s_curve(self):
+        cfg, rng, n = IndexConfig(), random.Random(31), 4000
+        lefts = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(5, 20)))
+                 for _ in range(n)]
+        rights = [_mutate(v, rng, edits=rng.randint(1, 3)) for v in lefts]
+        jac = np.array([exact_ngram_jaccard(a, b) for a, b in zip(lefts, rights)])
+        salts = value_index._permutations(cfg)
+        sigs = value_index._signatures(lefts + rights, cfg, salts)
+        keys = value_index._band_keys(
+            [sigs], np.empty((cfg.lsh_bands, 2 * n), dtype=np.uint64), cfg)
+        rows = (sigs[:, :n] == sigs[:, n:]).mean(axis=0)
+        banded = (keys[:, :n] == keys[:, n:]).any(axis=0)
+        p_band = 1 - (1 - jac**cfg.lsh_rows) ** cfg.lsh_bands
+        bins = np.digitize(jac, [0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+        # 5 standard deviations, not 3 or 4: the gram hash and the salts are one
+        # fixed draw, whose own offset moved each bin's z by about +-1 over 40
+        # seeds of pairs. A mixer made the identity, or salts all equal, reach 50+.
+        for b in range(7):
+            at = bins == b
+            assert at.sum() >= 100, b
+            # each pair's bands collide as one Bernoulli(p_band) draw
+            p = p_band[at]
+            spread = np.sqrt((p * (1 - p)).sum())
+            assert abs(banded[at].sum() - p.sum()) <= 5 * spread + 1, b
+            # each pair's row agreement is a mean of num_permutations Bernoulli(J) draws
+            j = jac[at]
+            spread = np.sqrt((j * (1 - j)).sum() / cfg.num_permutations)
+            assert abs(rows[at].sum() - j.sum()) <= 5 * spread, b
+
+
 def reference_signatures(values: list[str], cfg: IndexConfig) -> np.ndarray:
     """Value by value: hash each distinct gram, mix under each salt, take
     the minimum. (num_permutations, len(values))."""
@@ -148,7 +185,7 @@ def reference_signatures(values: list[str], cfg: IndexConfig) -> np.ndarray:
     sigs = np.empty((cfg.num_permutations, len(values)), dtype=np.uint64)
     for i, value in enumerate(values):
         hashes = np.array(
-            [ngram_hash(g) for g in char_ngrams(value, cfg.ngram_size)], dtype=np.uint64
+            [gram_hash(g) for g in char_ngrams(value, cfg.ngram_size)], dtype=np.uint64
         )
         for p, salt in enumerate(salts):
             sigs[p, i] = value_index._mix64(hashes ^ salt).min()
@@ -211,12 +248,12 @@ class TestGramVocabularySignatures:
 
     def test_pinned_band_keys_and_queries(self, tmp_path):
         """Digests of a seeded 5,000-value corpus's sorted band keys and of
-        100 lsh_query results over it, captured from the per-value build
-        (one ngram_hash per gram occurrence) that the vocabulary replaced,
-        and of its values and location arrays, captured from the build that
-        kept a set of column ids per value. band_ids is not pinned: the
-        order of equal keys under an unstable argsort may differ between
-        CPUs."""
+        100 lsh_query results over it, captured when the gram hash became the
+        numpy splitmix64 chain (the per-value reference above checks the same
+        arrays gram by gram), and of its values and location arrays, captured
+        from the build that kept a set of column ids per value. band_ids is
+        not pinned: the order of equal keys under an unstable argsort may
+        differ between CPUs."""
         rng = random.Random(7)
         alphabet = "abcdefghijklmnopqrstuvwxyz  0123456789\u00e9\u20ac\U0001F600"
         values: set[str] = set()
@@ -250,14 +287,14 @@ class TestGramVocabularySignatures:
         for band_keys in index.band_keys:
             keys.update(band_keys.tobytes())
         assert keys.hexdigest() == (
-            "9d84346c12a4af660547e452b32491f8812b3cd058e74731c37635edb422e41b"
+            "bf54251e4fdcf009851682df2380e92a56161b1a6d7b86e83da786089491103b"
         )
         queries = hashlib.sha256()
         for value in index.values[::50]:
             keyword = value[1:] + "x"
             queries.update(json.dumps([keyword, lsh_query(index, keyword, cap=10)]).encode())
         assert queries.hexdigest() == (
-            "eb99403f9f7ccc8852edfe66a7f0f829b7bc327af5c2a0fc6d9ea20909de08da"
+            "285a3d70c1b041bf071ae4a5651f1a4569a7a5ad2af8c213ad0f25c831173000"
         )
 
 
@@ -380,19 +417,22 @@ class TestWholeBuild:
         assert len(index) == 29
         _assert_build_equals(index, reference_build(catalog, db, cfg))
 
-    def test_build_peak_stays_near_its_result(self, tmp_path):
+    @pytest.mark.parametrize("alphabet", [
+        string.ascii_lowercase + " \u00e9",
+        "".join(map(chr, range(0x4E00, 0x4E00 + 3000))) + " ",  # CJK: ~170k distinct grams
+    ], ids=["narrow", "cjk"])
+    def test_build_peak_stays_near_its_result(self, tmp_path, alphabet):
         """The signature pass holds the result and one block's working set,
-        not the per-column value lists or the value-to-id map: those grow
-        with the corpus, so over 40 blocks they would exceed the bound."""
+        not the per-column value lists, the numbering's arrays or anything kept
+        per distinct gram across blocks: those grow with the corpus, so over
+        40 blocks they would exceed the bound."""
         rng = random.Random(11)
-        alphabet = string.ascii_lowercase + " \u00e9"
         words = sorted({"".join(rng.choices(alphabet, k=rng.randint(4, 24))).strip()
                         for _ in range(12_000)} - {""})
         db = tmp_path / "peak.sqlite"
         _write_tables(db, [(["TEXT", "TEXT"], [(w, rng.choice(words)) for w in words])])
         catalog, cfg, block = introspect_database(db), IndexConfig(), 256
         with mock.patch.object(value_index, "_BUILD_BLOCK", block):
-            gram_vocabulary(words, cfg.ngram_size)  # fill the gram-hash memo outside the measurement
             tracemalloc.start()
             try:
                 index = build_value_index(catalog, db, cfg)
@@ -485,15 +525,17 @@ class TestLshQuery:
         )
         conn.commit()
         conn.close()
-        index = build_value_index(introspect_database(db), db, IndexConfig())
+        # bands of one row: "eur" (J = 0.375) and "euro zone" (J = 0.417)
+        # collide unless all 128 rows miss, whichever way the gram hash falls
+        cfg = IndexConfig(lsh_bands=128, lsh_rows=1)
+        index = build_value_index(introspect_database(db), db, cfg)
         hits = [v for v, _t, _c in lsh_query(index, "euro", cap=10)]
         oracle = sorted(
             ["eur", "euro zone", "yen"],
             key=lambda v: -exact_ngram_jaccard("euro", v),
         )
-        assert hits, "expected collisions for euro-like values"
-        assert set(hits) <= {"eur", "euro zone"}
-        assert oracle[-1] == "yen" and "yen" not in hits
+        assert set(hits) == {"eur", "euro zone"}
+        assert oracle[-1] == "yen" and exact_ngram_jaccard("euro", "yen") == 0
 
     def test_cap_respected(self, currency_index):
         assert len(lsh_query(currency_index, "eur", cap=1)) <= 1
@@ -566,10 +608,19 @@ class _Offline:
         raise RuntimeError("no network")
 
 
+@pytest.fixture(scope="module")
+def single_row_index(finance_db, finance_catalog):
+    """The finance index in bands of one row: 'euro' and 'eur' (J = 0.375)
+    collide unless all 128 rows miss, with probability 0.625^128 < 1e-26,
+    whichever way the gram hash falls. Under the default 32 bands of 4 they
+    collide with probability 0.47."""
+    return build_value_index(finance_catalog, finance_db, IndexConfig(lsh_bands=128, lsh_rows=1))
+
+
 class TestRetrieveEntities:
-    def test_euro_scenario(self, currency_index):
+    def test_euro_scenario(self, single_row_index):
         matches = retrieve_entities(
-            currency_index, ["Euro"], embedder=HashingEmbedder(), cfg=currency_index.config
+            single_row_index, ["Euro"], embedder=HashingEmbedder(), cfg=single_row_index.config
         )
         currency_matches = [
             m for m in matches if (m.table, m.column) == ("customers", "Currency")
@@ -608,13 +659,13 @@ class TestRetrieveEntities:
         assert per_col[0].value == "bohemia"
         assert per_col[0].edit_distance == 0
 
-    def test_embedder_failure_degrades(self, currency_index, caplog):
+    def test_embedder_failure_degrades(self, single_row_index, caplog):
         import logging
 
         with caplog.at_level(logging.WARNING):
             matches = retrieve_entities(
-                currency_index, ["Euro", "czk"], embedder=_Offline(),
-                cfg=currency_index.config,
+                single_row_index, ["Euro", "czk"], embedder=_Offline(),
+                cfg=single_row_index.config,
             )
         assert any(m.value == "eur" for m in matches)
         assert any(m.value == "czk" for m in matches)
@@ -622,7 +673,7 @@ class TestRetrieveEntities:
         # the one embed call of the question fails: one warning, not one per keyword
         assert ["falling back" in r.message for r in caplog.records] == [True]
 
-    def test_one_embed_call_per_question(self, currency_index):
+    def test_one_embed_call_per_question(self, single_row_index):
         class Counting(HashingEmbedder):
             def embed(self, texts):
                 self.calls.append(list(texts))
@@ -631,12 +682,12 @@ class TestRetrieveEntities:
         embedder = Counting()
         embedder.calls = []
         keywords = ["Euro", "czk", "EUR", "prague", "q#7!@"]
-        matches = retrieve_entities(currency_index, keywords, embedder=embedder)
+        matches = retrieve_entities(single_row_index, keywords, embedder=embedder)
         assert {m.keyword for m in matches} >= {"Euro", "czk"}
         assert len(embedder.calls) == 1
         texts = embedder.calls[0]
         assert len(texts) == len(set(texts)) and {"euro", "czk", "eur"} <= set(texts)
-        assert retrieve_entities(currency_index, ["q#7!@", ""], embedder=embedder) == []
+        assert retrieve_entities(single_row_index, ["q#7!@", ""], embedder=embedder) == []
         assert len(embedder.calls) == 1
 
     def test_cardinality_at_most_one_per_keyword_column(self, currency_index):
