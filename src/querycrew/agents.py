@@ -5,10 +5,14 @@ evaluation.
 
 Each tool takes the question's `RunEnv` first, plus only its own inputs, and
 is a pure orchestration over the gateway plus the structural modules.
-`RunEnv.key` formats every scenario key. Failure policy is asymmetric on
-purpose: schema-selection tools fail open (keep everything) because
-over-pruning makes questions unanswerable, while scoring tools fail closed
-(a candidate whose verdict cannot be parsed counts as Failed).
+`RunEnv.key` formats every scenario key. The three schema-selection tools
+share one contract: `(env, requested) -> request`, where a request maps
+tables to the columns chosen on meaning and projecting it adds the linking
+columns back. Failure policy is asymmetric on purpose: schema-selection
+tools fail open (return the request they were given, or keep a column whose
+vote does not parse) because over-pruning makes questions unanswerable,
+while scoring tools fail closed (a candidate whose verdict cannot be parsed
+counts as Failed).
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .textutils import check_int
 from .value_index import EntityMatch
 
 logger = logging.getLogger(__name__)
+
+# a schema-selection request: table -> the columns chosen on meaning
+Request = dict[str, list[str]]
 
 
 @dataclass
@@ -142,14 +149,22 @@ def extract_keywords(env: RunEnv) -> list[Keyword]:
     return keywords
 
 
-def filter_column(env: RunEnv, columns: Sequence[tuple[str, str]]) -> list[bool]:
-    """Relevance votes for `(table, column)` pairs of `env.sub`, in their
-    order: one call per column, all sent as one batch, with attempt
+def filter_column(env: RunEnv, requested: Request) -> Request:
+    """The columns voted relevant among the non-linking columns of `env.sub`,
+    which the filter, opening the funnel, picks itself (`requested` is not
+    read). Every table keeps an entry, so none leaves the schema here.
+
+    One call per column in table order, all sent as one batch, with attempt
     `<table>.<column>` in `RunEnv.key`. A column's profile is built when the
     gateway reads its window, so the batch holds one window of profiles at a
-    time. A vote that does not parse keeps its column."""
+    time. A vote that does not parse keeps its column.
+    """
     base = env.bindings()
     catalog = env.sub.parent
+    columns: list[tuple[str, str]] = []
+    for table, cols in env.sub.selection.items():
+        linking = catalog.linking_columns(table)
+        columns += [(table, c) for c in cols if c not in linking]
     requests = (
         (
             env.key("filter_column", f"{t}.{c}"),
@@ -160,25 +175,24 @@ def filter_column(env: RunEnv, columns: Sequence[tuple[str, str]]) -> list[bool]
     payloads = env.gateway.structured_many(
         "filter_column", requests, SamplingParams(temperature=0.0)
     )
-    votes = []
+    kept: Request = {table: [] for table in env.sub.selection}
     for (table, column), payload in zip(columns, payloads):
         if isinstance(payload, ParseError):
             logger.warning("filter_column unparseable for %s.%s; keeping column", table, column)
-            votes.append(True)
+        elif str(payload.get("is_column_information_relevant", "Yes")).strip().lower() == "no":
             continue
-        answer = str(payload.get("is_column_information_relevant", "Yes")).strip().lower()
-        votes.append(answer != "no")
-    return votes
+        kept[table].append(column)
+    return kept
 
 
-def select_tables(env: RunEnv) -> list[str]:
-    """Tables needed for the query, filtered to names that exist in `env.sub`.
+def select_tables(env: RunEnv, requested: Request) -> Request:
+    """`requested` narrowed to the tables the query needs, in the model's
+    order; names are resolved against `env.sub` and unknown ones dropped.
 
-    An empty intersection or a parse failure falls back to every table of
-    the sub-schema: schema selection must not make a question unanswerable.
+    An empty choice or a parse failure returns `requested`: schema selection
+    must not make a question unanswerable.
     """
     sub = env.sub
-    all_tables = sub.table_names()
     try:
         payload = env.gateway.structured(
             "select_tables", env.bindings(DATABASE_SCHEMA=env.schema()),
@@ -186,11 +200,11 @@ def select_tables(env: RunEnv) -> list[str]:
         )
     except ParseError:
         logger.warning("select_tables unparseable; keeping all tables")
-        return all_tables
+        return requested
     raw_names = payload.get("table_names", [])
     if not isinstance(raw_names, list):
         logger.warning("select_tables returned no table list; keeping all tables")
-        return all_tables
+        return requested
     chosen: list[str] = []
     for name in raw_names:
         resolved = sub.parent.resolve_table(str(name))
@@ -200,16 +214,14 @@ def select_tables(env: RunEnv) -> list[str]:
             chosen.append(resolved)
     if not chosen:
         logger.warning("select_tables selected nothing that exists; keeping all tables")
-        return all_tables
-    return chosen
+        return requested
+    return {t: requested[t] for t in chosen}
 
 
-def select_columns(env: RunEnv) -> dict[str, list[str]]:
-    """The model's table->columns request for the query, before projection.
-
-    The map is intersected with `env.sub`; unknown names are dropped with a
-    warning and a parse failure returns the sub-schema unchanged. Projecting
-    the request re-adds its linking columns.
+def select_columns(env: RunEnv, requested: Request) -> Request:
+    """The model's table->columns request for the query, intersected with
+    `env.sub`: unknown names are dropped with a warning, and a parse failure
+    or an answer naming no known table returns `requested`.
     """
     sub = env.sub
     try:
@@ -219,8 +231,8 @@ def select_columns(env: RunEnv) -> dict[str, list[str]]:
         )
     except ParseError:
         logger.warning("select_columns unparseable; keeping sub-schema unchanged")
-        return sub.as_requested()
-    requested: dict[str, list[str]] = {}
+        return requested
+    chosen: Request = {}
     for raw_table, raw_cols in payload.items():
         if raw_table == "chain_of_thought_reasoning" or not isinstance(raw_cols, list):
             continue
@@ -239,11 +251,11 @@ def select_columns(env: RunEnv) -> dict[str, list[str]]:
                 )
             elif col not in kept:
                 kept.append(col)
-        requested[table] = kept
-    if not requested:
+        chosen[table] = kept
+    if not chosen:
         logger.warning("select_columns selected nothing that exists; keeping sub-schema")
-        return sub.as_requested()
-    return requested
+        return requested
+    return chosen
 
 
 def generate_candidate(env: RunEnv, params: SamplingParams) -> list[CandidateQuery]:

@@ -74,13 +74,14 @@ def load_dataset(path: str | Path, fmt: str = "bird") -> list[BenchmarkItem]:
     spider format maps query->gold_sql with empty evidence (spider databases
     ship no catalog descriptions, so context retrieval should be disabled
     for those runs). A row without `db_id` or `question`, or whose question
-    id is not a plain file name (each names its trace file), raises
-    DatasetError.
+    id is not a plain file name or repeats an earlier row's (each names its
+    trace file and its line of a resumed sweep), raises DatasetError.
     """
     if fmt not in _FIELDS:
         raise ValueError(f"unknown dataset format {fmt!r}")
     (sql_key, alt_sql_key), evidence_key, difficulty_key = _FIELDS[fmt]
     items: list[BenchmarkItem] = []
+    rows_of: dict[str, int] = {}
     for i, row in enumerate(json.loads(Path(path).read_text(encoding="utf-8"))):
         if not isinstance(row, dict) or not {"db_id", "question"} <= row.keys():
             raise DatasetError(f"row {i} of {path} is not an object with db_id and question")
@@ -89,6 +90,11 @@ def load_dataset(path: str | Path, fmt: str = "bird") -> list[BenchmarkItem]:
             raise DatasetError(
                 f"row {i} of {path} has question_id {question_id!r}, not a plain file name"
             )
+        if question_id in rows_of:
+            raise DatasetError(
+                f"rows {rows_of[question_id]} and {i} of {path} share question_id {question_id!r}"
+            )
+        rows_of[question_id] = i
         items.append(
             BenchmarkItem(
                 question_id=question_id,

@@ -10,11 +10,14 @@ exactly, even while other runs share the gateway.
 
 A run builds one `agents.RunEnv` before IR and hands it to every agent tool:
 IR fills its context in place and schema selection narrows its sub-schema
-stage by stage. Scenario keys passed to the gateway are deterministic and
-come from `RunEnv.key`: `<qid>+<tool>+<attempt>`, where attempt is the sample
-index for generation, `<table>.<column>` for column filtering,
-`<candidate>.<revision>` for revision, the test index for evaluation and 0
-otherwise.
+stage by stage. The funnel is one loop over `SS_TOOLS`: each enabled tool
+maps the current table -> columns request to the next one, and the run
+projects that request (adding the linking columns back) into `RunEnv.sub`
+and records the stage. Scenario keys passed to the gateway are
+deterministic and come from `RunEnv.key`: `<qid>+<tool>+<attempt>`, where
+attempt is the sample index for generation, `<table>.<column>` for column
+filtering, `<candidate>.<revision>` for revision, the test index for
+evaluation and 0 otherwise.
 
 Independent model calls go to the backend together (`Gateway.structured_many`):
 a question's column-filter votes form one batch, its candidate samples
@@ -87,14 +90,11 @@ TEAMS = {
     "CG_only": frozenset({"CG"}),
 }
 
-TOGGLEABLE_TOOLS = (
-    "retrieve_entity",
-    "retrieve_context",
-    "filter_column",
-    "select_tables",
-    "select_columns",
-    "revise",
-)
+# the schema-selection funnel in order: each name is a toggle, an agent tool
+# and the name of the stage it records
+SS_TOOLS = ("filter_column", "select_tables", "select_columns")
+
+TOGGLEABLE_TOOLS = ("retrieve_entity", "retrieve_context", *SS_TOOLS, "revise")
 
 # every CallRecord field but elapsed goes into a trace's records
 _TRACED_CALL_FIELDS = tuple(f.name for f in fields(CallRecord) if f.name != "elapsed")
@@ -105,6 +105,10 @@ REVISABLE_FAULTS = {
     executor.TIMEOUT,
     executor.EMPTY_RESULT,
 }
+
+
+# the config sections and the JSON type each must have
+_SECTIONS = (("index", dict), ("embedder", dict), ("models", dict), ("disabled_tools", list))
 
 
 class PipelineError(Exception):
@@ -176,17 +180,16 @@ class PipelineConfig:
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, kind in _SECTIONS:
+            if key in payload and not isinstance(payload[key], kind):
+                json_type = "an object" if kind is dict else "a list"
+                raise ValueError(f"config key {key} must be {json_type}, not {payload[key]!r}")
         if "index" in payload:
             unknown = set(payload["index"]) - {f.name for f in fields(IndexConfig)}
             if unknown:
                 raise ValueError(f"unknown index config keys: {sorted(unknown)}")
             payload["index"] = IndexConfig(**payload["index"])
         if "disabled_tools" in payload:
-            if isinstance(payload["disabled_tools"], str):
-                raise ValueError(
-                    "disabled_tools must be a list of tool names, "
-                    f"not the string {payload['disabled_tools']!r}"
-                )
             payload["disabled_tools"] = frozenset(payload["disabled_tools"])
         return cls(**payload)
 
@@ -228,6 +231,8 @@ def build_gateway(config: PipelineConfig, mock_dir: str | Path | None = None) ->
     backends = {}
     models = config.models or {"default": {"kind": "mock"}}
     for name, spec in models.items():
+        if not isinstance(spec, dict):
+            raise ValueError(f"config key models.{name} must be an object, not {spec!r}")
         kind = spec.get("kind", "http")
         if kind == "mock":
             backends[name] = MockBackend(**_given(spec, "fixture_dir", "responses"))
@@ -410,21 +415,13 @@ def run(
         # `requested` carries only the semantically chosen columns; the projected
         # sub re-adds linking columns each stage. Tracking the two separately lets
         # FK columns drop out once their counterpart table leaves the selection.
+        # Each tool is looked up when called, so a wrapper bound on `agents` is seen.
         if "SS" in roles:
             requested = env.sub.as_requested()
-            if config.tool_enabled("filter_column"):
-                requested = _filter_columns_stage(env)
+            for tool in filter(config.tool_enabled, SS_TOOLS):
+                requested = getattr(agents, tool)(env, requested)
                 env.sub = project(catalog, requested)
-                trace.stages.append(_stage_record("filter_column", env.sub))
-            if config.tool_enabled("select_tables"):
-                tables = agents.select_tables(env)
-                requested = {t: requested[t] for t in tables}
-                env.sub = project(catalog, requested)
-                trace.stages.append(_stage_record("select_tables", env.sub))
-            if config.tool_enabled("select_columns"):
-                requested = agents.select_columns(env)
-                env.sub = project(catalog, requested)
-                trace.stages.append(_stage_record("select_columns", env.sub))
+                trace.stages.append(_stage_record(tool, env.sub))
 
         # --- candidate generation and revision --------------------------
         temperature = config.generation_temperature if config.n_candidates > 1 else 0.0
@@ -485,26 +482,6 @@ def _stage_record(stage: str, sub: SubSchema) -> StageRecord:
         n_columns=sub.n_columns(),
         selection=sub.as_requested(),
     )
-
-
-def _filter_columns_stage(env: RunEnv) -> dict[str, list[str]]:
-    """Per-column relevance votes; linking columns bypass the model call.
-
-    The non-linking columns go to the filter as one batch. Returns only the
-    Yes-voted non-linking columns per table (projection re-adds the linking
-    columns). Every table keeps an entry so no table leaves the schema at
-    this stage.
-    """
-    catalog = env.sub.parent
-    requested: dict[str, list[str]] = {table: [] for table in env.sub.table_names()}
-    columns: list[tuple[str, str]] = []
-    for table in requested:
-        linking = catalog.linking_columns(table)
-        columns += [(table, c) for c in env.sub.selection[table] if c not in linking]
-    for (table, column), relevant in zip(columns, agents.filter_column(env, columns)):
-        if relevant:
-            requested[table].append(column)
-    return requested
 
 
 def revise_loop(

@@ -71,36 +71,41 @@ class TestExtractKeywords:
 
 
 class TestFilterColumn:
-    COLUMN = ("results", "fastestLapTime")
+    """The filter votes on the non-linking columns of `env.sub`; a sub of
+    `results` alone has one, `fastestLapTime`, beside its primary key."""
+
+    REQUEST = {"results": ["fastestLapTime"]}
     KEY = "k+filter_column+results.fastestLapTime"
 
     @pytest.fixture
     def env_of(self, motorsport_catalog):
-        return lambda gw, **kw: _env(gw, full_projection(motorsport_catalog), **kw)
+        return lambda gw, request=self.REQUEST, **kw: _env(
+            gw, project(motorsport_catalog, request), **kw
+        )
 
     def test_yes(self, env_of):
         gw = gw_with(
             {(self.KEY, "filter_column"): ['{"chain_of_thought_reasoning": "r", "is_column_information_relevant": "Yes"}']}
         )
-        assert filter_column(env_of(gw), [self.COLUMN]) == [True]
+        assert filter_column(env_of(gw), self.REQUEST) == {"results": ["fastestLapTime"]}
 
     def test_no(self, env_of):
         gw = gw_with(
             {(self.KEY, "filter_column"): ['{"is_column_information_relevant": "No"}']}
         )
-        assert filter_column(env_of(gw), [self.COLUMN]) == [False]
+        assert filter_column(env_of(gw), self.REQUEST) == {"results": []}
 
     def test_too_deep_answer_keeps_column(self, env_of, caplog):
         deep = '{"is_column_information_relevant": ' + "[" * 100_000 + "]" * 100_000 + "}"
         gw = gw_with({(self.KEY, "filter_column"): [deep]})
         with caplog.at_level(logging.WARNING):
-            assert filter_column(env_of(gw), [self.COLUMN]) == [True]
+            assert filter_column(env_of(gw), self.REQUEST) == {"results": ["fastestLapTime"]}
         assert any("keeping column" in r.message for r in caplog.records)
 
     def test_parse_failure_keeps_column(self, env_of, caplog, calls):
         gw = gw_with({(self.KEY, "filter_column"): ["garbled"]})
         with caplog.at_level(logging.WARNING):
-            assert filter_column(env_of(gw), [self.COLUMN]) == [True]
+            assert filter_column(env_of(gw), self.REQUEST) == {"results": ["fastestLapTime"]}
         assert len(calls) == 1  # no retry for this tool
 
     def test_profile_rendered_into_prompt(self, finance_db, finance_catalog, tmp_path, calls):
@@ -113,9 +118,10 @@ class TestFilterColumn:
             responses={("k+filter_column+district.A11", "filter_column"): ['{"is_column_information_relevant": "Yes"}']}
         )
         gw = Gateway.single(backend, log_path=tmp_path / "calls.jsonl")
-        env = _env(gw, full_projection(catalog), question="q", hint="h")
+        request = {"district": ["A11"]}
+        env = _env(gw, project(catalog, request), question="q", hint="h")
         env.context.entities = [EntityMatch("average salary", "8968", "district", "A11", 0, 0.9)]
-        assert filter_column(env, [("district", "A11")]) == [True]
+        assert filter_column(env, request) == request
         # prompt token count reflects the profile text making it in
         assert calls[0].prompt_tokens > 0
         (logged,) = (tmp_path / "calls.jsonl").read_text(encoding="utf-8").splitlines()
@@ -125,6 +131,8 @@ class TestFilterColumn:
         assert "Value examples: 8968" in prompt
 
     def test_votes_in_profile_order(self, env_of, calls):
+        """Columns are voted on, and kept, in the sub-schema's table order,
+        whatever order the request that built it named them in."""
         answers = {"time": "Yes", "positionText": "No", "fastestLapTime": "garbled",
                    "fastestLapSpeed": "No"}
         gw = gw_with({
@@ -133,65 +141,73 @@ class TestFilterColumn:
             ]
             for c, a in answers.items()
         })
-        columns = [("results", c) for c in answers]
-        assert filter_column(env_of(gw), columns) == [True, False, True, False]
+        request = {"results": list(answers)}
+        assert filter_column(env_of(gw, request), request) == {
+            "results": ["time", "fastestLapTime"]
+        }
         assert [r.scenario_key for r in calls] == [
-            f"k+filter_column+results.{c}" for c in answers
+            f"k+filter_column+results.{c}"
+            for c in ("positionText", "time", "fastestLapTime", "fastestLapSpeed")
         ]
 
 
 class TestSelectTables:
+    """The tool narrows the request it is given to the chosen tables, and
+    returns it unchanged where it falls back."""
+
+    REQUEST = {"drivers": ["forename"], "races": ["name"], "results": ["fastestLapTime"]}
+
     def test_two_tables(self, motorsport_catalog):
-        sub = full_projection(motorsport_catalog)
+        sub = project(motorsport_catalog, self.REQUEST)
         gw = gw_with(
             {("k+select_tables+0", "select_tables"): ['{"chain_of_thought_reasoning": "r", "table_names": ["drivers", "results"]}']}
         )
-        assert select_tables(_env(gw, sub)) == ["drivers", "results"]
+        assert select_tables(_env(gw, sub), self.REQUEST) == {
+            "drivers": ["forename"], "results": ["fastestLapTime"]
+        }
 
     def test_hallucinated_name_dropped(self, motorsport_catalog, caplog):
-        sub = full_projection(motorsport_catalog)
+        sub = project(motorsport_catalog, self.REQUEST)
         gw = gw_with(
             {("k+select_tables+0", "select_tables"): ['{"table_names": ["drivers", "ghost"]}']}
         )
         with caplog.at_level(logging.WARNING):
-            assert select_tables(_env(gw, sub)) == ["drivers"]
+            assert select_tables(_env(gw, sub), self.REQUEST) == {"drivers": ["forename"]}
 
     def test_empty_intersection_falls_back(self, motorsport_catalog, caplog):
-        sub = full_projection(motorsport_catalog)
+        sub = project(motorsport_catalog, self.REQUEST)
         gw = gw_with({("k+select_tables+0", "select_tables"): ['{"table_names": ["ghost"]}']})
         with caplog.at_level(logging.WARNING):
-            out = select_tables(_env(gw, sub))
-        assert out == sub.table_names()
+            out = select_tables(_env(gw, sub), self.REQUEST)
+        assert out == self.REQUEST
 
     def test_parse_failure_falls_back(self, motorsport_catalog):
-        sub = full_projection(motorsport_catalog)
+        sub = project(motorsport_catalog, self.REQUEST)
         gw = gw_with(
             {
                 ("k+select_tables+0", "select_tables"): ["junk"],
                 ("k+select_tables+0#retry1", "select_tables"): ["junk again"],
             }
         )
-        assert select_tables(_env(gw, sub)) == sub.table_names()
+        assert select_tables(_env(gw, sub), self.REQUEST) == self.REQUEST
 
     def test_case_insensitive_resolution(self, motorsport_catalog):
-        sub = full_projection(motorsport_catalog)
+        sub = project(motorsport_catalog, self.REQUEST)
         gw = gw_with({("k+select_tables+0", "select_tables"): ['{"table_names": ["DRIVERS"]}']})
-        assert select_tables(_env(gw, sub)) == ["drivers"]
+        assert select_tables(_env(gw, sub), self.REQUEST) == {"drivers": ["forename"]}
 
     def test_table_names_not_a_list_keeps_all(self, motorsport_catalog, caplog):
-        sub = full_projection(motorsport_catalog)
+        sub = project(motorsport_catalog, self.REQUEST)
         gw = gw_with({("k+select_tables+0", "select_tables"): ['{"table_names": "drivers"}']})
         with caplog.at_level(logging.WARNING):
-            assert select_tables(_env(gw, sub)) == sub.table_names()
+            assert select_tables(_env(gw, sub), self.REQUEST) == self.REQUEST
         assert "no table list" in caplog.text
 
 
 class TestSelectColumns:
     def test_retention_reapplied(self, motorsport_catalog):
-        sub = project(
-            motorsport_catalog,
-            {"drivers": ["forename", "surname"], "results": ["fastestLapTime", "laps"]},
-        )
+        request = {"drivers": ["forename", "surname"], "results": ["fastestLapTime", "laps"]}
+        sub = project(motorsport_catalog, request)
         gw = gw_with(
             {
                 ("k+select_columns+0", "select_columns"): [
@@ -200,7 +216,7 @@ class TestSelectColumns:
                 ]
             }
         )
-        out = select_columns(_env(gw, sub))
+        out = select_columns(_env(gw, sub), request)
         assert out == {"drivers": ["forename"], "results": ["fastestLapTime"]}
         assert project(motorsport_catalog, out).selection == {
             "drivers": ["driverId", "forename"],
@@ -208,49 +224,58 @@ class TestSelectColumns:
         }
 
     def test_zero_columns_keeps_pk(self, motorsport_catalog):
-        sub = project(motorsport_catalog, {"drivers": ["forename"]})
+        request = {"drivers": ["forename"]}
+        sub = project(motorsport_catalog, request)
         gw = gw_with({("k+select_columns+0", "select_columns"): ['{"drivers": []}']})
-        out = select_columns(_env(gw, sub))
+        out = select_columns(_env(gw, sub), request)
         assert out == {"drivers": []}
         assert project(motorsport_catalog, out).selection == {"drivers": ["driverId"]}
 
     def test_unknown_columns_dropped_with_warning(self, motorsport_catalog, caplog):
-        sub = project(motorsport_catalog, {"drivers": ["forename"]})
+        request = {"drivers": ["forename"]}
+        sub = project(motorsport_catalog, request)
         gw = gw_with(
             {("k+select_columns+0", "select_columns"): ['{"drivers": ["forename", "ghost_col"]}']}
         )
         with caplog.at_level(logging.WARNING):
-            out = select_columns(_env(gw, sub))
+            out = select_columns(_env(gw, sub), request)
         assert out == {"drivers": ["forename"]}
         assert project(motorsport_catalog, out).selection == {"drivers": ["driverId", "forename"]}
         assert any("ghost_col" in r.message for r in caplog.records)
 
     def test_parse_failure_returns_sub_unchanged(self, motorsport_catalog):
-        sub = project(motorsport_catalog, {"drivers": ["forename"]})
+        request = {"drivers": ["forename"]}
+        sub = project(motorsport_catalog, request)
         gw = gw_with(
             {
                 ("k+select_columns+0", "select_columns"): ["junk"],
                 ("k+select_columns+0#retry1", "select_columns"): ["junk"],
             }
         )
-        assert select_columns(_env(gw, sub)) == sub.as_requested()
+        out = select_columns(_env(gw, sub), request)
+        assert out == request
+        assert project(motorsport_catalog, out).selection == sub.selection
 
     def test_unknown_table_dropped(self, motorsport_catalog, caplog):
-        sub = project(motorsport_catalog, {"drivers": ["forename"]})
+        request = {"drivers": ["forename"]}
+        sub = project(motorsport_catalog, request)
         gw = gw_with(
             {("k+select_columns+0", "select_columns"): ['{"ghost": ["a"], "drivers": []}']}
         )
         with caplog.at_level(logging.WARNING):
-            out = select_columns(_env(gw, sub))
+            out = select_columns(_env(gw, sub), request)
         assert out == {"drivers": []}
         assert project(motorsport_catalog, out).selection == {"drivers": ["driverId"]}
         assert "unknown table 'ghost'" in caplog.text
 
     def test_no_known_table_keeps_sub(self, motorsport_catalog, caplog):
-        sub = project(motorsport_catalog, {"drivers": ["forename"]})
+        request = {"drivers": ["forename"]}
+        sub = project(motorsport_catalog, request)
         gw = gw_with({("k+select_columns+0", "select_columns"): ['{"ghost": ["a"]}']})
         with caplog.at_level(logging.WARNING):
-            assert select_columns(_env(gw, sub)) == sub.as_requested()
+            out = select_columns(_env(gw, sub), request)
+        assert out == request
+        assert project(motorsport_catalog, out).selection == sub.selection
         assert "selected nothing that exists" in caplog.text
 
 

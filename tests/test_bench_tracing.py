@@ -137,3 +137,7 @@ def test_chunked_filter_spans_keep_their_parent(monkeypatch, tmp_path, motorspor
     assert len(under_filter) == 64
     # keywords, table selection, column selection and the one sample
     assert len(backend) == 64 + 4
+    # the funnel finds each tool on `agents` when it calls it, so the
+    # tracer's wrappers see every stage
+    for tool in ("select_tables", "select_columns"):
+        assert len([s for s in tracer.spans if s.name == f"agents.{tool}"]) == 1

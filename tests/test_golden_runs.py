@@ -6,7 +6,9 @@ the same caches. Both sweeps must give the pinned sha256 of
 `predictions.jsonl`, of `report.json`, of each `traces/*.jsonl`, whose
 summary line is hashed without its `duration_s`, and of the gateway's call
 log, which holds every prompt sent and answer read. The cases are the four
-teams, plus each toggleable tool disabled on its own under `IR_SS_CG_UT`.
+teams, each toggleable tool disabled on its own under `IR_SS_CG_UT`, and,
+under the same team, each pair of schema-selection tools and all three
+disabled together.
 
 A change that alters output on purpose re-pins here and names each changed
 digest, and why, in CHANGES.md.
@@ -24,7 +26,9 @@ from e2e_fixtures import build_bench_root, build_suite_fixture_dir, suite_datase
 from querycrew.catalog import introspect_database
 from querycrew.gateway import Gateway, MockBackend
 from querycrew.harness import load_dataset, run_benchmark
-from querycrew.pipeline import TEAMS, TOGGLEABLE_TOOLS, PipelineConfig
+from querycrew.pipeline import SS_TOOLS, TEAMS, TOGGLEABLE_TOOLS, PipelineConfig
+
+SS_DISABLED = [set(SS_TOOLS) - {tool} for tool in SS_TOOLS] + [set(SS_TOOLS)]
 
 CASES = {
     **{team: PipelineConfig(team=team, n_candidates=3, n_unit_tests=2) for team in TEAMS},
@@ -34,6 +38,13 @@ CASES = {
             disabled_tools=frozenset({tool}),
         )
         for tool in TOGGLEABLE_TOOLS
+    },
+    **{
+        "IR_SS_CG_UT-" + "+".join(t for t in SS_TOOLS if t in tools): PipelineConfig(
+            team="IR_SS_CG_UT", n_candidates=3, n_unit_tests=2,
+            disabled_tools=frozenset(tools),
+        )
+        for tools in SS_DISABLED
     },
 }
 

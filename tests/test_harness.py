@@ -305,6 +305,19 @@ class TestLoadDataset:
         path.write_text(json.dumps(rows), encoding="utf-8")
         assert [it.question_id for it in load_dataset(path, "bird")] == ["7", "q_1-2"]
 
+    @pytest.mark.parametrize("extra, first", [({"question_id": "q_1"}, 0), ({}, 2)])
+    def test_repeated_question_id(self, tmp_path, extra, first):
+        """Two rows with one id would share a trace file, their scenario keys
+        and, on resume, one prediction line. A row without an id takes its
+        index, which another row's explicit id can repeat."""
+        path = tmp_path / "rows.json"
+        rows = [{"db_id": "d", "question": "q", "question_id": qid} for qid in ("q_1", "2", "3")]
+        rows.append({"db_id": "d", "question": "q", **extra})
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        qid = rows[first]["question_id"]
+        with pytest.raises(DatasetError, match=f"rows {first} and 3 of .* share question_id '{qid}'"):
+            load_dataset(path, "bird")
+
 
 class TestResolveDbFile:
     def test_bird_layout(self, bench_env):

@@ -49,7 +49,6 @@ from querycrew.pipeline import (
     PipelineConfig,
     PipelineError,
     RunEnv,
-    _filter_columns_stage,
     _revise_in_waves,
     build_embedder,
     build_gateway,
@@ -809,6 +808,23 @@ class TestPipelineConfig:
             build_embedder(config)
             build_gateway(config)
 
+    @pytest.mark.parametrize("section, value, key", [
+        ("index", 5, "index"),
+        ("embedder", "local", "embedder"),
+        ("models", ["mock"], "models"),
+        ("models", {"default": "mock"}, "models.default"),
+        ("disabled_tools", {"revise": 1}, "disabled_tools"),
+    ])
+    def test_section_of_the_wrong_json_type(self, section, value, key):
+        """A config.json section that is not an object (or, for the tool
+        toggles, a list) is an error naming it, not a TypeError or
+        AttributeError later, nor read as a dict's keys."""
+        payload = {**PipelineConfig().to_dict(), section: value}
+        with pytest.raises(ValueError, match=f"config key {key} must be"):
+            config = PipelineConfig.from_dict(payload)
+            build_embedder(config)
+            build_gateway(config)
+
     def test_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99}', encoding="utf-8")
@@ -1503,7 +1519,7 @@ class TestFilterFanOut:
         backend = SeesProfiles()
         sub = full_projection(wide_catalog)
         env = RunEnv("q", "h", sub, RetrievedContext(), Path(), Gateway.single(backend), "w")
-        assert _filter_columns_stage(env) == {t: [] for t in sub.table_names()}
+        assert agents.filter_column(env, sub.as_requested()) == {t: [] for t in sub.table_names()}
         n = len(_non_linking(wide_catalog, sub))
         assert n > 2 * WINDOW
         assert built == _non_linking(wide_catalog, sub)
@@ -1611,9 +1627,9 @@ class TestFilterStageMatchesOneByOne:
             with tempfile.TemporaryDirectory() as tmp:
                 for name, stage in (
                     ("one_by_one", lambda gw: _filter_one_by_one(wide_catalog, sub, gw, qid)),
-                    ("chunked", lambda gw: _filter_columns_stage(RunEnv(
+                    ("chunked", lambda gw: agents.filter_column(RunEnv(
                         FUNNEL_QUESTION, FUNNEL_HINT, sub, RetrievedContext(), Path(), gw, qid,
-                    ))),
+                    ), sub.as_requested())),
                 ):
                     log = Path(tmp) / f"{name}.jsonl"
                     gw = Gateway.single(MockBackend(responses=responses), log_path=log)
