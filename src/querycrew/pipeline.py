@@ -23,7 +23,8 @@ Independent model calls go to the backend together (`Gateway.structured_many`):
 a question's column-filter votes form one batch, its candidate samples
 another, each revision wave another, and its unit-test verdicts one more.
 The gateway reads a batch 128 requests at a time and splits each window into
-at most `POOL_WIDTH` chunks of consecutive calls, one pool task each. It
+at most `POOL_WIDTH` (24) chunks of consecutive calls, one pool task each, so
+the default 20 samples and 10 verdicts each take one backend round trip. It
 keeps two windows out: the calling thread reads and renders window n+1, and
 so builds the filter's column profiles of that window, while the pool calls
 the backend for window n. Everything else, rendering, parsing and SQL
@@ -135,6 +136,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in (
+            ("team", self.team), ("compare_mode", self.compare_mode),
+            *(("disabled_tools entry", tool) for tool in self.disabled_tools),
+        ):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        self.disabled_tools = frozenset(self.disabled_tools)
         if self.team not in TEAMS:
             raise ValueError(f"unknown team {self.team!r}; expected one of {sorted(TEAMS)}")
         unknown = set(self.disabled_tools) - set(TOGGLEABLE_TOOLS)
@@ -146,6 +154,10 @@ class PipelineConfig:
             ("max_revisions", 0), ("context_k", 0),
         ):
             check_int(name, getattr(self, name), low)
+        for name in ("generation_temperature", "execution_timeout_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int | float):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not self.generation_temperature >= 0:  # written so that NaN fails too
             raise ValueError(
                 f"generation_temperature must be >= 0, got {self.generation_temperature!r}"
@@ -189,8 +201,6 @@ class PipelineConfig:
             if unknown:
                 raise ValueError(f"unknown index config keys: {sorted(unknown)}")
             payload["index"] = IndexConfig(**payload["index"])
-        if "disabled_tools" in payload:
-            payload["disabled_tools"] = frozenset(payload["disabled_tools"])
         return cls(**payload)
 
     @classmethod

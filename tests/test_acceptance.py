@@ -647,8 +647,11 @@ class TestCriterion9LargeSchemaSynthesis:
 
 class TestCriterion10Determinism:
     def test_byte_identical_predictions(self, bench_env, tmp_path):
+        import os
         import subprocess
         import sys
+
+        import querycrew
 
         items = load_dataset(bench_env["dataset"], "bird")
         config = PipelineConfig(team="IR_CG_UT", n_candidates=3, n_unit_tests=2)
@@ -662,7 +665,10 @@ class TestCriterion10Determinism:
             mock_dir=bench_env["fixtures"],
         )
         # second run in a fresh interpreter: catches any dependence on
-        # per-process hash randomization
+        # per-process hash randomization. The child imports the same checkout
+        # as this process, whatever the caller's PYTHONPATH.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(querycrew.__file__)))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         subprocess.run(
             [
                 sys.executable, "-m", "querycrew.cli", "bench",
@@ -674,6 +680,7 @@ class TestCriterion10Determinism:
             ],
             check=True,
             capture_output=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         bytes_a = (tmp_path / "run_a" / "predictions.jsonl").read_bytes()
         bytes_b = (tmp_path / "run_b" / "predictions.jsonl").read_bytes()

@@ -15,7 +15,15 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from querycrew.agents import RetrievedContext, RunEnv, generate_candidate
+from querycrew.agents import (
+    CandidateQuery,
+    RetrievedContext,
+    RunEnv,
+    UnitTest,
+    Verdict,
+    evaluate_against_test,
+    generate_candidate,
+)
 from querycrew.catalog import full_projection
 from querycrew.context_store import ContextStoreError, RemoteEmbedder
 from querycrew import gateway
@@ -38,6 +46,7 @@ from querycrew.gateway import (
     parse_structured,
     sanitize_scenario_key,
 )
+from querycrew.pipeline import PipelineConfig
 from querycrew.templates import (
     JSON_OBJECT,
     PYTHON_LIST,
@@ -681,38 +690,80 @@ class TestHttpBackend:
 
 
     def test_pool_width_bounds_calls_in_flight(self, motorsport_catalog, calls):
-        class FakeResponse:
-            status_code = 200
-
-            def json(self):
-                return {"choices": [{"message": {"content": '{"SQL": "SELECT 1"}'}}]}
-
-        class CountingSession:
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.in_flight = 0
-                self.peak = 0
-
-            def post(self, *a, **k):
-                with self.lock:
-                    self.in_flight += 1
-                    self.peak = max(self.peak, self.in_flight)
-                time.sleep(0.01)
-                with self.lock:
-                    self.in_flight -= 1
-                return FakeResponse()
-
-        session = CountingSession()
-        gw = Gateway.single(HttpChatBackend("http://x", "m", session=session))
-        env = RunEnv(
-            "q", "h", full_projection(motorsport_catalog), RetrievedContext(), Path(), gw, "q"
+        """A batch wider than the pool has exactly POOL_WIDTH calls out, and
+        its answers and records keep request order."""
+        n = POOL_WIDTH + 5
+        session = CountingSession('{"SQL": "SELECT 1"}', hold=POOL_WIDTH)
+        candidates = generate_candidate(
+            _http_env(session, motorsport_catalog), SamplingParams(temperature=1.0, n_samples=n)
         )
-        candidates = generate_candidate(env, SamplingParams(temperature=1.0, n_samples=20))
         assert session.peak == POOL_WIDTH
-        assert [c.generation_index for c in candidates] == list(range(20))
-        assert [r.scenario_key for r in calls] == [
-            f"q+generate_candidate+{i}" for i in range(20)
-        ]
+        assert [c.generation_index for c in candidates] == list(range(n))
+        assert [r.scenario_key for r in calls] == [f"q+generate_candidate+{i}" for i in range(n)]
+
+    def test_default_sample_batch_is_one_round(self, motorsport_catalog):
+        n = PipelineConfig().n_candidates
+        session = CountingSession('{"SQL": "SELECT 1"}', hold=n)
+        generate_candidate(
+            _http_env(session, motorsport_catalog), SamplingParams(temperature=1.0, n_samples=n)
+        )
+        assert session.peak == n
+
+    def test_default_config_batches_fit_in_one_round(self, motorsport_catalog):
+        """Every batch a default question sends (its samples and its
+        verdicts) fits in the pool, so each takes one backend round trip."""
+        config = PipelineConfig()
+        assert max(config.n_candidates, config.n_unit_tests) <= POOL_WIDTH
+        n = config.n_unit_tests
+        session = CountingSession("<Answer>\nCandidate Response #1: Passed\n</Answer>", hold=n)
+        tests = [UnitTest(f"test {i}", i) for i in range(n)]
+        rows = evaluate_against_test(
+            _http_env(session, motorsport_catalog), [CandidateQuery("SELECT 1")], tests
+        )
+        assert session.peak == n
+        assert rows == [[Verdict.PASSED]] * n
+
+    def test_own_session_keeps_a_connection_per_call_out(self):
+        for url in ("http://x", "https://x"):
+            session = HttpChatBackend(url, "m").session
+            pool_kw = session.get_adapter(url).poolmanager.connection_pool_kw
+            assert pool_kw["maxsize"] >= POOL_WIDTH + 1
+
+    def test_given_session_is_used_as_given(self):
+        session = requests.Session()
+        adapters = dict(session.adapters)
+        backend = HttpChatBackend("http://x", "m", session=session)
+        assert backend.session is session
+        assert session.adapters == adapters
+
+
+class CountingSession:
+    """Answers every post with one completion of `content` and counts the
+    calls out at once. Each call waits (up to 2 s) until `hold` calls have
+    been out together, so the peak does not hang on thread start-up."""
+
+    def __init__(self, content, hold):
+        self.content = content
+        self.hold = hold
+        self.cond = threading.Condition()
+        self.in_flight = 0
+        self.peak = 0
+
+    def post(self, *a, **k):
+        with self.cond:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.cond.notify_all()
+            self.cond.wait_for(lambda: self.peak >= self.hold, timeout=2)
+        time.sleep(0.01)
+        with self.cond:
+            self.in_flight -= 1
+        return FakeResponse(body={"choices": [{"message": {"content": self.content}}]})
+
+
+def _http_env(session, catalog):
+    gw = Gateway.single(HttpChatBackend("http://x", "m", session=session))
+    return RunEnv("q", "h", full_projection(catalog), RetrievedContext(), Path(), gw, "q")
 
 
 class FakeResponse:

@@ -875,6 +875,24 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=name):
             build_embedder(PipelineConfig.from_dict(payload))
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("team", ["IR_CG_UT"], "team must be a string"),
+        ("team", 5, "team must be a string"),
+        ("compare_mode", ["set"], "compare_mode must be a string"),
+        ("disabled_tools", [["revise"]], "disabled_tools entry must be a string"),
+        ("disabled_tools", [3], "disabled_tools entry must be a string"),
+        ("generation_temperature", "hot", "generation_temperature must be a number"),
+        ("generation_temperature", True, "generation_temperature must be a number"),
+        ("execution_timeout_s", None, "execution_timeout_s must be a number"),
+        ("execution_timeout_s", True, "execution_timeout_s must be a number"),
+    ])
+    def test_scalars_of_the_wrong_json_type(self, name, value, message):
+        """A config.json value of the wrong type is an error naming its key,
+        not a TypeError from a membership or comparison test, nor (a bool)
+        read as a number."""
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_dict({**PipelineConfig().to_dict(), name: value})
+
     def test_ut_with_one_candidate_warns(self, caplog):
         with caplog.at_level(logging.WARNING):
             PipelineConfig(team="IR_CG_UT", n_candidates=1)
